@@ -7,6 +7,21 @@ own-class prototype as a relevant item by default; a collapsed mode that
 scores only the first own-class hit is available since multi-prototype
 galleries admit both readings.
 
+``evaluate`` needs only where each own-class prototype falls in a query's
+ranking.  It takes queries in blocks of ``QUERY_BLOCK`` and gets squared
+distances to the packed prototypes from one GEMM per block
+(‖q‖² + ‖p‖² − 2qpᵀ, the decomposition used by exact L2 search in
+FAISS).  A set made by ``PrototypeSet.replace_class`` is ranked against
+its parent's packed matrix; the rows it replaced get squared distances
+from one ``cdist`` call per set, so the camera-filter protocol costs one
+GEMM plus a few rows per (class, camera) group.  Each own-class item is
+ranked by counting the prototypes certainly nearer than it, given a
+certified rounding margin on these approximate distances; a prototype
+inside the margin is re-checked with exact distances,
+``np.linalg.norm(rows - q)``, under the tie rule.  Every rank therefore
+equals the brute-force rank: the report does not depend on the block,
+the BLAS library or its thread count.
+
 Final metric averaging is done with sequential scalar arithmetic in a
 fixed order, so an independently coded brute-force implementation that
 follows the same definitions produces bit-identical mAP and CMC values.
@@ -30,8 +45,10 @@ from .errors import (
 from .store import EmbeddingRecord, EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
+# Queries per GEMM in ``evaluate``; bounds the block's (queries, P)
+# approximate distance matrix, the only one kept.
+QUERY_BLOCK = 128
 
-PROTOCOLS = ("plain", "camera_filtered_regen")
 AP_MODES = ("per_prototype", "per_identity")
 
 
@@ -46,6 +63,13 @@ def distance(p, q) -> float:
     return float(np.linalg.norm(p - q))
 
 
+def _exact_dists(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows - q, axis=1)``: the distances every ranking is
+    exact in; one too large for float64 is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(rows - q, axis=1)
+
+
 @dataclass(frozen=True)
 class Ranking:
     query_id: str
@@ -53,27 +77,12 @@ class Ranking:
     tie_rule_applied: bool
 
 
-def _order_by_distance(
-    dists: np.ndarray, class_arr: np.ndarray, proto_arr: np.ndarray
-) -> np.ndarray:
-    # last lexsort key is primary: distance, then class, then prototype index
-    return np.lexsort((proto_arr, class_arr, dists))
-
-
-def rank_query(
-    query: EmbeddingRecord,
-    prototypes: PrototypeSet,
-    protocol: str = "plain",
-) -> Ranking:
+def rank_query(query: EmbeddingRecord, prototypes: PrototypeSet) -> Ranking:
     """Full ascending ranking of one query against every prototype.
 
-    ``protocol`` is echoed validation only: under camera_filtered_regen the
-    caller must already have supplied prototypes regenerated for this
-    query's camera (the harness orchestrates that); the ranking math is
-    identical either way.
+    ``flattened()`` rows are in (class, prototype index) order, so a stable
+    sort on distance applies the tie rule.
     """
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r} (choose from {PROTOCOLS})")
     if prototypes.total_count() == 0:
         raise EmptyPrototypeSetError("cannot rank against an empty prototype set")
     mat, class_arr, proto_arr = prototypes.flattened()
@@ -81,8 +90,8 @@ def rank_query(
         raise DimensionMismatchError(
             f"query dimension {query.vector.shape[0]} vs prototypes {mat.shape[1]}"
         )
-    dists = np.linalg.norm(mat - query.vector, axis=1)
-    order = _order_by_distance(dists, class_arr, proto_arr)
+    dists = _exact_dists(mat, query.vector)
+    order = np.argsort(dists, kind="stable")
     sorted_d = dists[order]
     tie = bool(np.any(sorted_d[1:] == sorted_d[:-1])) if len(sorted_d) > 1 else False
     entries = tuple(
@@ -139,6 +148,171 @@ def _as_pset_groups(
     return list(groups.values())
 
 
+def _packed_root(pset: PrototypeSet) -> tuple[PrototypeSet, dict[int, np.ndarray]]:
+    """(packed set, class -> rows put in place of its own) behind ``pset``."""
+    replaced: dict[int, np.ndarray] = {}
+    while pset.derived_from is not None:
+        parent, class_id = pset.derived_from
+        replaced.setdefault(class_id, pset.per_class[class_id])
+        pset = parent
+    return pset, replaced
+
+
+class _Splice:
+    """The rows a set made by ``replace_class`` holds in place of its
+    packed root's, with their squared distances to the set's queries from
+    one ``cdist`` call."""
+
+    def __init__(self, qmat: np.ndarray, replaced: Mapping[int, np.ndarray]):
+        ids = sorted(replaced)
+        counts = [len(replaced[c]) for c in ids]
+        self.rows = np.concatenate([replaced[c] for c in ids])
+        self.classes = np.repeat(np.array(ids, dtype=np.int64), counts)
+        stops = np.cumsum(counts)
+        self.spans = {c: slice(int(e) - k, int(e)) for c, k, e in zip(ids, counts, stops)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
+        self.max_sq_norm = float(sq_norms.max(initial=0.0))
+        self.approx = cdist(qmat, self.rows, "sqeuclidean")
+
+
+# Rounding margin of the approximate distances.  Let n = dim, u = 2**-53,
+# γ_k = k·u / (1 − k·u); for a query q and a prototype p let t = ‖p − q‖²
+# in real arithmetic, and S = ‖q‖² + max‖p‖² over the packed and spliced
+# rows, so t ≤ 2S.  The dot-product bound |fl(xᵀy) − xᵀy| ≤ γ_n·|x|ᵀ|y|
+# (Higham, Accuracy and Stability of Numerical Algorithms, eq. 3.5) holds
+# for any summation order, with or without FMA, so it covers every BLAS
+# kernel and thread split:
+#   * GEMM: the cached ‖p‖² and the block's ‖q‖² are each off by ≤ γ_n of
+#     themselves, qᵀp by ≤ γ_n·(‖q‖² + ‖p‖²)/2, and a = (−2·qᵀp + ‖p‖²) + ‖q‖²
+#     adds two roundings of terms below 2(‖q‖² + ‖p‖²)(1 + γ_n), so
+#     |a − t| ≤ (2γ_n + 4u(1 + γ_n))·S;
+#   * ``cdist`` "sqeuclidean" sums rounded squares of rounded differences:
+#     |a − t| ≤ γ_{n+2}·t ≤ 2γ_{n+2}·S;
+#   * the exact path d = √Σ(p_i − q_i)² (``np.linalg.norm``) rounds each
+#     difference, its square, the sum and the root: |d² − t| ≤ γ_{n+4}·t.
+# Every approximation a thus lies within E + D of its row's d², with
+# E ≈ (2n + 4)·u·S and D = 2γ_{n+4}·S ≈ (2n + 8)·u·S, and so does the j-th
+# smallest own-class approximation A_j of the j-th smallest own-class d_j².
+# Hence a < A_j − 2(E + D) proves d < d_j and a > A_j + 2(E + D) proves
+# d > d_j.  The thresholds fl(A_j ∓ m) add a rounding of at most
+# u·(2S + E + m), so they certify once
+#   m ≥ 2(E + D) + u·(2S + E + m),   i.e. m ≳ (8n + 26)·u·S.
+# The margin below doubles (8n + 32)·u·S, which covers the second-order
+# terms and S itself being rounded; the η term (smallest subnormal) covers
+# the absolute error an operation may add on underflow.
+_U = 2.0**-53
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _margin(dim: int, scale: float) -> float:
+    return 2.0 * (8 * dim + 32) * (_U * scale + _ETA)
+
+
+def _certified(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Rank approximate squared distances against own-class thresholds.
+
+    ``lo``/``hi`` are the ascending thresholds A_j ∓ margin.  Returns the
+    count of ``values`` certainly nearer than each own item, then the
+    positions left unsure for some own item j (``lo[j] <= value <= hi[j]``)
+    with their window of such j, ``[w_lo, w_hi)``.
+    """
+    ranked = np.sort(values)
+    before = np.searchsorted(ranked, lo, side="left")
+    if np.array_equal(np.searchsorted(ranked, hi, side="right"), before):
+        none = np.empty(0, dtype=np.int64)
+        return before, none, none, none
+    cols = np.flatnonzero((values >= lo[0]) & (values <= hi[-1]))
+    w_lo = np.searchsorted(hi, values[cols], side="left")
+    w_hi = np.searchsorted(lo, values[cols], side="right")
+    unsure = w_lo < w_hi
+    return before, cols[unsure], w_lo[unsure], w_hi[unsure]
+
+
+class _RankKernel:
+    """Exact own-class ranks of queries against one packed prototype set
+    and the sets made from it by ``replace_class``."""
+
+    def __init__(self, root: PrototypeSet):
+        self.mat, self.classes, _ = root.flattened()
+        self.sq_norms = root.sq_norms
+        self.max_sq_norm = float(self.sq_norms.max(initial=0.0))
+        self.spans = root.class_spans
+
+    def approx_sq_dists(self, qmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(‖q‖² per query, GEMM squared distances to every packed row)."""
+        # values that overflow are caught by the finiteness check of own_ranks
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_sq = np.einsum("ij,ij->i", qmat, qmat)
+            approx = qmat @ self.mat.T
+            approx *= -2.0
+            approx += self.sq_norms
+            approx += q_sq[:, None]
+        return q_sq, approx
+
+    def own_ranks(
+        self,
+        q: np.ndarray,
+        class_id: int,
+        q_sq: float,
+        approx: np.ndarray,
+        splice: _Splice | None,
+        spliced: np.ndarray | None,
+    ) -> np.ndarray:
+        """Ascending 1-based ranks of the own-class prototypes of a query
+        of ``class_id`` under the (distance, class, index) order; empty when
+        its class has none.  ``approx`` is the query's GEMM row; a query of
+        a derived set also gets its ``splice`` and row of its distances,
+        ``spliced``.  Both rows are overwritten."""
+        replaced = splice.spans if splice is not None else {}
+        if class_id in replaced:
+            own, own_approx = splice.rows[replaced[class_id]], spliced[replaced[class_id]]
+        else:
+            span = self.spans.get(class_id, slice(0, 0))
+            own, own_approx = self.mat[span], approx[span]
+        k = len(own)
+        if k == 0:
+            return np.empty(0, dtype=np.int64)
+        # the order among own rows does not change which ranks they take
+        a_own = np.sort(own_approx)
+        # (values, rows, classes, spans that are not other-class rows of the
+        # query's set): the packed rows, then the spliced ones
+        sources = [
+            (approx, self.mat, self.classes,
+             [self.spans[c] for c in (class_id, *replaced) if c in self.spans]),
+        ]
+        if splice is not None:
+            own_span = [replaced[class_id]] if class_id in replaced else []
+            sources.append((spliced, splice.rows, splice.classes, own_span))
+        scale = q_sq + max(self.max_sq_norm, splice.max_sq_norm if splice else 0.0)
+        certify = bool(np.isfinite(4.0 * scale))
+        m = _margin(self.mat.shape[1], scale) if certify else None
+        before = np.zeros(k, dtype=np.int64)
+        unsure = []  # (rows, classes, window lo, window hi) to re-check exactly
+        for values, rows, classes, skip in sources:
+            if certify:
+                for span in skip:
+                    values[span] = np.inf
+                b, cols, w_lo, w_hi = _certified(values, a_own - m, a_own + m)
+                before += b
+                w_lo, w_hi = w_lo[:, None], w_hi[:, None]
+            else:  # squared distances may overflow: re-check every row
+                keep = np.ones(len(values), dtype=bool)
+                for span in skip:
+                    keep[span] = False
+                cols, w_lo, w_hi = np.flatnonzero(keep), 0, k
+            if len(cols):
+                unsure.append((rows[cols], classes[cols][:, None], w_lo, w_hi))
+        j = np.arange(k)
+        if unsure:
+            d_own = np.sort(_exact_dists(own, q))
+            for rows, classes, w_lo, w_hi in unsure:
+                d = _exact_dists(rows, q)[:, None]
+                nearer = (d < d_own) | ((d == d_own) & (classes < class_id))
+                before += np.count_nonzero(nearer & (w_lo <= j) & (j < w_hi), axis=0)
+        return 1 + j + before
+
+
 def evaluate(
     queries: EmbeddingSet,
     prototypes_per_query,
@@ -166,27 +340,42 @@ def evaluate(
     n = len(queries.records)
     if n == 0:
         raise ConfigError("no queries to evaluate")
+    groups = _as_pset_groups(queries, prototypes_per_query)
+    # queries of every group derived from one packed set share its GEMM;
+    # the rows a derived set replaced get one cdist call per group
+    by_root: dict[int, tuple[PrototypeSet, list[tuple]]] = {}
+    for pset, rows in groups:
+        if pset.total_count() == 0:
+            raise EmptyPrototypeSetError("cannot evaluate against an empty prototype set")
+        if pset.dim != queries.dim:
+            raise DimensionMismatchError(
+                f"query dimension {queries.dim} vs prototypes {pset.dim}"
+            )
+        root, replaced = _packed_root(pset)
+        items = by_root.setdefault(id(root), (root, []))[1]
+        if replaced:
+            splice = _Splice(queries.features[rows], replaced)
+            items.extend((qi, splice, row) for qi, row in zip(rows, splice.approx))
+        else:
+            items.extend((qi, None, None) for qi in rows)
+    ranks_of: list[np.ndarray] = [None] * n
+    for root, items in by_root.values():
+        kernel = _RankKernel(root)
+        for start in range(0, len(items), QUERY_BLOCK):
+            block = items[start : start + QUERY_BLOCK]
+            qmat = queries.features[[qi for qi, _, _ in block]]
+            q_sq, approx = kernel.approx_sq_dists(qmat)
+            for (qi, splice, spliced), q, q_sq_i, row in zip(block, qmat, q_sq, approx):
+                class_id = queries.records[qi].class_id
+                ranks_of[qi] = kernel.own_ranks(q, class_id, q_sq_i, row, splice, spliced)
     ap_by_query = np.zeros(n)
     first_hit = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     missing: list[str] = []
-    for pset, rows in _as_pset_groups(queries, prototypes_per_query):
-        if pset.total_count() == 0:
-            raise EmptyPrototypeSetError("cannot evaluate against an empty prototype set")
-        mat, class_arr, proto_arr = pset.flattened()
-        if mat.shape[1] != queries.dim:
-            raise DimensionMismatchError(
-                f"query dimension {queries.dim} vs prototypes {mat.shape[1]}"
-            )
-        qmat = queries.features[rows]
-        dmat = cdist(qmat, mat)
-        for local, qi in enumerate(rows):
-            rec = queries.records[qi]
-            order = _order_by_distance(dmat[local], class_arr, proto_arr)
-            rel = class_arr[order] == rec.class_id
-            ranks = np.nonzero(rel)[0] + 1
+    for _, rows in groups:
+        for qi in rows:
+            ranks = ranks_of[qi]
             if len(ranks) == 0:
-                missing.append(rec.id)
-                ap_by_query[qi] = 0.0
+                missing.append(queries.records[qi].id)
                 continue
             ap_by_query[qi] = _ap_from_relevance_ranks(ranks, ap_mode)
             first_hit[qi] = int(ranks[0])

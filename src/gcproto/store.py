@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -99,8 +100,8 @@ class EmbeddingSet:
         for i, rec in enumerate(self._records):
             class_index.setdefault(rec.class_id, []).append(i)
             camera_index.setdefault((rec.class_id, rec.camera_id), []).append(i)
-        self._class_index = {c: tuple(ix) for c, ix in class_index.items()}
-        self._camera_index = {k: tuple(ix) for k, ix in camera_index.items()}
+        self._class_index = MappingProxyType({c: tuple(ix) for c, ix in class_index.items()})
+        self._camera_index = MappingProxyType({k: tuple(ix) for k, ix in camera_index.items()})
 
     # -- basic accessors -------------------------------------------------
 
@@ -122,12 +123,14 @@ class EmbeddingSet:
         return sorted(self._class_index)
 
     @property
-    def class_index(self) -> dict[int, tuple[int, ...]]:
-        return dict(self._class_index)
+    def class_index(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only class id -> record indices."""
+        return self._class_index
 
     @property
-    def camera_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return dict(self._camera_index)
+    def camera_index(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """Read-only (class id, camera id) -> record indices."""
+        return self._camera_index
 
     @property
     def class_names(self) -> dict[int, str] | None:
@@ -170,43 +173,92 @@ class EmbeddingSet:
         return self._features[list(self._class_indices(class_id))]
 
 
+def _checked_rows(class_id: int, protos) -> np.ndarray:
+    """One class's prototypes as a validated 2-D float64 array."""
+    arr = np.asarray(protos, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"class {class_id}: prototypes must be a 2-D array")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValueError(f"class {class_id}: non-finite prototype")
+    return arr
+
+
+def _pack(per_class: Mapping[int, np.ndarray], dim: int):
+    """Read-only (P, D) matrix of every class's rows, classes ascending,
+    plus the parallel class-id and within-class-index arrays."""
+    ids = sorted(per_class)
+    counts = np.array([per_class[c].shape[0] for c in ids], dtype=np.int64)
+    if ids:
+        matrix = np.concatenate([per_class[c] for c in ids])
+    else:
+        matrix = np.empty((0, dim))
+    classes = np.repeat(np.array(ids, dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    index = np.arange(len(classes), dtype=np.int64) - np.repeat(starts, counts)
+    for arr in (matrix, classes, index):
+        arr.setflags(write=False)
+    return matrix, classes, index
+
+
+def _class_spans(per_class: Mapping[int, np.ndarray]) -> dict[int, slice]:
+    """Class id -> its rows' slice of the packed matrix, classes ascending."""
+    spans, start = {}, 0
+    for c in sorted(per_class):
+        spans[c] = slice(start, start + len(per_class[c]))
+        start = spans[c].stop
+    return spans
+
+
 @dataclass
 class PrototypeSet:
     """Per-class ordered prototype vectors with selection provenance.
 
     List position within a class records the generation iteration, which is
     meaningful for the iterative selectors.
+
+    Storage is packed and read-only: construction copies every class into
+    one (P, D) float64 matrix, rows ordered by (class ascending, prototype
+    index), with each class's row span and each row's squared norm cached;
+    ``per_class`` becomes a read-only mapping of row views into that matrix.  ``replace_class``
+    makes a derived set that shares this storage, holds only the new rows,
+    and records ``derived_from = (parent, class_id)``.
     """
 
-    per_class: dict[int, np.ndarray]
+    per_class: Mapping[int, np.ndarray]
     selector_tag: str
     params_echo: dict = field(default_factory=dict)
+    derived_from: tuple["PrototypeSet", int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.selector_tag not in SELECTOR_TAGS:
             raise DataFormatError(f"unknown selector tag {self.selector_tag!r}")
-        dims = set()
-        for c, protos in self.per_class.items():
-            arr = np.asarray(protos, dtype=np.float64)
-            if arr.ndim != 2:
-                raise DimensionMismatchError(f"class {c}: prototypes must be a 2-D array")
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteValueError(f"class {c}: non-finite prototype")
-            self.per_class[c] = arr
-            dims.add(arr.shape[1])
+        rows = {c: _checked_rows(c, protos) for c, protos in self.per_class.items()}
+        dims = {arr.shape[1] for arr in rows.values()}
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent prototype dimensions {sorted(dims)}")
+        self._dim = dims.pop() if dims else 0
+        self._flat = _pack(rows, self._dim)
+        matrix = self._flat[0]
+        # huge finite rows may square to inf; the ranking kernel checks for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        self._sq_norms.setflags(write=False)
+        self._count = len(matrix)
+        self._spans = MappingProxyType(_class_spans(rows))
+        self.per_class = MappingProxyType({c: matrix[s] for c, s in self._spans.items()})
 
     @property
     def dim(self) -> int:
-        return next(iter(self.per_class.values())).shape[1]
+        return self._dim
 
     @property
     def class_ids(self) -> list[int]:
         return sorted(self.per_class)
 
     def total_count(self) -> int:
-        return sum(arr.shape[0] for arr in self.per_class.values())
+        return self._count
 
     def counts_by_class(self) -> dict[int, int]:
         return {c: arr.shape[0] for c, arr in self.per_class.items()}
@@ -214,20 +266,50 @@ class PrototypeSet:
     def flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(P, D) matrix plus parallel class-id and within-class-index arrays.
 
-        Classes in ascending id order, prototypes in iteration order.
+        Classes in ascending id order, prototypes in iteration order; all
+        three are read-only.  A packed set returns its cached arrays; a set
+        made by ``replace_class`` assembles them on every call.
         """
-        mats, cls, idx = [], [], []
-        for c in self.class_ids:
-            arr = self.per_class[c]
-            mats.append(arr)
-            cls.append(np.full(arr.shape[0], c, dtype=np.int64))
-            idx.append(np.arange(arr.shape[0], dtype=np.int64))
-        return np.vstack(mats), np.concatenate(cls), np.concatenate(idx)
+        if self.derived_from is None:
+            return self._flat
+        return _pack(self.per_class, self._dim)
+
+    @property
+    def class_spans(self) -> Mapping[int, slice]:
+        """Class id -> the slice of ``flattened()`` rows holding its
+        prototypes; a set made by ``replace_class`` has none."""
+        return self._spans
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """Squared norm of each ``flattened()`` row; a set made by
+        ``replace_class`` has none."""
+        return self._sq_norms
 
     def replace_class(self, class_id: int, protos: np.ndarray) -> "PrototypeSet":
-        per_class = dict(self.per_class)
-        per_class[class_id] = np.asarray(protos, dtype=np.float64)
-        return PrototypeSet(per_class, self.selector_tag, dict(self.params_echo))
+        """A set with ``class_id``'s prototypes replaced by ``protos``.
+
+        Only ``protos`` is validated and copied; the result shares this
+        set's storage.
+        """
+        rows = _checked_rows(class_id, protos)
+        if not self.per_class:  # nothing to share
+            return PrototypeSet({class_id: rows}, self.selector_tag, dict(self.params_echo))
+        if rows.shape[1] != self._dim:
+            raise DimensionMismatchError(
+                f"class {class_id}: prototype dimension {rows.shape[1]}, expected {self._dim}"
+            )
+        rows = rows.copy()
+        rows.setflags(write=False)
+        # built without __post_init__: nothing but the new rows needs checking
+        new = object.__new__(PrototypeSet)
+        new.per_class = MappingProxyType({**self.per_class, class_id: rows})
+        new.selector_tag = self.selector_tag
+        new.params_echo = dict(self.params_echo)
+        new.derived_from = (self, class_id)
+        new._dim = rows.shape[1]
+        new._count = self._count - len(self.per_class.get(class_id, ())) + len(rows)
+        return new
 
 
 # -- CSV ----------------------------------------------------------------

@@ -7,9 +7,16 @@ bit-for-bit on random instances.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gcproto.errors import (
     ConfigError,
@@ -17,7 +24,9 @@ from gcproto.errors import (
     EmptyPrototypeSetError,
     UnknownClassError,
 )
+from gcproto import retrieval
 from gcproto.retrieval import (
+    AP_MODES,
     coverage_violations,
     distance,
     evaluate,
@@ -147,10 +156,13 @@ class TestRankQuery:
                 want = [(c, j) for _, c, j in oracle_rank(rec.vector, pset)]
                 assert got == want
 
-    def test_unknown_protocol(self):
-        pset = PrototypeSet({0: np.zeros((1, 2))}, "centroid")
-        with pytest.raises(ConfigError):
-            rank_query(self.qrec([0.0, 0.0]), pset, protocol="sideways")
+    def test_replaced_class_keeps_the_tie_rule(self):
+        # every prototype is at distance 1: class, then index, decides
+        pset = PrototypeSet({0: np.array([[3.0, 0.0]]), 1: np.array([[0.0, 1.0]])}, "centroid")
+        derived = pset.replace_class(0, np.array([[1.0, 0.0], [0.0, -1.0]]))
+        r = rank_query(self.qrec([0.0, 0.0]), derived)
+        assert [(c, j) for c, j, _ in r.entries] == [(0, 0), (0, 1), (1, 0)]
+        assert r.tie_rule_applied
 
     def test_empty_prototypes(self):
         pset = PrototypeSet({0: np.zeros((0, 2))}, "centroid")
@@ -274,6 +286,202 @@ class TestEvaluate:
             evaluate(queries, PrototypeSet({0: np.zeros((1, 4))}, "centroid"))
         with pytest.raises(ConfigError):
             evaluate(queries, pset, group_buckets=["1-5", "6+"])
+
+
+# -- GEMM kernel against the gate's brute force ---------------------------
+
+
+def numpy_brute_force(qvec, pset: PrototypeSet):
+    """(distances, classes, indices, order): one ``np.linalg.norm`` per row
+    and a lexsort on (distance, class, prototype index), as the benchmark
+    gate ranks."""
+    ids = sorted(pset.per_class)
+    mat = np.vstack([pset.per_class[c] for c in ids])
+    cls = np.concatenate([np.full(len(pset.per_class[c]), c) for c in ids])
+    idx = np.concatenate([np.arange(len(pset.per_class[c])) for c in ids])
+    dists = np.linalg.norm(mat - qvec, axis=1)
+    return dists, cls, idx, np.lexsort((idx, cls, dists))
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """(queries, prototypes argument) on a small integer or 0.1 grid: exact
+    cross-class ties, duplicated rows, classes with zero rows, queries of
+    absent classes, optionally every coordinate offset by 1e6 (which puts
+    every row inside the rounding margin), and optionally per-query sets
+    made by ``replace_class`` whose replaced class may or may not be the
+    query's own."""
+    dim = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    step = draw(st.sampled_from([1.0, 0.1]))
+    row = st.lists(
+        st.integers(-2, 2).map(lambda v: offset + step * v), min_size=dim, max_size=dim
+    )
+
+    def matrix(rows):
+        return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+
+    n_classes = draw(st.integers(1, 4))
+    per_class, pool = {}, []
+    for c in range(n_classes):
+        rows = draw(st.lists(row, max_size=4))
+        if pool and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(pool)))  # duplicate of an earlier row
+        pool += rows
+        per_class[c] = matrix(rows)
+    pset = PrototypeSet(per_class, "instance")
+    nq = draw(st.integers(1, 6))
+    queries = build_set(
+        matrix(draw(st.lists(row, min_size=nq, max_size=nq))),
+        draw(st.lists(st.integers(0, n_classes), min_size=nq, max_size=nq)),
+        [0] * nq,
+        id_prefix="q",
+    )
+    psets = [pset]
+    for _ in range(draw(st.integers(0, 2))):  # a second one replaces on top of the first
+        c = draw(st.integers(0, n_classes))
+        psets.append(psets[-1].replace_class(c, matrix(draw(st.lists(row, max_size=3)))))
+    assume(all(p.total_count() for p in psets))
+    if len(psets) == 1:
+        return queries, pset
+    picks = draw(st.lists(st.sampled_from(psets), min_size=nq, max_size=nq))
+    return queries, {rec.id: p for rec, p in zip(queries.records, picks)}
+
+
+def pset_of(arg, rec) -> PrototypeSet:
+    return arg if isinstance(arg, PrototypeSet) else arg[rec.id]
+
+
+class TestGemmKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=tie_heavy_cases(),
+        ap_mode=st.sampled_from(AP_MODES),
+        block=st.sampled_from([1, 2, retrieval.QUERY_BLOCK]),
+    )
+    def test_evaluate_equals_brute_force(self, case, ap_mode, block):
+        queries, arg = case
+        with mock.patch.object(retrieval, "QUERY_BLOCK", block):
+            rep = evaluate(queries, arg, max_rank=8, ap_mode=ap_mode, include_per_query_ap=True)
+        want_ap, hits, missing = [], [], []
+        for rec in queries.records:
+            _, cls, _, order = numpy_brute_force(rec.vector, pset_of(arg, rec))
+            ranks = np.nonzero(cls[order] == rec.class_id)[0] + 1
+            if len(ranks) == 0:
+                missing.append(rec.id)
+                want_ap.append([rec.id, 0.0])
+                continue
+            hits.append(int(ranks[0]))
+            if ap_mode == "per_identity":
+                ap = 1.0 / int(ranks[0])
+            else:
+                ap = 0.0
+                for i, r in enumerate(ranks, start=1):
+                    ap += i / int(r)
+                ap /= len(ranks)
+            want_ap.append([rec.id, ap])
+        n = len(queries)
+        assert rep.per_query_ap == want_ap
+        assert rep.cmc == [sum(1 for h in hits if h <= k) / n for k in range(1, 9)]
+        assert sorted(rep.missing_class_query_ids) == missing
+        total = 0.0
+        for _, ap in want_ap:
+            total += ap
+        assert rep.map == total / n
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tie_heavy_cases())
+    def test_rank_query_equals_brute_force(self, case):
+        queries, arg = case
+        for rec in queries.records:
+            dists, cls, idx, order = numpy_brute_force(rec.vector, pset_of(arg, rec))
+            want = tuple((int(cls[i]), int(idx[i]), float(dists[i])) for i in order)
+            assert rank_query(rec, pset_of(arg, rec)).entries == want
+
+    def test_replaced_rows_take_one_cdist_call_per_set(self, monkeypatch):
+        pset = PrototypeSet({c: np.full((2, 3), float(c)) for c in range(3)}, "instance")
+        first = pset.replace_class(0, np.ones((1, 3)))
+        second = pset.replace_class(2, np.zeros((3, 3)))
+        queries = build_set(np.zeros((5, 3)), [0, 0, 2, 1, 1], [0] * 5, id_prefix="q")
+        shapes = []
+        real = retrieval.cdist
+
+        def spy(xa, xb, *args, **kwargs):
+            shapes.append((len(xa), len(xb)))
+            return real(xa, xb, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "cdist", spy)
+        mapping = dict(zip(["q0", "q1", "q2", "q3", "q4"], [first, first, second, second, pset]))
+        rep = evaluate(queries, mapping, max_rank=3, include_per_query_ap=True)
+        assert shapes == [(2, 1), (2, 3)]  # the packed set needs none
+        # ties at 0 and √3 put class 0 before 1 before 2
+        assert [ap for _, ap in rep.per_query_ap] == [
+            1.0, 1.0, (1 / 3 + 2 / 4 + 3 / 5) / 3, (1 / 6 + 2 / 7) / 2, (1 / 3 + 2 / 4) / 2
+        ]
+
+    def test_exact_cross_class_tie_is_rechecked(self, monkeypatch):
+        # both prototypes lie at distance 1 from both queries; class 0 wins
+        pset = PrototypeSet({0: np.array([[0.0, 1.0]]), 1: np.array([[1.0, 0.0]])}, "instance")
+        queries = build_set(np.zeros((2, 2)), [0, 1], [0, 0], id_prefix="q")
+        unsure = []
+        real = retrieval._certified
+
+        def spy(*args):
+            out = real(*args)
+            unsure.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(retrieval, "_certified", spy)
+        rep = evaluate(queries, pset, max_rank=2, include_per_query_ap=True)
+        assert unsure == [1, 1]
+        assert rep.per_query_ap == [["q0", 1.0], ["q1", 0.5]]
+
+    def test_overflowing_distances_fall_back_to_exact_ties(self):
+        # every distance overflows to inf, so the (class, index) rule decides
+        big = 1e200
+        pset = PrototypeSet(
+            {0: np.array([[big, 0.0], [0.0, -big]]), 1: np.array([[-big, 0.0]])}, "instance"
+        )
+        queries = build_set(np.zeros((2, 2)), [1, 0], [0, 0], id_prefix="q")
+        rep = evaluate(queries, pset, max_rank=3, include_per_query_ap=True)
+        assert rep.per_query_ap == [["q0", 1.0 / 3.0], ["q1", 1.0]]
+        assert [c for c, _, _ in rank_query(queries.records[0], pset).entries] == [0, 0, 1]
+
+    def test_report_is_identical_under_one_and_two_blas_threads(self):
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from gcproto.retrieval import evaluate, report_to_json
+            from gcproto.store import PrototypeSet, build_set
+
+            rng = np.random.default_rng(5)
+            centers = rng.normal(0.0, 0.5, size=(60, 64))
+            cls = np.repeat(np.arange(60), 40)
+            pset = PrototypeSet(
+                {c: centers[c] + rng.normal(size=(40, 64)) for c in range(60)}, "instance"
+            )
+            qcls = np.repeat(np.arange(60), 5)
+            queries = build_set(centers[qcls] + rng.normal(size=(300, 64)), qcls, [0] * 300)
+            derived = pset.replace_class(3, centers[3] + rng.normal(size=(2, 64)))
+            mapping = {
+                rec.id: (derived if i % 3 else pset) for i, rec in enumerate(queries.records)
+            }
+            for arg in (pset, mapping):
+                print(report_to_json(evaluate(queries, arg, include_per_query_ap=True)))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert '"per_query_ap"' in outputs[0]
 
 
 # -- grouping ------------------------------------------------------------

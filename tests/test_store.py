@@ -43,6 +43,13 @@ class TestEmbeddingSet:
             es.class_matrix(1), np.array([[5.0, 5.0], [6.0, 5.0]])
         )
 
+    def test_indices_are_read_only_and_not_copied(self):
+        es = small_set()
+        assert es.class_index is es.class_index
+        assert es.camera_index[(0, 0)] == (0, 2)
+        with pytest.raises(TypeError):
+            es.class_index[0] = (1,)
+
     def test_class_view_preserves_record_order(self):
         es = small_set()
         ids = [r.id for r in es.class_view(0)]
@@ -316,6 +323,37 @@ class TestPrototypeSet:
         new = pset.replace_class(0, np.full((2, 2), 3.0))
         assert new.per_class[0].shape == (2, 2)
         assert pset.per_class[0].shape == (1, 2)
+
+    def test_storage_is_packed_and_read_only(self):
+        given_rows = {2: np.ones((2, 3)), 0: np.arange(3.0).reshape(1, 3)}
+        pset = PrototypeSet(given_rows, "fps")
+        mat = pset.flattened()[0]
+        assert pset.flattened()[0] is mat
+        assert pset.class_spans == {0: slice(0, 1), 2: slice(1, 3)}
+        np.testing.assert_array_equal(pset.sq_norms, [5.0, 3.0, 3.0])
+        assert np.shares_memory(pset.per_class[2], mat)
+        assert not np.shares_memory(given_rows[2], mat)
+        with pytest.raises(ValueError):
+            pset.per_class[0][0, 0] = 9.0
+        with pytest.raises(TypeError):
+            pset.per_class[1] = np.zeros((1, 3))
+
+    def test_replace_class_shares_the_parent_and_checks_only_new_rows(self):
+        pset = PrototypeSet({0: np.zeros((1, 2)), 1: np.ones((2, 2))}, "centroid")
+        new = pset.replace_class(1, np.full((3, 2), 2.0))
+        assert new.derived_from == (pset, 1)
+        assert new.per_class[0] is pset.per_class[0]
+        assert new.total_count() == 4 and new.dim == 2
+        mat, cls, idx = new.flattened()
+        np.testing.assert_array_equal(mat, [[0.0, 0.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(cls, [0, 1, 1, 1])
+        np.testing.assert_array_equal(idx, [0, 0, 1, 2])
+        with pytest.raises(NonFiniteValueError):
+            pset.replace_class(0, np.array([[np.nan, 0.0]]))
+        with pytest.raises(DimensionMismatchError):
+            pset.replace_class(0, np.zeros((1, 3)))
+        alone = PrototypeSet({}, "centroid").replace_class(4, np.ones((1, 3)))
+        assert alone.derived_from is None and alone.dim == 3
 
     def test_bad_tag(self):
         with pytest.raises(DataFormatError):
