@@ -31,11 +31,9 @@ from .harness import (
     sweep_n,
 )
 from .model import GcpConfig, load_model, save_model, select_gcp, train
-from .selectors import SelectorConfig, run_selector
+from .selectors import METHODS, SelectorConfig, run_selector
 from .store import load_embedding_set, save_embedding_set
 from .synthetic import PRESETS, SyntheticSpec, generate_synthetic
-
-METHODS = ("instance", "centroid", "kcentroid", "fps", "alphafps", "gcp")
 
 
 def _read_json(path) -> dict:
@@ -95,11 +93,9 @@ def cmd_select(args) -> int:
         model = load_model(args.checkpoint)
         pset = select_gcp(eset, model, n=args.n)
     else:
+        given = {"n_prototypes": args.n, "alpha": args.alpha, "seed": args.seed}
         cfg = SelectorConfig(
-            method=args.method,
-            n_prototypes=args.n if args.n is not None else 3,
-            alpha=args.alpha if args.alpha is not None else 0.5,
-            seed=args.seed if args.seed is not None else 0,
+            method=args.method, **{k: v for k, v in given.items() if v is not None}
         )
         pset = run_selector(eset, cfg)
     save_prototypes(pset, args.out)

@@ -26,9 +26,12 @@ Config schema (top-level keys)::
 
 Under the camera-filter protocol the query class's prototypes are rebuilt
 per distinct (class, camera) query group with that camera's records
-excluded, using the same selector as the base run; other classes keep their
-full-gallery prototypes.  Groups whose exclusion would empty the class fall
-back to the unfiltered memory and are flagged in the report.
+excluded; other classes keep their full-gallery prototypes.  The rebuild
+takes the base run's own per-class path: ``selectors.class_prototypes`` on
+the kept gallery rows, or ``build_memory`` without the camera plus
+``generate_prototypes`` for the learned generator.  Groups whose every
+class record comes from the query camera fall back to the unfiltered class
+and are flagged in the report.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, EmptyMemoryError
+from .errors import ConfigError, DataFormatError
 from .model import (
     GcpConfig,
     GcpModel,
@@ -60,7 +63,7 @@ from .retrieval import (
     report_to_csv,
     report_to_json,
 )
-from .selectors import SelectorConfig, run_selector
+from .selectors import SelectorConfig, class_prototypes, run_selector
 from .store import EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
 from .synthetic import PRESETS, SyntheticSpec, generate_synthetic
 
@@ -315,14 +318,21 @@ def load_prototypes(path) -> PrototypeSet:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if data.get("format") != PROTO_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != PROTO_FORMAT:
         raise DataFormatError(f"{path}: not a prototype file")
     if data.get("version") != PROTO_VERSION:
         raise DataFormatError(f"{path}: unsupported version {data.get('version')}")
-    per_class = {
-        int(c): np.array(rows, dtype=np.float64)
-        for c, rows in data["classes"].items()
-    }
+    if "selector" not in data or not isinstance(data.get("classes"), dict):
+        raise DataFormatError(f"{path}: needs a 'selector' and a 'classes' object")
+    if not isinstance(data.get("params_echo", {}), dict):
+        raise DataFormatError(f"{path}: 'params_echo' must be an object")
+    try:
+        per_class = {
+            int(c): np.array(rows, dtype=np.float64)
+            for c, rows in data["classes"].items()
+        }
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad class id or prototype rows ({exc})") from None
     return PrototypeSet(per_class, data["selector"], data.get("params_echo", {}))
 
 
@@ -370,25 +380,18 @@ def _regen_class(
     """Rebuild one class's prototypes with one camera excluded.
 
     Returns (prototype rows, fell_back).  Falls back to the unfiltered class
-    when exclusion would leave it empty.
+    when every record of the class comes from that camera.
     """
+    kept = [i for i in gallery.class_index[class_id] if gallery.records[i].camera_id != camera]
+    fell_back = not kept
     if cfg.selector.method == "gcp":
-        try:
-            memory = build_memory(gallery, model, class_id, excluded_camera=camera)
-            fell_back = False
-        except EmptyMemoryError:
-            memory = build_memory(gallery, model, class_id)
-            fell_back = True
+        excluded = None if fell_back else camera
+        memory = build_memory(gallery, model, class_id, excluded_camera=excluded)
         n_c = min(n, memory.tokens.shape[0])
         return np.vstack(generate_prototypes(model, memory, n_c)), fell_back
-    records = gallery.camera_filtered_view(class_id, camera)
-    fell_back = False
-    if not records:
-        records = gallery.class_view(class_id)
-        fell_back = True
-    sub = EmbeddingSet(records)
-    pset = run_selector(sub, replace(cfg.selector, n_prototypes=n))
-    return pset.per_class[class_id], fell_back
+    points = gallery.class_matrix(class_id) if fell_back else gallery.features[kept]
+    protos, _ = class_prototypes(points, class_id, replace(cfg.selector, n_prototypes=n))
+    return protos, fell_back
 
 
 def build_protocol_prototypes(
@@ -412,10 +415,11 @@ def build_protocol_prototypes(
     group_psets: dict[tuple[int, int], PrototypeSet] = {}
     group_info: list[dict] = []
     mapping: dict[str, PrototypeSet] = {}
+    class_index = gallery.class_index
     for rec in queries.records:
         key = (rec.class_id, rec.camera_id)
         if key not in group_psets:
-            if rec.class_id not in gallery.class_index:
+            if rec.class_id not in class_index:
                 # no gallery evidence at all; evaluation will flag the query
                 group_psets[key] = base
                 group_info.append(

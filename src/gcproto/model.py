@@ -345,18 +345,14 @@ def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> list[np.ndar
     return [r.data[0].copy() for r in rows]
 
 
-def select_gcp(
-    eset: EmbeddingSet,
-    model: GcpModel,
-    n: int | None = None,
-    query_camera_by_class: Mapping[int, int] | None = None,
-) -> PrototypeSet:
+def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> PrototypeSet:
     """Generate prototypes for every class with the trained model.
 
-    When ``query_camera_by_class`` maps a class to a camera, that class's
-    memory drops the camera's records (falling back to the full memory when
-    nothing would remain; such classes are flagged in params_echo).  The
-    per-class count is min(n, memory rows).
+    The per-class count is min(n, memory rows); classes given fewer than n
+    are listed in params_echo.  The camera-filter protocol rebuilds single
+    classes in gcproto.harness; the echo keeps its empty
+    ``camera_filtered_classes``/``fallback_unfiltered_classes`` fields so
+    prototype files keep one schema.
     """
     cfg = model.config
     if eset.dim != cfg.dim:
@@ -368,20 +364,9 @@ def select_gcp(
     if n < 1:
         raise ConfigError("n must be positive")
     per_class: dict[int, np.ndarray] = {}
-    fallback: list[int] = []
     reduced: dict[str, int] = {}
-    filtered: dict[str, int] = {}
     for c in eset.class_ids:
-        exc = None if query_camera_by_class is None else query_camera_by_class.get(c)
-        if exc is None:
-            memory = build_memory(eset, model, c)
-        else:
-            try:
-                memory = build_memory(eset, model, c, excluded_camera=exc)
-                filtered[str(c)] = exc
-            except EmptyMemoryError:
-                memory = build_memory(eset, model, c)
-                fallback.append(c)
+        memory = build_memory(eset, model, c)
         n_c = min(n, memory.tokens.shape[0])
         if n_c < n:
             reduced[str(c)] = n_c
@@ -390,8 +375,8 @@ def select_gcp(
     echo = {
         "method": "gcp",
         "n_requested": n,
-        "camera_filtered_classes": filtered,
-        "fallback_unfiltered_classes": fallback,
+        "camera_filtered_classes": {},
+        "fallback_unfiltered_classes": [],
         "reduced_count_classes": reduced,
     }
     return PrototypeSet(per_class=per_class, selector_tag="gcp", params_echo=echo)

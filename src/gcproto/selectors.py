@@ -1,6 +1,9 @@
 """Non-learned prototype selection strategies.
 
-All selectors are pure functions of (set, config) and deterministic under a
+Each selector is one per-class function, :func:`class_prototypes`, of a
+class's gallery rows and the config; :func:`run_selector` applies it to
+every class of a set, and the camera-filter protocol applies it to one
+class's rows with the query camera left out.  All are deterministic under a
 fixed seed. Ties in nearest/farthest scans are broken by lowest record
 index so repeated runs agree bit-for-bit.
 """
@@ -14,7 +17,11 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .seeding import substream
-from .store import EmbeddingSet, PrototypeSet
+from .store import SELECTOR_TAGS, EmbeddingSet, PrototypeSet
+
+# Method names as configs and the CLI spell them: the selector tags
+# without underscores ("alpha_fps" is method "alphafps").
+METHODS = tuple(t.replace("_", "") for t in SELECTOR_TAGS)
 
 
 @dataclass
@@ -27,7 +34,7 @@ class SelectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("instance", "centroid", "kcentroid", "fps", "alphafps", "gcp"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown selector method {self.method!r}")
         if self.n_prototypes < 1:
             raise ConfigError("n_prototypes must be >= 1")
@@ -37,18 +44,6 @@ class SelectorConfig:
             raise ConfigError("kmeans_max_iters must be >= 1")
         if self.kmeans_tol <= 0:
             raise ConfigError("kmeans_tol must be positive")
-
-
-def select_instance(eset: EmbeddingSet) -> PrototypeSet:
-    """Every gallery vector is its own prototype."""
-    per_class = {c: eset.class_matrix(c).copy() for c in eset.class_ids}
-    return PrototypeSet(per_class, "instance", {"method": "instance"})
-
-
-def select_centroid(eset: EmbeddingSet) -> PrototypeSet:
-    """One prototype per class: the arithmetic mean of its gallery vectors."""
-    per_class = {c: eset.class_matrix(c).mean(axis=0, keepdims=True) for c in eset.class_ids}
-    return PrototypeSet(per_class, "centroid", {"method": "centroid"})
 
 
 def _min_dists(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -69,19 +64,6 @@ def maximin_selection(points: np.ndarray, n: int, start_index: int) -> list[int]
         chosen.append(nxt)
         np.minimum(min_d, _min_dists(points, points[nxt]), out=min_d)
     return chosen
-
-
-def select_fps(eset: EmbeddingSet, cfg: SelectorConfig) -> PrototypeSet:
-    """Farthest-point sampling per class, seeded at the gallery vector
-    nearest the class centroid."""
-    per_class = {}
-    for c in eset.class_ids:
-        pts = eset.class_matrix(c)
-        centroid = pts.mean(axis=0)
-        start = int(np.argmin(_min_dists(pts, centroid)))
-        idx = maximin_selection(pts, cfg.n_prototypes, start)
-        per_class[c] = pts[idx].copy()
-    return PrototypeSet(per_class, "fps", {"method": "fps", "n": cfg.n_prototypes})
 
 
 def alpha_fps_points(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
@@ -117,15 +99,6 @@ def alpha_fps_points(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
         near_idx[closer] = len(protos) - 1
         d_near = np.minimum(d_near, d_new)
     return np.vstack(protos)
-
-
-def select_alpha_fps(eset: EmbeddingSet, cfg: SelectorConfig) -> PrototypeSet:
-    per_class = {
-        c: alpha_fps_points(eset.class_matrix(c), cfg.n_prototypes, cfg.alpha)
-        for c in eset.class_ids
-    }
-    echo = {"method": "alpha_fps", "n": cfg.n_prototypes, "alpha": cfg.alpha}
-    return PrototypeSet(per_class, "alpha_fps", echo)
 
 
 def kmeans(
@@ -180,35 +153,55 @@ def kmeans(
     return centroids, labels, converged, objective
 
 
-def select_kcentroid(eset: EmbeddingSet, cfg: SelectorConfig) -> PrototypeSet:
-    """k-means cluster centroids per class, k = min(N, |G_c|)."""
-    per_class = {}
-    unconverged = []
-    for c in eset.class_ids:
-        pts = eset.class_matrix(c)
-        rng = substream(cfg.seed, f"kmeans.{c}")
+def class_prototypes(
+    points: np.ndarray, class_id: int, cfg: SelectorConfig
+) -> tuple[np.ndarray, bool]:
+    """One class's prototype rows from its (|G_c|, D) gallery rows.
+
+    Returns (rows, converged); only k-means can fail to converge.
+
+    * instance: every gallery vector is its own prototype;
+    * centroid: the arithmetic mean of the class;
+    * fps: farthest-point sampling seeded at the gallery vector nearest the
+      class centroid;
+    * alphafps: interpolated farthest-point sampling (alpha_fps_points);
+    * kcentroid: k-means centroids, k = min(N, |G_c|), seeded per class.
+    """
+    method = cfg.method
+    if method == "instance":
+        return points, True
+    if method == "centroid":
+        return points.mean(axis=0, keepdims=True), True
+    if method == "fps":
+        start = int(np.argmin(_min_dists(points, points.mean(axis=0))))
+        return points[maximin_selection(points, cfg.n_prototypes, start)], True
+    if method == "alphafps":
+        return alpha_fps_points(points, cfg.n_prototypes, cfg.alpha), True
+    if method == "kcentroid":
+        rng = substream(cfg.seed, f"kmeans.{class_id}")
         centroids, _, converged, _ = kmeans(
-            pts, cfg.n_prototypes, rng, cfg.kmeans_max_iters, cfg.kmeans_tol
+            points, cfg.n_prototypes, rng, cfg.kmeans_max_iters, cfg.kmeans_tol
         )
-        if not converged:
-            unconverged.append(c)
-        per_class[c] = centroids
-    echo = {"method": "kcentroid", "n": cfg.n_prototypes, "seed": cfg.seed}
-    if unconverged:
-        echo["unconverged_classes"] = unconverged
-    return PrototypeSet(per_class, "kcentroid", echo)
+        return centroids, converged
+    raise ConfigError(f"selector {method!r} requires a trained model")
 
 
 def run_selector(eset: EmbeddingSet, cfg: SelectorConfig) -> PrototypeSet:
-    """Dispatch on cfg.method; the gcp method lives in gcproto.model."""
-    if cfg.method == "instance":
-        return select_instance(eset)
-    if cfg.method == "centroid":
-        return select_centroid(eset)
-    if cfg.method == "kcentroid":
-        return select_kcentroid(eset, cfg)
-    if cfg.method == "fps":
-        return select_fps(eset, cfg)
+    """Every class's prototypes; the gcp method lives in gcproto.model."""
+    per_class = {}
+    unconverged = []
+    for c in eset.class_ids:
+        per_class[c], converged = class_prototypes(eset.class_matrix(c), c, cfg)
+        if not converged:
+            unconverged.append(c)
+    tag = SELECTOR_TAGS[METHODS.index(cfg.method)]
+    echo = {"method": tag}
+    if cfg.method in ("kcentroid", "fps", "alphafps"):
+        echo["n"] = cfg.n_prototypes
     if cfg.method == "alphafps":
-        return select_alpha_fps(eset, cfg)
-    raise ConfigError(f"selector {cfg.method!r} requires a trained model")
+        echo["alpha"] = cfg.alpha
+    if cfg.method == "kcentroid":
+        echo["seed"] = cfg.seed
+        if unconverged:
+            echo["unconverged_classes"] = unconverged
+    return PrototypeSet(per_class, tag, echo)

@@ -2,8 +2,9 @@
 
 Two on-disk formats are supported:
 
-* CSV with header ``id,class,camera,f0,...,f{D-1}``. Class and camera labels
-  may be arbitrary strings; they are remapped to dense non-negative integers
+* CSV with header ``id,class,camera,f0,...,f{D-1}``. Ids and class and
+  camera labels may be any strings without a comma or line break (the writer
+  refuses those); labels are remapped to dense non-negative integers
   in order of first appearance and the mapping is kept on the set so reports
   can echo it. Because that order is per file, two independently loaded sets
   must be passed through :func:`align_labels` before their dense ids can be
@@ -55,8 +56,8 @@ class EmbeddingRecord:
 class EmbeddingSet:
     """Indexed, immutable collection of embedding records of uniform dimension.
 
-    Provides per-class and per-(class, camera) views used by selectors and by
-    the camera-filtered inference protocol.
+    Provides per-class and per-(class, camera) record indices and feature
+    rows, used by selectors and by the camera-filtered inference protocol.
     """
 
     def __init__(
@@ -158,15 +159,6 @@ class EmbeddingSet:
             return self._class_index[class_id]
         except KeyError:
             raise UnknownClassError(f"unknown class {class_id}") from None
-
-    def class_view(self, class_id: int) -> list[EmbeddingRecord]:
-        """All records of a class, in record-index order."""
-        return [self._records[i] for i in self._class_indices(class_id)]
-
-    def camera_filtered_view(self, class_id: int, excluded_camera: int) -> list[EmbeddingRecord]:
-        """Records of a class captured by any camera other than the excluded one."""
-        idx = self._class_indices(class_id)
-        return [self._records[i] for i in idx if self._records[i].camera_id != excluded_camera]
 
     def class_matrix(self, class_id: int) -> np.ndarray:
         """(|G_c|, D) feature rows of a class, in record-index order."""
@@ -371,16 +363,27 @@ def _load_csv(path: Path) -> EmbeddingSet:
 
 
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
+    """Write the set as CSV; raises before writing when an id or label holds
+    a comma or line break, which the reader could not split back."""
     class_names = eset.class_names or {}
     camera_names = eset.camera_names or {}
+    heads = []
+    for rec in eset.records:
+        cls = class_names.get(rec.class_id, rec.class_id)
+        cam = camera_names.get(rec.camera_id, rec.camera_id)
+        head = f"{rec.id},{cls},{cam}"
+        if head.count(",") != 2 or "\n" in head or "\r" in head:
+            raise DataFormatError(
+                f"record {rec.id!r}: a comma or line break in its id or labels "
+                "cannot be written to CSV"
+            )
+        heads.append(head)
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"f{i}" for i in range(eset.dim))
         fh.write(f"id,class,camera,{cols}\n")
-        for rec in eset.records:
-            cls = class_names.get(rec.class_id, str(rec.class_id))
-            cam = camera_names.get(rec.camera_id, str(rec.camera_id))
+        for rec, head in zip(eset.records, heads):
             coords = ",".join(f"{v:.17g}" for v in rec.vector)
-            fh.write(f"{rec.id},{cls},{cam},{coords}\n")
+            fh.write(f"{head},{coords}\n")
 
 
 # -- binary -------------------------------------------------------------

@@ -36,9 +36,6 @@ from gcproto.selectors import (
     alpha_fps_points,
     maximin_selection,
     run_selector,
-    select_alpha_fps,
-    select_centroid,
-    select_instance,
 )
 from gcproto.store import PrototypeSet, build_set
 from gcproto.synthetic import (
@@ -90,14 +87,15 @@ def test_criterion_01_two_class_layout_goldens():
     spread = build_set(
         np.array(SPREAD_OWN + SPREAD_RIVAL), [0] * 5 + [1] * 5, [0] * 10
     )
-    p5 = _precision_at(SPREAD_QUERY, select_instance(spread), 5, 0)
-    p1 = _precision_at(SPREAD_QUERY, select_centroid(spread), 1, 0)
+    centroid = SelectorConfig(method="centroid")
+    p5 = _precision_at(SPREAD_QUERY, run_selector(spread, SelectorConfig(method="instance")), 5, 0)
+    p1 = _precision_at(SPREAD_QUERY, run_selector(spread, centroid), 1, 0)
 
     lean = build_set(
         np.array(LEAN_OWN + LEAN_RIVAL), [0] * 5 + [1] * 7, [0] * 12
     )
-    p1_mean = _precision_at(LEAN_QUERY, select_centroid(lean), 1, 0)
-    two_proto = select_alpha_fps(
+    p1_mean = _precision_at(LEAN_QUERY, run_selector(lean, centroid), 1, 0)
+    two_proto = run_selector(
         lean, SelectorConfig(method="alphafps", n_prototypes=1, alpha=0.25)
     )
     assert all(v == 2 for v in two_proto.counts_by_class().values())
@@ -195,7 +193,7 @@ def test_criterion_03_evaluator_matches_brute_force():
         trials += 1
 
         # instance prototypes must reproduce the nearest-neighbor ranking
-        inst = select_instance(gallery)
+        inst = run_selector(gallery, SelectorConfig(method="instance"))
         rec = queries.records[0]
         entries = rank_query(rec, inst).entries
         d = [float(np.linalg.norm(rec.vector - g.vector)) for g in gallery.records]

@@ -10,6 +10,7 @@ import pytest
 from gcproto.cli import main
 from gcproto.harness import load_prototypes
 from gcproto.model import load_model
+from gcproto.selectors import SelectorConfig
 
 TINY_GCP = {
     "dim": 6, "n_blocks": 1, "n_heads": 2, "ffn_dim": 8, "dropout_rate": 0.0,
@@ -81,6 +82,18 @@ class TestSelect:
         assert rc == 0
         pset = load_prototypes(out)
         assert pset.counts_by_class() == {c: 1 for c in range(4)}
+
+    def test_omitted_flags_keep_selector_config_defaults(self, datadir):
+        out = datadir / "protos.json"
+        rc = main([
+            "select", "--data", str(datadir / "data" / "gallery.csv"),
+            "--method", "alphafps", "--n", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        default = SelectorConfig()
+        assert load_prototypes(out).params_echo == {
+            "method": "alpha_fps", "n": 2, "alpha": default.alpha,
+        }
 
     def test_gcp_without_checkpoint_fails(self, datadir, capsys):
         rc = main([

@@ -8,6 +8,8 @@ import pytest
 
 from gcproto.errors import ConfigError, DataFormatError
 from gcproto.harness import (
+    PROTO_FORMAT,
+    PROTO_VERSION,
     ExperimentConfig,
     build_protocol_prototypes,
     experiment_config_from_json_dict,
@@ -20,10 +22,18 @@ from gcproto.harness import (
     sweep_alpha,
     sweep_n,
 )
-from gcproto.model import GcpConfig, load_model
+from gcproto.model import (
+    GcpConfig,
+    GcpModel,
+    build_memory,
+    generate_prototypes,
+    init_params,
+    load_model,
+)
 from gcproto.retrieval import report_from_json, report_to_json
-from gcproto.selectors import SelectorConfig
-from gcproto.store import build_set, save_embedding_set
+from gcproto.seeding import substream
+from gcproto.selectors import SelectorConfig, run_selector
+from gcproto.store import EmbeddingSet, build_set, save_embedding_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
 
 SMALL = SyntheticSpec(
@@ -46,6 +56,19 @@ def cfg_for(method="centroid", **kw):
         sel_kw["n_prototypes"] = kw.pop("n_prototypes")
     return ExperimentConfig(selector=SelectorConfig(method=method, **sel_kw), **kw)
 
+
+def fallback_data():
+    """Gallery and queries with one fallback group: class 0 was seen only by
+    camera 0, and its first query comes from camera 0."""
+    rng = np.random.default_rng(5)
+    cameras = [0, 0, 0, 0, 1, 2, 0, 1, 2, 1, 2, 2, 0]
+    classes = [0] * 4 + [1] * 5 + [2] * 4
+    vecs = rng.normal(size=(13, 6)) + np.array(classes, dtype=float)[:, None]
+    gallery = build_set(vecs, classes, cameras)
+    queries = build_set(
+        rng.normal(size=(6, 6)), [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 1], id_prefix="q"
+    )
+    return gallery, queries
 
 class TestConfigValidation:
     def test_exactly_one_data_source(self):
@@ -151,8 +174,6 @@ class TestConfigJson:
 class TestPrototypeFiles:
     def test_round_trip_bitwise(self, tmp_path):
         gallery, _ = generate_synthetic(SMALL)
-        from gcproto.selectors import run_selector
-
         pset = run_selector(gallery, SelectorConfig(method="fps", n_prototypes=3))
         path = tmp_path / "protos.json"
         save_prototypes(pset, path)
@@ -168,6 +189,28 @@ class TestPrototypeFiles:
         with pytest.raises(DataFormatError):
             load_prototypes(path)
 
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"selector": "centroid"},
+            {"classes": {"0": [[1.0]]}},
+            {"selector": "centroid", "classes": [[1.0]]},
+            {"selector": "centroid", "classes": {"zero": [[1.0]]}},
+            {"selector": "centroid", "classes": {"0": [[1.0, 2.0], [3.0]]}},
+            {"selector": "centroid", "classes": {"0": [[1.0]]}, "params_echo": [1, 2]},
+        ],
+        ids=["top-level-list", "no-classes", "no-selector", "classes-list",
+             "non-integer-class", "ragged-rows", "params-echo-list"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, doc):
+        if isinstance(doc, dict):
+            doc = {"format": PROTO_FORMAT, "version": PROTO_VERSION, **doc}
+        path = tmp_path / "protos.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            load_prototypes(path)
 
 class TestRunExperiment:
     def test_instance_top1_matches_nn_oracle(self):
@@ -296,6 +339,47 @@ class TestCameraFilter:
         np.testing.assert_allclose(
             mapping[rec.id].per_class[rec.class_id][0], want, atol=1e-12
         )
+
+    @pytest.mark.parametrize("method", ["instance", "centroid", "kcentroid", "fps", "alphafps"])
+    def test_rebuilt_rows_equal_a_selector_run_without_the_camera(self, method):
+        cfg = cfg_for(method, protocol="camera-filter", n_prototypes=2)
+        gallery, queries = fallback_data()
+        base, mapping, groups = build_protocol_prototypes(cfg, gallery, queries, None, 2)
+        assert sum(g["fallback"] for g in groups) == 1
+        for rec in queries.records:
+            c = rec.class_id
+            kept = [
+                r for r in gallery.records if r.class_id == c and r.camera_id != rec.camera_id
+            ]
+            if kept:
+                want = run_selector(EmbeddingSet(kept), cfg.selector).per_class[c]
+            else:
+                want = base.per_class[c]
+            assert np.array_equal(mapping[rec.id].per_class[c], want)
+
+    def test_gcp_rebuild_drops_the_camera_or_falls_back(self):
+        cfg = cfg_for("gcp", gcp=TINY_GCP, protocol="camera-filter")
+        model = GcpModel(config=TINY_GCP, params=init_params(TINY_GCP, substream(0, "init")))
+        gallery, queries = fallback_data()
+        base, mapping, groups = build_protocol_prototypes(cfg, gallery, queries, model, 2)
+        flags = {(g["class"], g["camera"]): g["fallback"] for g in groups}
+        assert flags == {
+            (0, 0): True, (0, 1): False, (1, 0): False, (1, 2): False, (2, 1): False,
+        }
+        for rec in queries.records:
+            c, cam = rec.class_id, rec.camera_id
+            rows = mapping[rec.id].per_class[c]
+            if flags[(c, cam)]:
+                np.testing.assert_array_equal(rows, base.per_class[c])
+                continue
+            memory = build_memory(gallery, model, c, excluded_camera=cam)
+            assert memory.source_record_ids == tuple(
+                r.id for r in gallery.records if r.class_id == c and r.camera_id != cam
+            )
+            want = np.vstack(generate_prototypes(model, memory, 2))
+            np.testing.assert_array_equal(rows, want)
+            if cam in gallery.cameras_of_class(c):
+                assert not np.array_equal(rows, base.per_class[c])
 
     def test_group_descriptors_cover_distinct_groups(self):
         cfg = cfg_for(protocol="camera-filter")

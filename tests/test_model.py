@@ -17,6 +17,7 @@ from gcproto.errors import (
     UnknownCameraError,
     UnknownClassError,
 )
+from gcproto.harness import ExperimentConfig, build_protocol_prototypes
 from gcproto.model import (
     ClassBatch,
     GcpConfig,
@@ -34,6 +35,7 @@ from gcproto.model import (
     train,
 )
 from gcproto.seeding import substream
+from gcproto.selectors import SelectorConfig
 from gcproto.store import build_set
 
 TINY = GcpConfig(
@@ -530,22 +532,37 @@ class TestSelectGcp:
         pset = select_gcp(es, model)
         assert pset.counts_by_class()[0] == model.config.n_prototypes
 
+    def camera_filtered(self, es, model, queries, n):
+        # the camera-filter protocol rebuilds a query's own class without its
+        # camera; rival classes keep the plain select_gcp rows
+        cfg = ExperimentConfig(
+            selector=SelectorConfig(method="gcp"), preset="tradeoff",
+            gcp=model.config, protocol="camera-filter",
+        )
+        return build_protocol_prototypes(cfg, es, queries, model, n)
+
     def test_camera_filter_changes_prototypes_and_is_flagged(self):
         es, model = self.fixture()
         cam0 = next(r.camera_id for r in es.records if r.class_id == 0)
+        queries = build_set(np.zeros((1, 4)), [0], [cam0], id_prefix="q")
         plain = select_gcp(es, model, n=2)
-        filt = select_gcp(es, model, n=2, query_camera_by_class={0: cam0})
-        assert filt.params_echo["camera_filtered_classes"] == {"0": cam0}
+        base, mapping, groups = self.camera_filtered(es, model, queries, 2)
+        filt = mapping["q0"]
+        assert groups == [{"class": 0, "camera": cam0, "fallback": False}]
         assert not np.array_equal(filt.per_class[0], plain.per_class[0])
         np.testing.assert_array_equal(filt.per_class[1], plain.per_class[1])
+        np.testing.assert_array_equal(base.per_class[0], plain.per_class[0])
 
     def test_fallback_when_exclusion_would_empty_class(self):
         model = tiny_model()
         es = build_set(np.random.default_rng(1).normal(size=(4, 4)),
                        [0, 0, 1, 1], [1, 1, 0, 1])
-        pset = select_gcp(es, model, n=1, query_camera_by_class={0: 1})
-        assert pset.params_echo["fallback_unfiltered_classes"] == [0]
+        queries = build_set(np.zeros((1, 4)), [0], [1], id_prefix="q")
+        base, mapping, groups = self.camera_filtered(es, model, queries, 1)
+        assert groups == [{"class": 0, "camera": 1, "fallback": True}]
+        pset = mapping["q0"]
         assert pset.counts_by_class() == {0: 1, 1: 1}
+        np.testing.assert_array_equal(pset.per_class[0], base.per_class[0])
 
     def test_count_clipped_to_memory_rows(self):
         model = tiny_model()

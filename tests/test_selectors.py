@@ -15,11 +15,6 @@ from gcproto.selectors import (
     kmeans,
     maximin_selection,
     run_selector,
-    select_alpha_fps,
-    select_centroid,
-    select_fps,
-    select_instance,
-    select_kcentroid,
 )
 from gcproto.seeding import substream
 from gcproto.store import build_set
@@ -118,7 +113,7 @@ class TestAlphaFps:
 
     def test_selector_adds_one_to_n(self):
         es = build_set(np.random.default_rng(0).normal(size=(12, 3)), [0] * 6 + [1] * 6, [0] * 12)
-        pset = select_alpha_fps(es, SelectorConfig(method="alphafps", n_prototypes=3))
+        pset = run_selector(es, SelectorConfig(method="alphafps", n_prototypes=3))
         assert pset.counts_by_class() == {0: 4, 1: 4}
         assert pset.selector_tag == "alpha_fps"
         assert pset.params_echo["alpha"] == 0.5
@@ -156,13 +151,13 @@ class TestMaximin:
     def test_fps_selector_uses_centroid_nearest_seed(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [5.1, 0.0], [0.0, 10.0]])
         es = build_set(pts, [0] * 4, [0] * 4)
-        pset = select_fps(es, SelectorConfig(method="fps", n_prototypes=2))
+        pset = run_selector(es, SelectorConfig(method="fps", n_prototypes=2))
         # centroid (3.775, 2.5); nearest gallery point is (5.1, 0)
         np.testing.assert_array_equal(pset.per_class[0][0], [5.1, 0.0])
 
     def test_fps_n_clipped_to_class_size(self):
         es = build_set(np.arange(6, dtype=float).reshape(3, 2), [0, 0, 0], [0, 0, 0])
-        pset = select_fps(es, SelectorConfig(method="fps", n_prototypes=10))
+        pset = run_selector(es, SelectorConfig(method="fps", n_prototypes=10))
         assert pset.per_class[0].shape == (3, 2)
 
 
@@ -214,13 +209,13 @@ class TestSelectors:
 
     def test_instance_copies_everything(self):
         es = self.separated()
-        pset = select_instance(es)
+        pset = run_selector(es, SelectorConfig(method="instance"))
         assert pset.total_count() == len(es)
         np.testing.assert_array_equal(pset.per_class[1], es.class_matrix(1))
 
     def test_centroid_is_mean(self):
         es = self.separated()
-        pset = select_centroid(es)
+        pset = run_selector(es, SelectorConfig(method="centroid"))
         for c in es.class_ids:
             np.testing.assert_array_equal(
                 pset.per_class[c], es.class_matrix(c).mean(axis=0, keepdims=True)
@@ -228,8 +223,8 @@ class TestSelectors:
 
     def test_kcentroid_n1_equals_centroid(self):
         es = self.separated()
-        a = select_kcentroid(es, SelectorConfig(method="kcentroid", n_prototypes=1))
-        b = select_centroid(es)
+        a = run_selector(es, SelectorConfig(method="kcentroid", n_prototypes=1))
+        b = run_selector(es, SelectorConfig(method="centroid"))
         for c in es.class_ids:
             np.testing.assert_array_equal(a.per_class[c], b.per_class[c])
 
@@ -242,6 +237,27 @@ class TestSelectors:
         assert x.class_ids == y.class_ids
         for c in x.class_ids:
             np.testing.assert_array_equal(x.per_class[c], y.per_class[c])
+
+    @pytest.mark.parametrize(
+        "method, tag, echo",
+        [
+            ("instance", "instance", {"method": "instance"}),
+            ("centroid", "centroid", {"method": "centroid"}),
+            ("kcentroid", "kcentroid", {"method": "kcentroid", "n": 3, "seed": 4}),
+            ("fps", "fps", {"method": "fps", "n": 3}),
+            ("alphafps", "alpha_fps", {"method": "alpha_fps", "n": 3, "alpha": 0.25}),
+        ],
+    )
+    def test_tag_and_params_echo(self, method, tag, echo):
+        cfg = SelectorConfig(method=method, n_prototypes=3, alpha=0.25, seed=4)
+        pset = run_selector(self.separated(), cfg)
+        assert pset.selector_tag == tag
+        assert pset.params_echo == echo
+
+    def test_kcentroid_echo_lists_unconverged_classes(self):
+        cfg = SelectorConfig(method="kcentroid", n_prototypes=3, kmeans_max_iters=1)
+        pset = run_selector(self.separated(), cfg)
+        assert pset.params_echo["unconverged_classes"] == [0, 1, 2]
 
     def test_gcp_dispatch_refused_here(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Embedding set construction, views, and file round trips."""
+"""Embedding set construction, indices, and file round trips."""
 
 import numpy as np
 import pytest
@@ -50,20 +50,9 @@ class TestEmbeddingSet:
         with pytest.raises(TypeError):
             es.class_index[0] = (1,)
 
-    def test_class_view_preserves_record_order(self):
-        es = small_set()
-        ids = [r.id for r in es.class_view(0)]
-        assert ids == ["r0", "r1", "r2"]
-
-    def test_camera_filtered_view(self):
-        es = small_set()
-        kept = [r.id for r in es.camera_filtered_view(0, 1)]
-        assert kept == ["r0", "r2"]
-        assert es.camera_filtered_view(1, 3) == es.class_view(1)
-
     def test_unknown_class(self):
         with pytest.raises(UnknownClassError):
-            small_set().class_view(7)
+            small_set().class_matrix(7)
 
     def test_duplicate_id_rejected(self):
         recs = [
@@ -186,6 +175,23 @@ class TestCsvIo:
         path.write_text("id,class,camera,f0\n")
         with pytest.raises(EmptyFileError):
             load_embedding_set(path)
+
+    @pytest.mark.parametrize("bad", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
+    @pytest.mark.parametrize("field", ["id", "class", "camera"])
+    def test_unreadable_field_refused_before_writing(self, tmp_path, field, bad):
+        # the reader splits on commas and lines, so such a file could not
+        # be read back; the writer refuses it and leaves no file behind
+        names = {field: f"a{bad}b"}
+        rec = EmbeddingRecord(names.get("id", "r0"), np.zeros(2), 0, 0)
+        es = EmbeddingSet(
+            [rec],
+            class_names={0: names.get("class", "c")},
+            camera_names={0: names.get("camera", "k")},
+        )
+        path = tmp_path / "x.csv"
+        with pytest.raises(DataFormatError):
+            save_embedding_set(es, path)
+        assert not path.exists()
 
     @settings(max_examples=25, deadline=None)
     @given(

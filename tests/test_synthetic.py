@@ -5,7 +5,7 @@ import pytest
 
 from gcproto.errors import ConfigError
 from gcproto.retrieval import evaluate
-from gcproto.selectors import select_centroid
+from gcproto.selectors import SelectorConfig, run_selector
 from gcproto.synthetic import (
     PRESETS,
     SyntheticSpec,
@@ -78,7 +78,8 @@ class TestGeneration:
             camera_offset_scale=0.1, queries_per_class=3, seed=17,
         )
         gallery, queries = generate_synthetic(spec)
-        rep = evaluate(queries, select_centroid(gallery), max_rank=1)
+        centroids = run_selector(gallery, SelectorConfig(method="centroid"))
+        rep = evaluate(queries, centroids, max_rank=1)
         assert rep.top1 == 1.0
 
     def test_validation(self):
@@ -131,7 +132,8 @@ class TestPresets:
         # without the camera filter plain means still rank their class near
         # the top; the mean breakdown is specific to the exclusion protocol
         gallery, queries = generate_synthetic(tradeoff_spec())
-        rep = evaluate(queries, select_centroid(gallery), max_rank=1)
+        centroids = run_selector(gallery, SelectorConfig(method="centroid"))
+        rep = evaluate(queries, centroids, max_rank=1)
         assert rep.map >= 0.75
 
     def test_tradeoff_training_pairs_with_spec(self):
