@@ -1,8 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery for a small attention decoder and a hinge-based
-metric loss: elementwise arithmetic with broadcasting, 2-D matmul,
-softmax, layer norm, row/column splits and joins, and a few reductions.
+Just enough machinery for a small attention decoder run over a batch of
+classes and a hinge-based metric loss: elementwise arithmetic with
+broadcasting, matmul over stacks of matrices, axis permutations and
+reshapes, softmax, layer norm, row gathers, concatenation along any axis,
+and sums.
 Graphs are plain DAGs of ``Tensor`` nodes; ``backward()`` walks them in
 iterative topological order (chains get thousands of nodes deep).
 
@@ -103,10 +105,6 @@ def const(x) -> Tensor:
     return Tensor(x)
 
 
-def param(x) -> Tensor:
-    return Tensor(x, requires_grad=True)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     while g.ndim > len(shape):
@@ -146,6 +144,12 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Product over the last two axes of operands of at least two axes;
+    leading axes broadcast as in ``np.matmul``.
+
+    The gradient of a 2-D operand against a stack is summed over the stack
+    by one product of the flattened rows.
+    """
     a, b = _wrap(a), _wrap(b)
     out = a.data @ b.data
     if not (a.requires_grad or b.requires_grad):
@@ -153,21 +157,28 @@ def matmul(a, b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            if b.data.ndim == 2:
+                rows = a.data.reshape(-1, a.data.shape[-1])
+                b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return Tensor(out, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes as ``np.transpose`` does; reverses them when ``axes`` is None."""
+    out = np.transpose(a.data, axes)
     if not a.requires_grad:
-        return Tensor(a.data.T)
+        return Tensor(out)
+    inverse = None if axes is None else np.argsort(axes)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.T)
+        a._accumulate(np.transpose(g, inverse))
 
-    return Tensor(a.data.T, (a,), backward)
+    return Tensor(out, (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -218,13 +229,9 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis, keepdims), 1.0 / n)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
+    """Softmax over the last axis; entries at -inf (an additive key mask)
+    get weight exactly 0 and no gradient."""
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -263,7 +270,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(out, (a, gain, bias), backward)
 
 
-def take_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
+def take_rows(a: Tensor, idx) -> Tensor:
+    """Rows of ``a`` picked by an integer index array of any shape."""
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
     if not a.requires_grad:
@@ -277,20 +285,7 @@ def take_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = a.data[:, start:stop]
-    if not a.requires_grad:
-        return Tensor(out)
-
-    def backward(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        a._accumulate(ga)
-
-    return Tensor(out, (a,), backward)
-
-
-def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
     if not any(p.requires_grad for p in parts):
         return Tensor(out)
@@ -305,11 +300,3 @@ def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                 p._accumulate(g[tuple(sl)])
 
     return Tensor(out, tuple(parts), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    return _concat(parts, axis=0)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    return _concat(parts, axis=1)

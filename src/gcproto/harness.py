@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_field_types
 from .model import (
     GcpConfig,
     GcpModel,
@@ -108,6 +108,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         sources = [
             self.data_path is not None,
             self.synthetic is not None,
@@ -193,16 +194,11 @@ def _parse_selector(data: Mapping, master_seed: int) -> SelectorConfig:
         raise ConfigError(f"unknown selector keys {sorted(extra)}")
     # accept "alpha_fps" spelling for the CLI's "alphafps"
     method = str(data["method"]).replace("_", "")
-    kwargs = {"method": method, "seed": int(data.get("seed", master_seed))}
-    if "n" in data:
-        kwargs["n_prototypes"] = int(data["n"])
-    if "alpha" in data:
-        kwargs["alpha"] = float(data["alpha"])
-    if "kmeans_max_iters" in data:
-        kwargs["kmeans_max_iters"] = int(data["kmeans_max_iters"])
-    if "kmeans_tol" in data:
-        kwargs["kmeans_tol"] = float(data["kmeans_tol"])
-    return SelectorConfig(**kwargs)
+    kwargs = {"n_prototypes" if k == "n" else k: v for k, v in data.items()}
+    kwargs["method"] = method
+    kwargs.setdefault("seed", master_seed)
+    cfg = SelectorConfig(**kwargs)  # checks the field types
+    return replace(cfg, alpha=float(cfg.alpha), kmeans_tol=float(cfg.kmeans_tol))
 
 
 def _parse_synthetic(data: Mapping, master_seed: int) -> SyntheticSpec:
@@ -236,7 +232,7 @@ def experiment_config_from_json_dict(data: Mapping) -> ExperimentConfig:
     version = data.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
-    seed = int(data.get("seed", 0))
+    seed = data.get("seed", 0)
     if "data" not in data or not isinstance(data["data"], Mapping):
         raise ConfigError("config needs a 'data' object")
     dsrc = data["data"]
@@ -256,8 +252,12 @@ def experiment_config_from_json_dict(data: Mapping) -> ExperimentConfig:
     if sweep is not None:
         if not isinstance(sweep, Mapping) or set(sweep) - {"axis", "values"}:
             raise ConfigError("'sweep' must be an object with 'axis' and 'values'")
-        sweep_axis = sweep.get("axis")
-        sweep_values = list(sweep.get("values") or [])
+        values = sweep.get("values")
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            raise ConfigError("sweep 'values' must be a list of numbers")
+        sweep_axis, sweep_values = sweep.get("axis"), list(values)
     return ExperimentConfig(
         selector=_parse_selector(data["selector"], seed),
         data_path=dsrc.get("path"),
@@ -274,7 +274,7 @@ def experiment_config_from_json_dict(data: Mapping) -> ExperimentConfig:
         group_buckets=(
             list(data["group_buckets"]) if data.get("group_buckets") is not None else None
         ),
-        max_rank=int(data.get("max_rank", DEFAULT_MAX_RANK)),
+        max_rank=data.get("max_rank", DEFAULT_MAX_RANK),
         ap_mode=data.get("ap_mode", "per_prototype"),
         per_query_ap=bool(data.get("per_query_ap", False)),
         out_dir=data.get("out_dir"),

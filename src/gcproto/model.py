@@ -12,7 +12,10 @@ other-class feature in the batch.
 
 Decoding is incremental with per-block key/value caches: each step computes
 only the newest row, so earlier prototypes are bit-identical no matter how
-far generation continues.  All arithmetic is float64 via the local autodiff
+far generation continues.  There is one decoder forward pass, over a batch
+of class memories with classes and attention heads as array axes: a
+training step decodes all of its classes at once, and generation decodes
+one class as a batch of one.  All arithmetic is float64 via the local autodiff
 engine; gradients are analytic and checked against finite differences in
 the test suite.
 """
@@ -38,6 +41,7 @@ from .errors import (
     TrainingDivergedError,
     UnknownCameraError,
     UnknownClassError,
+    check_field_types,
 )
 from .seeding import counter_stream, substream
 from .store import EmbeddingSet, PrototypeSet
@@ -51,9 +55,10 @@ MODEL_VERSION = 1
 class GcpConfig:
     """Architecture and optimization settings for the learned generator.
 
-    Defaults are desk-scale (CPU-trainable in seconds to minutes); the
-    larger published-scale settings (6 blocks, ffn_dim 512) are accepted
-    but slow without vectorized batching.
+    Defaults are desk-scale (CPU-trainable in seconds to minutes).  A
+    training step decodes all of its classes, and every attention head, as
+    one batched forward pass, so the published-scale settings (6 blocks,
+    ffn_dim 512) cost numpy arithmetic rather than per-class Python work.
     """
 
     dim: int = 32
@@ -74,6 +79,7 @@ class GcpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.dim < 1:
             raise ConfigError("dim must be positive")
         if self.n_heads < 1 or self.dim % self.n_heads != 0:
@@ -114,6 +120,8 @@ class GcpConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GcpConfig":
+        if not isinstance(data, Mapping):
+            raise DataFormatError("model config must be a JSON object")
         expected = set(cls.__dataclass_fields__)
         got = set(data)
         if got != expected:
@@ -230,42 +238,30 @@ def build_memory(
     )
 
 
-class _Ctx:
-    """Per-pass mode flags: dropout on/off and its noise source."""
+def _attend(
+    q: Tensor, K: Tensor, V: Tensor, n_heads: int, key_mask: np.ndarray | None = None
+) -> Tensor:
+    """Multi-head scaled dot-product attention over a batch of classes.
 
-    __slots__ = ("train", "rate", "rng")
-
-    def __init__(self, train: bool, rate: float, rng):
-        self.train = train
-        self.rate = rate
-        self.rng = rng
-
-
-_INFERENCE = _Ctx(False, 0.0, None)
-
-
-def _dropout(x: Tensor, ctx: _Ctx) -> Tensor:
-    if not ctx.train or ctx.rate == 0.0:
-        return x
-    keep = (ctx.rng.random(x.shape) >= ctx.rate) / (1.0 - ctx.rate)
-    return x * ad.const(keep)
-
-
-def _attend(q: Tensor, K: Tensor, V: Tensor, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention for a single query row."""
-    d = q.shape[-1]
+    ``q`` is (B, t, D), ``K`` and ``V`` are (B, s, D).  Heads are split off
+    the feature axis by reshape and axis permutation into (B, H, ., D/H)
+    stacks, so every head of every class is one batched product; per
+    (class, head) the products are the same 2-D products, with the same
+    operand strides, as slicing each head's columns.  ``key_mask``
+    (B, 1, 1, s), when given, is added to the logits: 0 for a real key,
+    -inf for padding.  Returns (B, t, D).
+    """
+    B, t, d = q.shape
+    s = K.shape[1]
     dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
-    outs = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(K, lo, hi)
-        vh = ad.slice_cols(V, lo, hi)
-        logits = (qh @ kh.T) * scale
-        weights = ad.softmax_rows(logits)
-        outs.append(weights @ vh)
-    return ad.concat_cols(outs)
+    qh = ad.transpose(ad.reshape(q, (B, t, n_heads, dh)), (0, 2, 1, 3))
+    kt = ad.transpose(ad.reshape(K, (B, s, n_heads, dh)), (0, 2, 3, 1))
+    vh = ad.transpose(ad.reshape(V, (B, s, n_heads, dh)), (0, 2, 1, 3))
+    logits = (qh @ kt) * (1.0 / np.sqrt(dh))
+    if key_mask is not None:
+        logits = logits + ad.const(key_mask)
+    out = ad.softmax_rows(logits) @ vh  # (B, H, t, dh)
+    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, t, d))
 
 
 def _generate_rows(
@@ -273,16 +269,34 @@ def _generate_rows(
     cfg: GcpConfig,
     mem_tokens: Tensor,
     n: int,
-    ctx: _Ctx,
-) -> list[Tensor]:
-    """Autoregressively decode n prototype rows, each of shape (1, D).
+    key_mask: np.ndarray | None = None,
+    dropout_rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Autoregressively decode n prototype rows for a batch of class memories.
+
+    ``mem_tokens`` is (B, s, D), one class per leading index; ``key_mask``
+    marks padded memory rows (see ``_attend``).  Returns (B, n, D).
 
     Self-attention uses growing key/value caches, so each position attends
     only to itself and earlier positions and is computed exactly once.
     Cross-attention keys/values come from the memory tokens, projected once
     per block and shared by every step.
+
+    With ``dropout_rng``, every dropout mask of the pass comes from one draw
+    of shape (B, n, n_blocks, 3, 1, D), class-major, then step, block and
+    sub-layer (self, cross, ffn): B classes in one pass draw the same masks
+    as B one-class passes in a row.
     """
+    B = mem_tokens.shape[0]
     nb, nh = cfg.n_blocks, cfg.n_heads
+    keep = None
+    if dropout_rng is not None and cfg.dropout_rate > 0.0:
+        noise = dropout_rng.random((B, n, nb, 3, 1, cfg.dim))
+        keep = (noise >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
+
+    def dropout(x: Tensor, step: int, block: int, sub: int) -> Tensor:
+        return x if keep is None else x * ad.const(keep[:, step, block, sub])
+
     cross_kv = []
     for b in range(nb):
         k = mem_tokens @ params[f"block{b}.cross.wk"] + params[f"block{b}.cross.bk"]
@@ -291,8 +305,9 @@ def _generate_rows(
     self_k: list[list[Tensor]] = [[] for _ in range(nb)]
     self_v: list[list[Tensor]] = [[] for _ in range(nb)]
     protos: list[Tensor] = []
-    x = params["sos"]
-    for _ in range(n):
+    # one start row per class
+    x = params["sos"] + ad.const(np.zeros((B, 1, cfg.dim)))
+    for step in range(n):
         h = x
         for b in range(nb):
             pre = f"block{b}"
@@ -303,28 +318,29 @@ def _generate_rows(
             self_v[b].append(xn @ params[f"{pre}.self.wv"] + params[f"{pre}.self.bv"])
             q = xn @ params[f"{pre}.self.wq"] + params[f"{pre}.self.bq"]
             att = _attend(
-                q, ad.concat_rows(self_k[b]), ad.concat_rows(self_v[b]), nh
+                q, ad.concat(self_k[b], axis=1), ad.concat(self_v[b], axis=1), nh
             )
-            h = h + _dropout(att @ params[f"{pre}.self.wo"] + params[f"{pre}.self.bo"], ctx)
+            att = att @ params[f"{pre}.self.wo"] + params[f"{pre}.self.bo"]
+            h = h + dropout(att, step, b, 0)
 
             xn = ad.layer_norm(
                 h, params[f"{pre}.cross_ln.gain"], params[f"{pre}.cross_ln.bias"], LN_EPS
             )
             q = xn @ params[f"{pre}.cross.wq"] + params[f"{pre}.cross.bq"]
-            att = _attend(q, cross_kv[b][0], cross_kv[b][1], nh)
-            h = h + _dropout(att @ params[f"{pre}.cross.wo"] + params[f"{pre}.cross.bo"], ctx)
+            att = _attend(q, cross_kv[b][0], cross_kv[b][1], nh, key_mask)
+            att = att @ params[f"{pre}.cross.wo"] + params[f"{pre}.cross.bo"]
+            h = h + dropout(att, step, b, 1)
 
             xn = ad.layer_norm(
                 h, params[f"{pre}.ffn_ln.gain"], params[f"{pre}.ffn_ln.bias"], LN_EPS
             )
             f = ad.relu(xn @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"])
             f = f @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
-            h = h + _dropout(f, ctx)
+            h = h + dropout(f, step, b, 2)
         hn = ad.layer_norm(h, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-        p = hn @ params["head.w"] + params["head.b"]
-        protos.append(p)
-        x = p
-    return protos
+        x = hn @ params["head.w"] + params["head.b"]
+        protos.append(x)
+    return ad.concat(protos, axis=1)
 
 
 def _wrap_params(params: Mapping[str, np.ndarray], requires_grad: bool) -> dict[str, Tensor]:
@@ -341,8 +357,8 @@ def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> list[np.ndar
             f"model dim is {model.config.dim}"
         )
     params = _wrap_params(model.params, requires_grad=False)
-    rows = _generate_rows(params, model.config, Tensor(memory.tokens), n, _INFERENCE)
-    return [r.data[0].copy() for r in rows]
+    rows = _generate_rows(params, model.config, Tensor(memory.tokens[None]), n)
+    return [r.copy() for r in rows.data[0]]
 
 
 def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> PrototypeSet:
@@ -422,54 +438,55 @@ def _loss_graph(
     params: Mapping[str, Tensor],
     cfg: GcpConfig,
     batches: Sequence[ClassBatch],
-    ctx: _Ctx,
+    dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Triplet hinge over (anchor, nearest prototype) pairs plus the
     diversity hinge averaged over classes, built as one autodiff graph.
 
-    Each anchor contributes one term against its closest generated
-    prototype, mirroring how multi-prototype classes are scored at
-    retrieval.  The nearest index is recomputed every step from current
-    values but held constant inside the graph, so the gradient routes
-    through the selected prototype only (exact away from assignment ties,
-    which have measure zero under random init).
+    Every class of the batch is decoded by one forward pass: memories of
+    different lengths are zero-padded into one (B, s, D) tensor whose
+    padding the cross-attention masks out.  Each anchor contributes one
+    term against its closest generated prototype, mirroring how
+    multi-prototype classes are scored at retrieval.  The nearest index is
+    recomputed every step from current values but held constant inside the
+    graph, so the gradient routes through the selected prototype only
+    (exact away from assignment ties, which have measure zero under random
+    init).  The classes of a batch share their prototype and anchor counts.
     """
-    psi = params["camera_embeddings"]
-    triplet_terms: list[Tensor] = []
-    n_triplets = 0
-    reg_terms: list[Tensor] = []
-    for cb in batches:
-        mem = ad.take_rows(psi, cb.memory_cameras) + ad.const(cb.memory_features)
-        rows = _generate_rows(params, cfg, mem, cb.n_prototypes, ctx)
-        P = ad.concat_rows(rows)  # (N, D)
-        A = ad.const(cb.anchors)  # (m, D)
-        a2 = ad.sum_(A * A, axis=1, keepdims=True)
-        p2 = ad.sum_(P * P, axis=1, keepdims=True)
-        d2 = a2 + p2.T - 2.0 * (A @ P.T)
-        d_ap = ad.sqrt(ad.relu(d2))  # clamp cancellation residue before the root
-        nearest = np.eye(cb.n_prototypes)[d_ap.data.argmin(axis=1)]  # (m, N)
-        d_pos = ad.sum_(d_ap * ad.const(nearest), axis=1)  # (m,)
-        hinge = ad.relu(d_pos - ad.const(cb.negative_distances) + cfg.margin)
-        triplet_terms.append(ad.sum_(hinge))
-        n_triplets += cb.anchors.shape[0]
-        if cb.n_prototypes >= 2 and cfg.lam > 0.0:
-            n = cb.n_prototypes
-            dd2 = p2 + p2.T - 2.0 * (P @ P.T)
-            d_pp = ad.sqrt(ad.relu(dd2))
-            off_diag = ad.const(1.0 - np.eye(n))
-            pair_hinge = ad.relu(cfg.margin - d_pp) * off_diag
-            reg_terms.append(ad.sum_(pair_hinge) * (1.0 / (n * (n - 1))))
-    total = _sum_tensors(triplet_terms) * (1.0 / n_triplets)
-    if reg_terms and cfg.lam > 0.0:
-        total = total + cfg.lam * (_sum_tensors(reg_terms) * (1.0 / len(batches)))
+    n = batches[0].n_prototypes
+    m = batches[0].anchors.shape[0]
+    if any(cb.n_prototypes != n or cb.anchors.shape[0] != m for cb in batches):
+        raise ConfigError("classes of one batch must share n_prototypes and anchor count")
+    B = len(batches)
+    s = max(len(cb.memory_cameras) for cb in batches)
+    feats = np.zeros((B, s, cfg.dim))
+    cams = np.zeros((B, s), dtype=np.int64)
+    key_mask = np.zeros((B, 1, 1, s))
+    for i, cb in enumerate(batches):
+        k = len(cb.memory_cameras)
+        feats[i, :k] = cb.memory_features
+        cams[i, :k] = cb.memory_cameras
+        key_mask[i, ..., k:] = -np.inf
+    mem = ad.take_rows(params["camera_embeddings"], cams) + ad.const(feats)
+    P = _generate_rows(params, cfg, mem, n, key_mask, dropout_rng)  # (B, n, D)
+    Pt = ad.transpose(P, (0, 2, 1))
+    A = ad.const(np.stack([cb.anchors for cb in batches]))  # (B, m, D)
+    a2 = ad.sum_(A * A, axis=-1, keepdims=True)
+    p2 = ad.sum_(P * P, axis=-1, keepdims=True)
+    p2t = ad.transpose(p2, (0, 2, 1))
+    d2 = a2 + p2t - 2.0 * (A @ Pt)
+    d_ap = ad.sqrt(ad.relu(d2))  # (B, m, n); clamp cancellation residue before the root
+    nearest = np.eye(n)[d_ap.data.argmin(axis=-1)]
+    d_pos = ad.sum_(d_ap * ad.const(nearest), axis=-1)  # (B, m)
+    neg = np.stack([cb.negative_distances for cb in batches])
+    hinge = ad.relu(d_pos - ad.const(neg) + cfg.margin)
+    total = ad.sum_(hinge) * (1.0 / (B * m))
+    if n >= 2 and cfg.lam > 0.0:
+        d_pp = ad.sqrt(ad.relu(p2 + p2t - 2.0 * (P @ Pt)))  # (B, n, n)
+        pair_hinge = ad.relu(cfg.margin - d_pp) * ad.const(1.0 - np.eye(n))
+        reg = ad.sum_(pair_hinge) * (1.0 / (n * (n - 1)))
+        total = total + cfg.lam * (reg * (1.0 / B))
     return total
-
-
-def _sum_tensors(terms: Sequence[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
 
 
 def loss_and_grads(
@@ -483,57 +500,13 @@ def loss_and_grads(
     the training loop runs the same graph with dropout enabled.
     """
     params_t = _wrap_params(dict(params), requires_grad=True)
-    out = _loss_graph(params_t, cfg, batches, _INFERENCE)
+    out = _loss_graph(params_t, cfg, batches)
     out.backward()
     grads = {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in params_t.items()
     }
     return float(out.data), grads
-
-
-def loss(
-    model,
-    anchors,
-    positives,
-    negatives,
-    prototypes_by_class: Mapping[int, np.ndarray],
-    cfg: GcpConfig,
-) -> float:
-    """Triplet hinge over explicit (anchor, positive, negative) rows plus the
-    per-class prototype diversity hinge.
-
-    ``model`` is accepted for interface symmetry and not consulted: the
-    parameters enter only through the already-generated positives and
-    prototypes.  Classes with a single prototype contribute zero diversity
-    penalty.
-    """
-    a = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-    p = np.atleast_2d(np.asarray(positives, dtype=np.float64))
-    n = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if not (a.shape == p.shape == n.shape):
-        raise DimensionMismatchError(
-            f"triplet shapes differ: {a.shape}, {p.shape}, {n.shape}"
-        )
-    if a.size == 0:
-        triplet = 0.0
-    else:
-        d_ap = np.linalg.norm(a - p, axis=1)
-        d_an = np.linalg.norm(a - n, axis=1)
-        triplet = float(np.mean(np.maximum(0.0, cfg.margin + d_ap - d_an)))
-    reg_vals = []
-    for protos in prototypes_by_class.values():
-        protos = np.atleast_2d(np.asarray(protos, dtype=np.float64))
-        k = protos.shape[0]
-        if k < 2:
-            reg_vals.append(0.0)
-            continue
-        dists = cdist(protos, protos)
-        hinges = np.maximum(0.0, cfg.margin - dists)
-        hinges[np.diag_indices(k)] = 0.0
-        reg_vals.append(float(hinges.sum() / (k * (k - 1))))
-    reg = float(np.mean(reg_vals)) if reg_vals else 0.0
-    return triplet + cfg.lam * reg
 
 
 @dataclass
@@ -603,7 +576,7 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
     params = init_params(cfg, substream(cfg.seed, "init"))
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     sampler = substream(cfg.seed, "sampling")
-    ctx = _Ctx(True, cfg.dropout_rate, counter_stream(cfg.seed, "dropout"))
+    dropout_rng = counter_stream(cfg.seed, "dropout")
     classes = list(eset.class_ids)
     trace = TrainingTrace()
     for epoch in range(cfg.epochs):
@@ -619,7 +592,7 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
         for bi, chunk in enumerate(chunks):
             batches = _sample_class_batches(eset, chunk, cfg, sampler)
             params_t = _wrap_params(params, requires_grad=True)
-            out = _loss_graph(params_t, cfg, batches, ctx)
+            out = _loss_graph(params_t, cfg, batches, dropout_rng)
             if not np.isfinite(out.data):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
@@ -664,6 +637,21 @@ def save_model(model: GcpModel, path) -> None:
             fh.write(part)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_manifest_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and set(entry) == {"name", "shape", "offset"}
+        and isinstance(entry["name"], str)
+        and isinstance(entry["shape"], list)
+        and all(_is_int(k) and k >= 0 for k in entry["shape"])
+        and _is_int(entry["offset"])
+    )
+
+
 def load_model(path) -> GcpModel:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -692,31 +680,40 @@ def load_model(path) -> GcpModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt checkpoint metadata ({exc})") from exc
     cfg = GcpConfig.from_json_dict(cfg_dict)
+    if not isinstance(manifest, list) or not all(_is_manifest_entry(e) for e in manifest):
+        raise DataFormatError(
+            f"{path}: manifest must be a list of {{name, shape, offset}} objects "
+            "with a string name, a list of non-negative integer sizes and an "
+            "integer offset"
+        )
     expected = _param_shapes(cfg)
     seen = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
-    if seen != {k: tuple(v) for k, v in expected.items()}:
+    if len(seen) != len(manifest) or seen != {k: tuple(v) for k, v in expected.items()}:
         missing = sorted(set(expected) - set(seen))
         extra = sorted(set(seen) - set(expected))
         wrong = sorted(
             k for k in set(seen) & set(expected) if seen[k] != tuple(expected[k])
         )
         raise DataFormatError(
-            f"{path}: manifest does not match config "
-            f"(missing={missing}, unexpected={extra}, wrong shape={wrong})"
+            f"{path}: manifest does not match config (missing={missing}, "
+            f"unexpected={extra}, wrong shape={wrong}, entries={len(manifest)})"
         )
     blob = raw[pos:]
     params: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        shape = tuple(entry["shape"])
+    end = 0
+    for entry in sorted(manifest, key=lambda e: e["offset"]):
+        name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+        if start < end or start % 8:
+            raise DataFormatError(
+                f"{path}: parameter {name!r} has offset {start}, which is negative, "
+                "not a multiple of 8 or overlaps the previous parameter"
+            )
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = start + 8 * count
         if end > len(blob):
-            raise DataFormatError(
-                f"{path}: parameter {entry['name']!r} extends past end of file"
-            )
+            raise DataFormatError(f"{path}: parameter {name!r} extends past end of file")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-        params[entry["name"]] = arr.astype(np.float64).reshape(shape)
+        params[name] = arr.astype(np.float64).reshape(shape)
     for name, arr in params.items():
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValueError(f"{path}: parameter {name!r} has non-finite values")

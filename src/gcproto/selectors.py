@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .seeding import substream
 from .store import SELECTOR_TAGS, EmbeddingSet, PrototypeSet
 
@@ -34,6 +34,7 @@ class SelectorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown selector method {self.method!r}")
         if self.n_prototypes < 1:

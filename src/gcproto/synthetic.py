@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .model import GcpConfig
 from .seeding import substream
 from .store import EmbeddingSet, build_set
@@ -74,6 +74,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_classes < 1:
             raise ConfigError("n_classes must be positive")
         if isinstance(self.instances_per_class, tuple):

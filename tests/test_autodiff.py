@@ -22,9 +22,14 @@ def fd_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return g
 
 
+def leaf(x) -> ad.Tensor:
+    """A trainable input: a leaf tensor that collects a gradient."""
+    return ad.Tensor(x, requires_grad=True)
+
+
 def check(build, x0: np.ndarray, rtol: float = 1e-5, atol: float = 1e-7):
     """build(tensor) -> scalar Tensor; compares backward grad to FD."""
-    t = ad.param(x0)
+    t = leaf(x0)
     out = build(t)
     out.backward()
     fd = fd_grad(lambda x: float(build(ad.const(x)).data), x0)
@@ -82,7 +87,7 @@ class TestElementwise:
         check(weighted(ad.relu), x)
 
     def test_relu_zero_subgradient(self):
-        t = ad.param(np.zeros((2, 2)))
+        t = leaf(np.zeros((2, 2)))
         ad.sum_(ad.relu(t)).backward()
         np.testing.assert_array_equal(t.grad, np.zeros((2, 2)))
 
@@ -90,7 +95,7 @@ class TestElementwise:
         check(weighted(ad.sqrt), RNG.uniform(0.5, 4.0, size=(3, 3)))
 
     def test_sqrt_zero_subgradient(self):
-        t = ad.param(np.array([0.0, 4.0]))
+        t = leaf(np.array([0.0, 4.0]))
         ad.sum_(ad.sqrt(t)).backward()
         np.testing.assert_array_equal(t.grad, [0.0, 0.25])
 
@@ -104,8 +109,26 @@ class TestMatmulAndShape:
         a = RNG.normal(size=(3, 4))
         check(weighted(lambda t: ad.matmul(ad.const(a), t)), RNG.normal(size=(4, 5)))
 
+    def test_matmul_stack_with_broadcast_weight(self):
+        # (B, t, D) @ (D, E): the weight's gradient is summed over the stack
+        w = RNG.normal(size=(4, 5))
+        x = RNG.normal(size=(3, 2, 4))
+        check(weighted(lambda t: ad.matmul(t, ad.const(w))), x.copy())
+        check(weighted(lambda t: ad.matmul(ad.const(x), t)), w.copy())
+
+    def test_matmul_stacks(self):
+        # per-head products: (B, H, t, d) @ (B, H, d, s)
+        k = RNG.normal(size=(2, 3, 4, 5))
+        q = RNG.normal(size=(2, 3, 1, 4))
+        check(weighted(lambda t: ad.matmul(t, ad.const(k))), q.copy())
+        check(weighted(lambda t: ad.matmul(ad.const(q), t)), k.copy())
+
     def test_transpose(self):
         check(weighted(lambda t: ad.transpose(t)), RNG.normal(size=(3, 5)))
+
+    @pytest.mark.parametrize("axes", [(0, 2, 1, 3), (0, 2, 3, 1)])
+    def test_transpose_axes(self, axes):
+        check(weighted(lambda t: ad.transpose(t, axes)), RNG.normal(size=(2, 3, 4, 5)))
 
     def test_reshape(self):
         check(weighted(lambda t: ad.reshape(t, (2, 6))), RNG.normal(size=(3, 4)))
@@ -113,19 +136,27 @@ class TestMatmulAndShape:
     def test_take_rows_with_duplicates(self):
         check(weighted(lambda t: ad.take_rows(t, [0, 2, 0, 1])), RNG.normal(size=(4, 3)))
 
-    def test_slice_cols(self):
-        check(weighted(lambda t: ad.slice_cols(t, 1, 4)), RNG.normal(size=(3, 6)))
+    def test_take_rows_index_matrix(self):
+        check(weighted(lambda t: ad.take_rows(t, [[0, 2], [0, 0]])), RNG.normal(size=(3, 4)))
 
     def test_concat_rows(self):
         other = RNG.normal(size=(2, 3))
         check(
-            weighted(lambda t: ad.concat_rows([t, ad.const(other), t])),
+            weighted(lambda t: ad.concat([t, ad.const(other), t], axis=0)),
             RNG.normal(size=(2, 3)),
         )
 
     def test_concat_cols(self):
         other = RNG.normal(size=(3, 2))
-        check(weighted(lambda t: ad.concat_cols([ad.const(other), t])), RNG.normal(size=(3, 4)))
+        check(weighted(lambda t: ad.concat([ad.const(other), t], axis=1)), RNG.normal(size=(3, 4)))
+
+    def test_concat_axis1_of_stacks(self):
+        # a key/value cache grows along axis 1 of (B, t, D)
+        other = RNG.normal(size=(2, 3, 4))
+        check(
+            weighted(lambda t: ad.concat([ad.const(other), t, t], axis=1)),
+            RNG.normal(size=(2, 1, 4)),
+        )
 
 
 class TestReductions:
@@ -133,9 +164,8 @@ class TestReductions:
     def test_sum(self, axis, keepdims):
         check(weighted(lambda t: ad.sum_(t, axis, keepdims)), RNG.normal(size=(3, 4)))
 
-    @pytest.mark.parametrize("axis", [None, 0, 1])
-    def test_mean(self, axis):
-        check(weighted(lambda t: ad.mean_(t, axis)), RNG.normal(size=(4, 2)))
+    def test_sum_last_axis_of_stack(self):
+        check(weighted(lambda t: ad.sum_(t, -1, True)), RNG.normal(size=(2, 3, 4)))
 
 
 class TestNormalizers:
@@ -144,6 +174,21 @@ class TestNormalizers:
 
     def test_softmax_rows_3d(self):
         check(weighted(ad.softmax_rows), RNG.normal(size=(2, 3, 4)))
+
+    def test_softmax_rows_masked(self):
+        # an additive -inf key mask: masked entries get weight 0 and no gradient
+        mask = np.zeros((2, 1, 1, 5))
+        mask[0, ..., 3:] = -np.inf
+        mask[1, ..., 1:] = -np.inf
+        build = weighted(lambda t: ad.softmax_rows(ad.add(t, ad.const(mask))))
+        x0 = RNG.normal(size=(2, 3, 2, 5))
+        check(build, x0)
+        t = leaf(x0)
+        y = ad.softmax_rows(ad.add(t, ad.const(mask)))
+        np.testing.assert_array_equal(y.data[np.broadcast_to(mask, x0.shape) < 0], 0.0)
+        np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, rtol=1e-15)
+        build(t).backward()
+        np.testing.assert_array_equal(t.grad[np.broadcast_to(mask, x0.shape) < 0], 0.0)
 
     def test_layer_norm_input(self):
         gain = RNG.normal(size=(6,)) + 1.5
@@ -172,7 +217,7 @@ class TestGraphMechanics:
     def test_fanout_accumulates(self):
         x0 = RNG.normal(size=(3,))
         check(lambda t: ad.sum_(ad.add(ad.mul(t, t), t)), x0)
-        t = ad.param(x0)
+        t = leaf(x0)
         ad.sum_(ad.add(ad.mul(t, t), t)).backward()
         np.testing.assert_allclose(t.grad, 2 * x0 + 1)
 
@@ -183,11 +228,11 @@ class TestGraphMechanics:
         assert y._backward is None
 
     def test_requires_grad_propagates(self):
-        y = ad.mul(ad.param(np.ones(2)), ad.const(np.ones(2)))
+        y = ad.mul(leaf(np.ones(2)), ad.const(np.ones(2)))
         assert y.requires_grad
 
     def test_deep_chain_no_recursion_limit(self):
-        t = ad.param(np.array([1.0]))
+        t = leaf(np.array([1.0]))
         node = t
         for _ in range(5000):
             node = ad.add(node, ad.const(np.array([0.0])))
@@ -196,10 +241,10 @@ class TestGraphMechanics:
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
-            ad.param(np.ones((2, 2))).backward()
+            leaf(np.ones((2, 2))).backward()
 
     def test_operator_sugar(self):
-        t = ad.param(np.array([[1.0, 2.0]]))
+        t = leaf(np.array([[1.0, 2.0]]))
         y = ad.sum_((-t + 3.0) * 2.0 - (5.0 - t))
         y.backward()
         # d/dt [(3 - t) * 2 - 5 + t] = -1 per element
@@ -207,7 +252,7 @@ class TestGraphMechanics:
         assert t.T.shape == (2, 1)
 
     def test_matmul_operator(self):
-        a = ad.param(np.eye(2))
+        a = leaf(np.eye(2))
         b = ad.const(np.array([[2.0, 0.0], [0.0, 3.0]]))
         y = ad.sum_(a @ b)
         y.backward()

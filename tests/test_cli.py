@@ -188,6 +188,30 @@ class TestEval:
         resolved = json.loads((datadir / "o" / "resolved_config.json").read_text())
         assert resolved["selector"]["method"] == "instance"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["selector"].update(n="abc"),
+            lambda c: c.update(sweep={"axis": "n", "values": 5}),
+            lambda c: c.update(data={"synthetic": {**SMALL_SPEC, "n_classes": "4"}}),
+            lambda c: c.update(selector={"method": "gcp"}, gcp={**TINY_GCP, "dim": "8"}),
+        ],
+        ids=["selector-n", "sweep-values", "synthetic-n-classes", "gcp-dim"],
+    )
+    def test_wrong_typed_field_prints_one_error_line(self, datadir, capsys, edit):
+        cfg = {
+            "version": 1,
+            "data": {"path": str(datadir / "data" / "gallery.csv")},
+            "queries": {"path": str(datadir / "data" / "queries.csv")},
+            "selector": {"method": "centroid"},
+        }
+        edit(cfg)
+        path = datadir / "exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["eval", "--config", str(path)])
+        assert rc == 1
+        assert err_line(capsys).startswith("error:config: ")
+
     def test_invalid_config_json(self, datadir, capsys):
         path = datadir / "broken.json"
         path.write_text("{oops", encoding="utf-8")

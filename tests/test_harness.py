@@ -164,6 +164,34 @@ class TestConfigJson:
         assert cfg.selector.seed == 7
         assert cfg.synthetic.seed == 7
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("selector", "n", "abc"),
+            ("selector", "seed", 1.5),
+            ("sweep", "values", 5),
+            ("sweep", "values", ["a"]),
+            ("synthetic", "n_classes", "4"),
+            ("synthetic", "instances_per_class", [2, "9"]),
+            ("gcp", "dim", "8"),
+            ("top", "max_rank", "abc"),
+        ],
+    )
+    def test_wrong_typed_field_is_config_error(self, section, key, value):
+        data = cfg_for(method="gcp", gcp=TINY_GCP, sweep_axis="n", sweep_values=[1]).to_json_dict()
+        target = {
+            "top": data, "synthetic": data["data"]["synthetic"],
+        }.get(section, data.get(section))
+        target[key] = value
+        with pytest.raises(ConfigError):
+            experiment_config_from_json_dict(data)
+
+    def test_integer_floats_keep_their_float_echo(self):
+        data = cfg_for(method="alphafps").to_json_dict()
+        data["selector"]["alpha"] = 1
+        cfg = experiment_config_from_json_dict(data)
+        assert cfg.selector.alpha == 1.0 and isinstance(cfg.selector.alpha, float)
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json", encoding="utf-8")

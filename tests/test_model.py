@@ -1,12 +1,23 @@
 """Learned prototype generator: memory assembly, decoding invariants,
-loss values against independent re-derivations, finite-difference gradient
-agreement, training behavior, and checkpoint integrity."""
+loss values against independent re-derivations, the batched loss graph
+against a per-class reference graph, finite-difference gradient agreement,
+training behavior, and checkpoint integrity."""
+
+import json
+import os
+import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from gcproto import autodiff as ad
+from gcproto.autodiff import Tensor
 from gcproto.errors import (
     ConfigError,
     DataFormatError,
@@ -25,16 +36,17 @@ from gcproto.model import (
     Memory,
     build_memory,
     generate_prototypes,
+    _generate_rows,
+    _sample_class_batches,
     init_params,
     load_model,
-    loss,
     loss_and_grads,
     mine_negative_distances,
     save_model,
     select_gcp,
     train,
 )
-from gcproto.seeding import substream
+from gcproto.seeding import counter_stream, substream
 from gcproto.selectors import SelectorConfig
 from gcproto.store import build_set
 
@@ -60,6 +72,101 @@ def toy_set(rng, n_classes=3, per_class=5, dim=4, n_cameras=2, spread=8.0):
     return build_set(np.vstack(vecs), cls, cams)
 
 
+def loss(anchors, positives, negatives, prototypes_by_class, cfg) -> float:
+    """Numpy oracle: triplet hinge over explicit (anchor, positive, negative)
+    rows plus the per-class prototype diversity hinge.  Classes with a
+    single prototype contribute zero diversity penalty."""
+    a = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
+    p = np.atleast_2d(np.asarray(positives, dtype=np.float64))
+    n = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if not (a.shape == p.shape == n.shape):
+        raise DimensionMismatchError(
+            f"triplet shapes differ: {a.shape}, {p.shape}, {n.shape}"
+        )
+    if a.size == 0:
+        triplet = 0.0
+    else:
+        d_ap = np.linalg.norm(a - p, axis=1)
+        d_an = np.linalg.norm(a - n, axis=1)
+        triplet = float(np.mean(np.maximum(0.0, cfg.margin + d_ap - d_an)))
+    reg_vals = []
+    for protos in prototypes_by_class.values():
+        protos = np.atleast_2d(np.asarray(protos, dtype=np.float64))
+        k = protos.shape[0]
+        if k < 2:
+            reg_vals.append(0.0)
+            continue
+        dists = cdist(protos, protos)
+        hinges = np.maximum(0.0, cfg.margin - dists)
+        hinges[np.diag_indices(k)] = 0.0
+        reg_vals.append(float(hinges.sum() / (k * (k - 1))))
+    reg = float(np.mean(reg_vals)) if reg_vals else 0.0
+    return triplet + cfg.lam * reg
+
+
+def padded_memory(cb, width, dim):
+    """One class's memory cameras, features and key mask, zero-padded to
+    ``width`` rows; the mask is None when no padding is asked for."""
+    if width is None:
+        return cb.memory_cameras, cb.memory_features, None
+    s = len(cb.memory_cameras)
+    cams = np.zeros(width, dtype=np.int64)
+    feats = np.zeros((width, dim))
+    mask = np.zeros((1, 1, 1, width))
+    cams[:s], feats[:s], mask[..., s:] = cb.memory_cameras, cb.memory_features, -np.inf
+    return cams, feats, mask
+
+
+def reference_loss_and_grads(params, cfg, batches, dropout_rng=None, pad=False):
+    """The training loss graph built one class at a time: each class decoded
+    alone (a batch of one), its anchor distances and diversity hinge on 2-D
+    arrays, the terms summed in class order.  With ``pad``, each memory is
+    zero-padded to the batch's longest and key-masked as the batched graph
+    does, which makes every class's forward arithmetic the same.  Returns
+    (value, gradients) like ``loss_and_grads``."""
+    pt = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    width = max(len(cb.memory_cameras) for cb in batches) if pad else None
+    triplets, regs, n_triplets = [], [], 0
+    for cb in batches:
+        n = cb.n_prototypes
+        cams, feats, mask = padded_memory(cb, width, cfg.dim)
+        mem = ad.take_rows(pt["camera_embeddings"], cams) + ad.const(feats)
+        mem = ad.reshape(mem, (1, len(cams), cfg.dim))
+        rows = _generate_rows(pt, cfg, mem, n, mask, dropout_rng)
+        P = ad.reshape(rows, (n, cfg.dim))
+        A = ad.const(cb.anchors)
+        a2 = ad.sum_(A * A, axis=1, keepdims=True)
+        p2 = ad.sum_(P * P, axis=1, keepdims=True)
+        d_ap = ad.sqrt(ad.relu(a2 + p2.T - 2.0 * (A @ P.T)))
+        nearest = np.eye(n)[d_ap.data.argmin(axis=1)]
+        d_pos = ad.sum_(d_ap * ad.const(nearest), axis=1)
+        triplets.append(ad.sum_(ad.relu(d_pos - ad.const(cb.negative_distances) + cfg.margin)))
+        n_triplets += len(cb.anchors)
+        if n >= 2 and cfg.lam > 0.0:
+            d_pp = ad.sqrt(ad.relu(p2 + p2.T - 2.0 * (P @ P.T)))
+            pair = ad.relu(cfg.margin - d_pp) * ad.const(1.0 - np.eye(n))
+            regs.append(ad.sum_(pair) * (1.0 / (n * (n - 1))))
+    total = sum(triplets[1:], triplets[0]) * (1.0 / n_triplets)
+    if regs:
+        total = total + cfg.lam * (sum(regs[1:], regs[0]) * (1.0 / len(batches)))
+    total.backward()
+    grads = {k: t.grad if t.grad is not None else np.zeros_like(t.data) for k, t in pt.items()}
+    return float(total.data), grads
+
+
+class SequentialDraws:
+    """Serves a draw of any shape as consecutive (1, D) draws, in C order:
+    how a decoder that drops out one (1, D) row at a time, class after
+    class, consumes the dropout stream."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        count = int(np.prod(shape[:-2]))
+        return np.stack([self.rng.random(shape[-2:]) for _ in range(count)]).reshape(shape)
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = GcpConfig()
@@ -74,6 +181,14 @@ class TestConfig:
             GcpConfig(margin=0.0)
         with pytest.raises(ConfigError):
             GcpConfig(momentum=1.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dim", "4"), ("n_blocks", True), ("epochs", 2.0), ("lr", "0.1"), ("margin", False)],
+    )
+    def test_wrong_field_type(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GcpConfig(**{field: value})
 
     def test_from_json_rejects_key_drift(self):
         data = GcpConfig().to_json_dict()
@@ -194,7 +309,6 @@ class TestLossFormula:
     def test_single_triplet_hand_value(self):
         # d_ap = 1, d_an = 1.5: hinge = 1.2 + 1 - 1.5 = 0.7
         val = loss(
-            None,
             anchors=[[0.0, 0.0, 0.0, 0.0]],
             positives=[[1.0, 0.0, 0.0, 0.0]],
             negatives=[[1.5, 0.0, 0.0, 0.0]],
@@ -205,7 +319,6 @@ class TestLossFormula:
 
     def test_easy_triplet_clamps_to_zero(self):
         val = loss(
-            None,
             anchors=[[0.0] * 4],
             positives=[[0.0] * 4],
             negatives=[[9.0, 0.0, 0.0, 0.0]],
@@ -219,7 +332,6 @@ class TestLossFormula:
         # (1.2 - 0.2), normalized by k(k-1) = 2 -> penalty 1.0
         protos = np.array([[0.0, 0.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]])
         val = loss(
-            None,
             anchors=np.empty((0, 4)),
             positives=np.empty((0, 4)),
             negatives=np.empty((0, 4)),
@@ -236,14 +348,13 @@ class TestLossFormula:
             negatives=[[1.5, 0.0, 0.0, 0.0]],
             prototypes_by_class=protos,
         )
-        base = loss(None, cfg=GcpConfig(dim=4, n_heads=2, lam=0.0), **args)
-        full = loss(None, cfg=GcpConfig(dim=4, n_heads=2, lam=2.0), **args)
+        base = loss(cfg=GcpConfig(dim=4, n_heads=2, lam=0.0), **args)
+        full = loss(cfg=GcpConfig(dim=4, n_heads=2, lam=2.0), **args)
         assert base == pytest.approx(0.7)
         assert full == pytest.approx(0.7 + 2.0 * 1.0)
 
     def test_single_prototype_class_has_no_penalty(self):
         val = loss(
-            None,
             anchors=np.empty((0, 4)),
             positives=np.empty((0, 4)),
             negatives=np.empty((0, 4)),
@@ -255,7 +366,6 @@ class TestLossFormula:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             loss(
-                None,
                 anchors=np.ones((2, 4)),
                 positives=np.ones((3, 4)),
                 negatives=np.ones((2, 4)),
@@ -276,7 +386,7 @@ class TestLossFormula:
             )
         )
         a, p, n = draw_rows(), draw_rows(), draw_rows()
-        val = loss(None, a, p, n, {}, self.CFG)
+        val = loss(a, p, n, {}, self.CFG)
         d_ap = np.linalg.norm(a - p, axis=1)
         d_an = np.linalg.norm(a - n, axis=1)
         want = np.mean(np.maximum(0.0, self.CFG.margin + d_ap - d_an))
@@ -335,6 +445,77 @@ class TestTrainingLossGraph:
             batches = self.batches(model, np.random.default_rng(300 + seed))
             got, _ = loss_and_grads(model.params, model.config, batches)
             assert got == pytest.approx(self.reference_loss(model, batches), abs=1e-12)
+
+    @staticmethod
+    def mixed_batch(seed, n_protos, lengths, cameras=(0, 1, 2)):
+        cfg = GcpConfig(
+            dim=4, n_blocks=2, n_heads=2, ffn_dim=8, n_prototypes=n_protos,
+            n_cameras=3, seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng)
+        feats = [rng.normal(0.0, 3.0, size=(4, cfg.dim)) for _ in lengths]
+        neg = mine_negative_distances(feats)
+        batches = [
+            ClassBatch(
+                class_id=c,
+                anchors=feats[c],
+                negative_distances=neg[c],
+                memory_features=rng.normal(0.0, 3.0, size=(k, cfg.dim)),
+                memory_cameras=rng.choice(cameras, size=k),
+                n_prototypes=n_protos,
+            )
+            for c, k in enumerate(lengths)
+        ]
+        return params, cfg, batches
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_protos=st.integers(1, 4),
+        lengths=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+    )
+    def test_batched_graph_equals_per_class_reference(self, seed, n_protos, lengths):
+        # one forward pass over classes with memories of mixed lengths; the
+        # reference decodes each class alone with the same padding, so the
+        # two differ only in the order gradients are summed over classes
+        params, cfg, batches = self.mixed_batch(seed, n_protos, lengths)
+        got, got_grads = loss_and_grads(params, cfg, batches)
+        want, want_grads = reference_loss_and_grads(params, cfg, batches, pad=True)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        for name in params:
+            scale = max(1.0, float(np.abs(want_grads[name]).max()))
+            np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_protos=st.integers(1, 4),
+        lengths=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+    )
+    def test_padding_is_masked_out(self, seed, n_protos, lengths):
+        # padded rows take camera 0, which no real row uses here: its
+        # embedding must get exactly no gradient, and a padded decode must
+        # give the unpadded prototypes up to rounding
+        params, cfg, batches = self.mixed_batch(seed, n_protos, lengths, cameras=(1, 2))
+        _, grads = loss_and_grads(params, cfg, batches)
+        np.testing.assert_array_equal(grads["camera_embeddings"][0], 0.0)
+        pt = {k: Tensor(v) for k, v in params.items()}
+        width = max(lengths)
+        for cb in batches:
+            rows = []
+            for pad in (None, width):
+                cams, feats, mask = padded_memory(cb, pad, cfg.dim)
+                mem = (params["camera_embeddings"][cams] + feats)[None]
+                rows.append(_generate_rows(pt, cfg, Tensor(mem), n_protos, mask).data)
+            np.testing.assert_allclose(rows[1], rows[0], rtol=1e-12, atol=1e-12)
+
+    def test_batch_must_share_prototype_count(self):
+        model = tiny_model()
+        batches = self.batches(model, np.random.default_rng(3))
+        mixed = [batches[0], ClassBatch(**{**batches[1].__dict__, "n_prototypes": 3})]
+        with pytest.raises(ConfigError):
+            loss_and_grads(model.params, model.config, mixed)
 
     def kink_clearance(self, model, batches):
         """Smallest distance of any hinge or nearest-prototype assignment
@@ -438,6 +619,77 @@ class TestTraining:
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
+    def test_step_draws_dropout_masks_class_major(self):
+        # one step over all classes: the batched pass must drop out exactly
+        # what decoding one class at a time with (1, D) draws dropped out
+        es = toy_set(np.random.default_rng(53), n_classes=3, per_class=5)
+        cfg = GcpConfig(
+            dim=4, n_blocks=2, n_heads=2, ffn_dim=8, dropout_rate=0.5,
+            n_prototypes=3, n_cameras=2, batch_classes=3,
+            instances_per_class=4, epochs=1, seed=7,
+        )
+        model, _ = train(es, cfg)
+        params = init_params(cfg, substream(cfg.seed, "init"))
+        sampler = substream(cfg.seed, "sampling")
+        order = [es.class_ids[i] for i in sampler.permutation(len(es.class_ids))]
+        batches = _sample_class_batches(es, order, cfg, sampler)
+
+        def stepped(rng):
+            _, grads = reference_loss_and_grads(params, cfg, batches, SequentialDraws(rng))
+            return {k: p - cfg.lr * (grads[k] + cfg.weight_decay * p) for k, p in params.items()}
+
+        want = stepped(counter_stream(cfg.seed, "dropout"))
+        for name in params:
+            np.testing.assert_allclose(model.params[name], want[name], rtol=0, atol=1e-12)
+        other = stepped(counter_stream(cfg.seed + 1, "dropout"))
+        assert any(
+            np.abs(model.params[k] - other[k]).max() > 1e-6 for k in params
+        ), "the masks do not reach the result"
+
+    def test_dropout_run_matches_pinned_losses(self):
+        # pinned epoch losses of a dropout run; a mask drawn in another order
+        # or applied to another sub-layer moves them by far more than rounding
+        es = toy_set(np.random.default_rng(59), n_classes=4, per_class=5)
+        cfg = GcpConfig(
+            dim=4, n_blocks=2, n_heads=2, ffn_dim=8, dropout_rate=0.3,
+            n_prototypes=3, n_cameras=2, batch_classes=2,
+            instances_per_class=4, epochs=3, seed=11,
+        )
+        _, trace = train(es, cfg)
+        np.testing.assert_allclose(
+            trace.epoch_mean_loss,
+            [0.21325203955545402, 0.5975836967341024, 0.6070202552221357],
+            rtol=0, atol=1e-12,
+        )
+
+    def test_checkpoint_is_identical_under_one_and_two_blas_threads(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import hashlib, sys
+            from gcproto.model import GcpConfig, save_model, train
+            from gcproto.synthetic import SyntheticSpec, generate_synthetic
+
+            spec = SyntheticSpec(n_classes=24, instances_per_class=10, dim=32, seed=3)
+            gallery, _ = generate_synthetic(spec)
+            model, trace = train(gallery, GcpConfig(dim=32, epochs=2, seed=3))
+            save_model(model, sys.argv[1])
+            with open(sys.argv[1], "rb") as fh:
+                print(hashlib.sha256(fh.read()).hexdigest(), repr(trace.epoch_mean_loss))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / f"model{threads}.gcpm")],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "model1.gcpm").read_bytes() == (tmp_path / "model2.gcpm").read_bytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_lr_diverges_with_clear_error(self):
         rng = np.random.default_rng(37)
@@ -463,6 +715,46 @@ class TestTraining:
         hi_cam = build_set(np.ones((4, 4)), [0, 0, 1, 1], [0, 0, 0, 9])
         with pytest.raises(UnknownCameraError):
             train(hi_cam, TINY)
+
+
+def rewrite_checkpoint(path, edit_config=None, edit_manifest=None, tail=b""):
+    """Rewrite a checkpoint's config and manifest JSON, keeping the blob and
+    appending ``tail`` to it."""
+    raw = path.read_bytes()
+    pos, blocks = 8, []
+    for _ in range(2):
+        (length,) = struct.unpack_from("<I", raw, pos)
+        blocks.append(json.loads(raw[pos + 4 : pos + 4 + length]))
+        pos += 4 + length
+    cfg, manifest = blocks
+    cfg = edit_config(cfg) if edit_config else cfg
+    manifest = edit_manifest(manifest) if edit_manifest else manifest
+    out = bytearray(raw[:8])
+    for block in (cfg, manifest):
+        data = json.dumps(block).encode("utf-8")
+        out += struct.pack("<I", len(data)) + data
+    path.write_bytes(bytes(out) + raw[pos:] + tail)
+
+
+def entry_edit(index, **changes):
+    """A manifest edit that updates one entry's keys."""
+
+    def edit(manifest):
+        manifest[index] = {**manifest[index], **changes}
+        return manifest
+
+    return edit
+
+
+def shift_last_offset(by):
+    """A manifest edit that moves the highest offset by ``by`` bytes."""
+
+    def edit(manifest):
+        last = max(manifest, key=lambda e: e["offset"])
+        last["offset"] += by
+        return manifest
+
+    return edit
 
 
 class TestCheckpoint:
@@ -504,6 +796,47 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit_config,edit_manifest,error",
+        [
+            (None, entry_edit(0, offset=-8), DataFormatError),
+            (None, shift_last_offset(3), DataFormatError),
+            (None, entry_edit(1, offset=0), DataFormatError),
+            (None, entry_edit(0, offset=8 * 10**9), DataFormatError),
+            (None, entry_edit(0, offset="0"), DataFormatError),
+            (None, entry_edit(0, shape=4), DataFormatError),
+            (None, entry_edit(0, shape=[True]), DataFormatError),
+            (None, entry_edit(0, name=7), DataFormatError),
+            (None, entry_edit(0, dtype="f8"), DataFormatError),
+            (None, lambda m: m + [m[0]], DataFormatError),
+            (None, lambda m: [1, 2, 3], DataFormatError),
+            (None, lambda m: {"entries": m}, DataFormatError),
+            (lambda c: {**c, "dim": "4"}, None, ConfigError),
+            (lambda c: {**c, "n_blocks": True}, None, ConfigError),
+            (lambda c: [c], None, DataFormatError),
+        ],
+        ids=[
+            "negative-offset", "misaligned-offset", "overlapping-offset",
+            "offset-past-end", "string-offset", "int-shape", "bool-size",
+            "int-name", "extra-key", "duplicate-entry", "manifest-of-ints",
+            "manifest-object", "string-dim", "bool-n-blocks", "config-list",
+        ],
+    )
+    def test_malformed_metadata_rejected(self, tmp_path, edit_config, edit_manifest, error):
+        _, path = self.trained(tmp_path)
+        # eight spare bytes, so a shifted last parameter neither overlaps nor
+        # runs past the end
+        rewrite_checkpoint(path, edit_config, edit_manifest, tail=bytes(8))
+        with pytest.raises(error):
+            load_model(path)
+
+    def test_rewrite_helper_round_trips(self, tmp_path):
+        model, path = self.trained(tmp_path)
+        rewrite_checkpoint(path, tail=bytes(8))
+        loaded = load_model(path)
+        for name in model.params:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         model, path = self.trained(tmp_path)
