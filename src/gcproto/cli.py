@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, DataFormatError, GcprotoError
+from .errors import ConfigError, GcprotoError
 from .harness import (
     ExperimentConfig,
     experiment_config_from_json_dict,
@@ -31,43 +31,18 @@ from .harness import (
     sweep_n,
 )
 from .model import GcpConfig, load_model, save_model, select_gcp, train
+from .schema import from_json, read_json_object, to_json
 from .selectors import METHODS, SelectorConfig, run_selector
 from .store import load_embedding_set, save_embedding_set
-from .synthetic import PRESETS, SyntheticSpec, generate_synthetic
-
-
-def _read_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    return data
+from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
 
 
 def cmd_gen(args) -> int:
-    if args.config is not None:
-        data = _read_json(args.config)
-        if "preset" in data:
-            extra = set(data) - {"preset"}
-            if extra:
-                raise ConfigError(f"preset config takes no other keys, got {sorted(extra)}")
-            name = data["preset"]
-            if name not in PRESETS:
-                raise ConfigError(f"unknown preset {name!r} (available: {sorted(PRESETS)})")
-            spec = PRESETS[name]()
-        else:
-            known = set(SyntheticSpec.__dataclass_fields__)
-            extra = set(data) - known
-            if extra:
-                raise ConfigError(f"unknown synthetic keys {sorted(extra)}")
-            if isinstance(data.get("instances_per_class"), list):
-                data["instances_per_class"] = tuple(data["instances_per_class"])
-            spec = SyntheticSpec(**data)
+    data = read_json_object(args.config) if args.config is not None else {}
+    if data.keys() == {"preset"}:
+        spec = preset_spec(data["preset"])
     else:
-        spec = SyntheticSpec()
+        spec = from_json(SyntheticSpec, data)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     gallery, queries = generate_synthetic(spec)
@@ -75,11 +50,8 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_embedding_set(gallery, out / "gallery.csv")
     save_embedding_set(queries, out / "queries.csv")
-    echo = dict(spec.__dict__)
-    if isinstance(echo["instances_per_class"], tuple):
-        echo["instances_per_class"] = list(echo["instances_per_class"])
     (out / "synthetic_spec.json").write_text(
-        json.dumps(echo, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(to_json(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {len(gallery)} gallery and {len(queries)} query records to {out}")
     return 0
@@ -107,15 +79,10 @@ def cmd_select(args) -> int:
 
 def cmd_train(args) -> int:
     eset = load_embedding_set(args.data)
-    data = _read_json(args.config) if args.config is not None else {}
-    known = set(GcpConfig.__dataclass_fields__)
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown gcp config keys {sorted(extra)}")
-    data.setdefault("dim", eset.dim)
+    data = read_json_object(args.config) if args.config is not None else {}
+    cfg = from_json(GcpConfig, data, {"dim": eset.dim})
     if args.seed is not None:
-        data["seed"] = args.seed
-    cfg = GcpConfig(**data)
+        cfg = replace(cfg, seed=args.seed)
     model, trace = train(eset, cfg)
     save_model(model, args.out)
     print(
@@ -152,7 +119,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
         base["seed"] = args.seed
         # flag seed overrides sub-seeds the config file left implicit
         for section in ("selector", "gcp"):
-            if isinstance(base.get(section), dict):
+            if base.get(section) is not None:
                 base[section].pop("seed", None)
     if args.checkpoint is not None:
         base["checkpoint"] = args.checkpoint

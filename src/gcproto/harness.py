@@ -7,10 +7,10 @@ the configured selector, evaluate, and write artifacts (report JSON/CSV,
 prototype sets, checkpoints, resolved config).  Every written artifact
 reloads to the in-memory values bit-exactly.
 
-Config schema (top-level keys)::
+Config schema (top-level keys; ``gcproto.schema`` reads and writes it)::
 
     version          1
-    seed             master seed; fills selector/gcp/synthetic seeds not set
+    seed             master seed; a nested section's absent "seed" takes it
     data             {"path": csv-or-binary} | {"synthetic": {...}} | {"preset": name}
     queries          {"path": ...}      required when data is a file
     selector         {"method": ..., "n": ..., "alpha": ..., ...}
@@ -23,6 +23,14 @@ Config schema (top-level keys)::
     ap_mode          "per_prototype" (default) | "per_identity"
     per_query_ap     include per-query AP in the report, default false
     out_dir          artifact directory
+
+Nested sections take the field names of ``SelectorConfig`` (with ``"n"``
+for ``n_prototypes``), ``SyntheticSpec`` and ``GcpConfig``; an absent key
+takes the dataclass default, and unknown keys are an error.  Ranges and
+lists are JSON lists: ``"instances_per_class": [4, 9]``,
+``"elongation_scale": [0.5, 2.0]``.  Sweep values for axis ``n`` are
+positive integers.  ``ExperimentConfig.to_json_dict`` writes this layout,
+and the ``resolved_config.json`` it writes is itself a valid config.
 
 Under the camera-filter protocol the query class's prototypes are rebuilt
 per distinct (class, camera) query group with that camera's records
@@ -37,13 +45,14 @@ and are flagged in the report.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_field_types
+from .errors import ConfigError, DataFormatError
 from .model import (
     GcpConfig,
     GcpModel,
@@ -63,43 +72,28 @@ from .retrieval import (
     report_to_csv,
     report_to_json,
 )
+from .schema import check_field_types, from_json, read_json_object, to_json
 from .selectors import SelectorConfig, class_prototypes, run_selector
 from .store import EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
-from .synthetic import PRESETS, SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
 
-CONFIG_VERSION = 1
 PROTOCOL_CHOICES = ("plain", "camera-filter")
-
-_TOP_KEYS = {
-    "version",
-    "seed",
-    "data",
-    "queries",
-    "selector",
-    "gcp",
-    "checkpoint",
-    "protocol",
-    "sweep",
-    "group_buckets",
-    "max_rank",
-    "ap_mode",
-    "per_query_ap",
-    "out_dir",
-}
 
 
 @dataclass
 class ExperimentConfig:
+    JSON_VERSION = 1
+
     selector: SelectorConfig
-    data_path: str | None = None
-    queries_path: str | None = None
-    synthetic: SyntheticSpec | None = None
-    preset: str | None = None
+    data_path: str | None = field(default=None, metadata={"json": "data.path"})
+    queries_path: str | None = field(default=None, metadata={"json": "queries.path"})
+    synthetic: SyntheticSpec | None = field(default=None, metadata={"json": "data.synthetic"})
+    preset: str | None = field(default=None, metadata={"json": "data.preset"})
     gcp: GcpConfig | None = None
     checkpoint: str | None = None
     protocol: str = "plain"
-    sweep_axis: str | None = None
-    sweep_values: list | None = None
+    sweep_axis: str | None = field(default=None, metadata={"json": "sweep.axis"})
+    sweep_values: list[int | float] | None = field(default=None, metadata={"json": "sweep.values"})
     group_buckets: list[str] | None = None
     max_rank: int = DEFAULT_MAX_RANK
     ap_mode: str = "per_prototype"
@@ -120,19 +114,19 @@ class ExperimentConfig:
             )
         if self.data_path is not None and self.queries_path is None:
             raise ConfigError("a file data source needs a queries file")
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {self.preset!r} (available: {sorted(PRESETS)})"
-            )
+        if self.preset is not None:
+            preset_spec(self.preset)
         if self.protocol not in PROTOCOL_CHOICES:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r} (choose from {PROTOCOL_CHOICES})"
             )
-        if self.sweep_axis is not None:
+        if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in ("n", "alpha"):
-                raise ConfigError("sweep axis must be 'n' or 'alpha'")
+                raise ConfigError(f"sweep axis must be 'n' or 'alpha', got {self.sweep_axis!r}")
             if not self.sweep_values:
                 raise ConfigError("sweep values must be a non-empty list")
+            if self.sweep_axis == "n":
+                _n_values(self.sweep_values)
         if self.group_buckets is not None:
             parse_buckets(self.group_buckets)
         if self.max_rank < 1:
@@ -145,152 +139,15 @@ class ExperimentConfig:
             )
 
     def to_json_dict(self) -> dict:
-        data: dict = {}
-        if self.data_path is not None:
-            data["path"] = self.data_path
-        if self.synthetic is not None:
-            spec = asdict(self.synthetic)
-            if isinstance(spec["instances_per_class"], tuple):
-                spec["instances_per_class"] = list(spec["instances_per_class"])
-            data["synthetic"] = spec
-        if self.preset is not None:
-            data["preset"] = self.preset
-        out = {
-            "version": CONFIG_VERSION,
-            "seed": self.seed,
-            "data": data,
-            "queries": {"path": self.queries_path} if self.queries_path else None,
-            "selector": {
-                "method": self.selector.method,
-                "n": self.selector.n_prototypes,
-                "alpha": self.selector.alpha,
-                "kmeans_max_iters": self.selector.kmeans_max_iters,
-                "kmeans_tol": self.selector.kmeans_tol,
-                "seed": self.selector.seed,
-            },
-            "gcp": asdict(self.gcp) if self.gcp is not None else None,
-            "checkpoint": self.checkpoint,
-            "protocol": self.protocol,
-            "sweep": (
-                {"axis": self.sweep_axis, "values": self.sweep_values}
-                if self.sweep_axis
-                else None
-            ),
-            "group_buckets": self.group_buckets,
-            "max_rank": self.max_rank,
-            "ap_mode": self.ap_mode,
-            "per_query_ap": self.per_query_ap,
-            "out_dir": self.out_dir,
-        }
-        return out
+        return to_json(self)
 
 
-def _parse_selector(data: Mapping, master_seed: int) -> SelectorConfig:
-    if "method" not in data:
-        raise ConfigError("selector config needs a 'method'")
-    known = {"method", "n", "alpha", "kmeans_max_iters", "kmeans_tol", "seed"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown selector keys {sorted(extra)}")
-    # accept "alpha_fps" spelling for the CLI's "alphafps"
-    method = str(data["method"]).replace("_", "")
-    kwargs = {"n_prototypes" if k == "n" else k: v for k, v in data.items()}
-    kwargs["method"] = method
-    kwargs.setdefault("seed", master_seed)
-    cfg = SelectorConfig(**kwargs)  # checks the field types
-    return replace(cfg, alpha=float(cfg.alpha), kmeans_tol=float(cfg.kmeans_tol))
-
-
-def _parse_synthetic(data: Mapping, master_seed: int) -> SyntheticSpec:
-    known = set(SyntheticSpec.__dataclass_fields__)
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown synthetic keys {sorted(extra)}")
-    kwargs = dict(data)
-    if "seed" not in kwargs:
-        kwargs["seed"] = master_seed
-    if isinstance(kwargs.get("instances_per_class"), list):
-        kwargs["instances_per_class"] = tuple(kwargs["instances_per_class"])
-    return SyntheticSpec(**kwargs)
-
-
-def _parse_gcp(data: Mapping, master_seed: int) -> GcpConfig:
-    known = set(GcpConfig.__dataclass_fields__)
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown gcp keys {sorted(extra)}")
-    kwargs = dict(data)
-    if "seed" not in kwargs:
-        kwargs["seed"] = master_seed
-    return GcpConfig(**kwargs)
-
-
-def experiment_config_from_json_dict(data: Mapping) -> ExperimentConfig:
-    extra = set(data) - _TOP_KEYS
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-    version = data.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version}")
-    seed = data.get("seed", 0)
-    if "data" not in data or not isinstance(data["data"], Mapping):
-        raise ConfigError("config needs a 'data' object")
-    dsrc = data["data"]
-    extra = set(dsrc) - {"path", "synthetic", "preset"}
-    if extra:
-        raise ConfigError(f"unknown data keys {sorted(extra)}")
-    if "selector" not in data or not isinstance(data["selector"], Mapping):
-        raise ConfigError("config needs a 'selector' object")
-    queries = data.get("queries")
-    queries_path = None
-    if queries is not None:
-        if not isinstance(queries, Mapping) or set(queries) != {"path"}:
-            raise ConfigError("'queries' must be an object with a single 'path' key")
-        queries_path = queries["path"]
-    sweep = data.get("sweep")
-    sweep_axis = sweep_values = None
-    if sweep is not None:
-        if not isinstance(sweep, Mapping) or set(sweep) - {"axis", "values"}:
-            raise ConfigError("'sweep' must be an object with 'axis' and 'values'")
-        values = sweep.get("values")
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
-            raise ConfigError("sweep 'values' must be a list of numbers")
-        sweep_axis, sweep_values = sweep.get("axis"), list(values)
-    return ExperimentConfig(
-        selector=_parse_selector(data["selector"], seed),
-        data_path=dsrc.get("path"),
-        queries_path=queries_path,
-        synthetic=(
-            _parse_synthetic(dsrc["synthetic"], seed) if "synthetic" in dsrc else None
-        ),
-        preset=dsrc.get("preset"),
-        gcp=_parse_gcp(data["gcp"], seed) if data.get("gcp") is not None else None,
-        checkpoint=data.get("checkpoint"),
-        protocol=data.get("protocol", "plain"),
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        group_buckets=(
-            list(data["group_buckets"]) if data.get("group_buckets") is not None else None
-        ),
-        max_rank=data.get("max_rank", DEFAULT_MAX_RANK),
-        ap_mode=data.get("ap_mode", "per_prototype"),
-        per_query_ap=bool(data.get("per_query_ap", False)),
-        out_dir=data.get("out_dir"),
-        seed=seed,
-    )
+def experiment_config_from_json_dict(data: dict) -> ExperimentConfig:
+    return from_json(ExperimentConfig, data)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise DataFormatError(f"{path}: config must be a JSON object")
-    return experiment_config_from_json_dict(data)
+    return experiment_config_from_json_dict(read_json_object(path))
 
 
 # -- prototype file IO ---------------------------------------------------
@@ -313,12 +170,8 @@ def save_prototypes(pset: PrototypeSet, path) -> None:
 
 
 def load_prototypes(path) -> PrototypeSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or data.get("format") != PROTO_FORMAT:
+    data = read_json_object(path)
+    if data.get("format") != PROTO_FORMAT:
         raise DataFormatError(f"{path}: not a prototype file")
     if data.get("version") != PROTO_VERSION:
         raise DataFormatError(f"{path}: unsupported version {data.get('version')}")
@@ -347,7 +200,7 @@ def resolve_data(cfg: ExperimentConfig) -> tuple[EmbeddingSet, EmbeddingSet]:
         # gallery's labels so class joins and camera filtering line up.
         queries = align_labels(gallery, load_embedding_set(cfg.queries_path))
         return gallery, queries
-    spec = cfg.synthetic if cfg.synthetic is not None else PRESETS[cfg.preset]()
+    spec = cfg.synthetic if cfg.synthetic is not None else preset_spec(cfg.preset)
     return generate_synthetic(spec)
 
 
@@ -531,6 +384,22 @@ def _eval_once(
     )
 
 
+def _n_values(values: Sequence) -> list[int]:
+    if not values:
+        raise ConfigError("sweep-n needs a non-empty list of N values")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ConfigError(f"sweep-n values must be positive integers, got {v!r}")
+    return [int(v) for v in values]
+
+
+def _sweep_values(cfg: ExperimentConfig, axis: str, given: Sequence | None) -> Sequence:
+    """The values passed in, else the config's sweep values for ``axis``."""
+    if given is None and cfg.sweep_axis != axis:
+        raise ConfigError(f"sweep-{axis} needs values, or a config sweep with axis {axis!r}")
+    return cfg.sweep_values if given is None else given
+
+
 def sweep_n(
     cfg: ExperimentConfig, n_list: Sequence[int] | None = None, out_dir=None
 ) -> list[dict]:
@@ -542,11 +411,7 @@ def sweep_n(
     bit, and the sweep varies only how many prototypes are generated.
     Non-learned selectors rerun selection at each N.
     """
-    values = [int(v) for v in (n_list if n_list is not None else cfg.sweep_values or [])]
-    if not values:
-        raise ConfigError("sweep-n needs a non-empty list of N values")
-    if any(v < 1 for v in values):
-        raise ConfigError("sweep-n values must be positive")
+    values = _n_values(_sweep_values(cfg, "n", n_list))
     gallery, queries = resolve_data(cfg)
     model = None
     if cfg.selector.method == "gcp":
@@ -568,9 +433,7 @@ def sweep_alpha(
     cfg: ExperimentConfig, alpha_list: Sequence[float] | None = None, out_dir=None
 ) -> list[dict]:
     """Evaluate the interpolated farthest-point selector at each alpha."""
-    values = [
-        float(v) for v in (alpha_list if alpha_list is not None else cfg.sweep_values or [])
-    ]
+    values = [float(v) for v in _sweep_values(cfg, "alpha", alpha_list)]
     if not values:
         raise ConfigError("sweep-alpha needs a non-empty list of alpha values")
     if cfg.selector.method != "alphafps":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,8 +41,8 @@ from .errors import (
     TrainingDivergedError,
     UnknownCameraError,
     UnknownClassError,
-    check_field_types,
 )
+from .schema import check_field_types, from_json, to_json
 from .seeding import counter_stream, substream
 from .store import EmbeddingSet, PrototypeSet
 
@@ -114,23 +114,6 @@ class GcpConfig:
             raise ConfigError("n_cameras must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GcpConfig":
-        if not isinstance(data, Mapping):
-            raise DataFormatError("model config must be a JSON object")
-        expected = set(cls.__dataclass_fields__)
-        got = set(data)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise DataFormatError(
-                f"bad model config keys (missing={missing}, unexpected={extra})"
-            )
-        return cls(**{k: data[k] for k in expected})
 
 
 def _param_shapes(cfg: GcpConfig) -> dict[str, tuple[int, ...]]:
@@ -616,7 +599,7 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
 
 def save_model(model: GcpModel, path) -> None:
     """Write a checkpoint: magic, version, config JSON, manifest, f64 blob."""
-    cfg_json = json.dumps(model.config.to_json_dict(), sort_keys=True).encode("utf-8")
+    cfg_json = json.dumps(to_json(model.config), sort_keys=True).encode("utf-8")
     manifest = []
     blob_parts = []
     offset = 0
@@ -679,7 +662,10 @@ def load_model(path) -> GcpModel:
         manifest = json.loads(take_block("manifest").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt checkpoint metadata ({exc})") from exc
-    cfg = GcpConfig.from_json_dict(cfg_dict)
+    # a checkpoint names every config field: key drift is a format error
+    if not isinstance(cfg_dict, dict) or set(cfg_dict) != set(GcpConfig.__dataclass_fields__):
+        raise DataFormatError(f"{path}: config block must hold exactly the GcpConfig keys")
+    cfg = from_json(GcpConfig, cfg_dict)
     if not isinstance(manifest, list) or not all(_is_manifest_entry(e) for e in manifest):
         raise DataFormatError(
             f"{path}: manifest must be a list of {{name, shape, offset}} objects "

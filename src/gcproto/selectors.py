@@ -10,12 +10,13 @@ index so repeated runs agree bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError
+from .schema import check_field_types
 from .seeding import substream
 from .store import SELECTOR_TAGS, EmbeddingSet, PrototypeSet
 
@@ -26,8 +27,12 @@ METHODS = tuple(t.replace("_", "") for t in SELECTOR_TAGS)
 
 @dataclass
 class SelectorConfig:
-    method: str = "centroid"
-    n_prototypes: int = 3
+    # JSON must name the method; "alpha_fps" is the store tag's spelling
+    method: str = field(
+        default="centroid",
+        metadata={"required": True, "spellings": {"alpha_fps": "alphafps"}},
+    )
+    n_prototypes: int = field(default=3, metadata={"json": "n"})
     alpha: float = 0.5
     kmeans_max_iters: int = 100
     kmeans_tol: float = 1e-9

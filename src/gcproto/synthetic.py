@@ -49,8 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError
 from .model import GcpConfig
+from .schema import check_field_types
 from .seeding import substream
 from .store import EmbeddingSet, build_set
 
@@ -279,3 +280,10 @@ def tradeoff_training(seed: int = 0) -> GcpConfig:
 PRESETS = {
     "tradeoff": tradeoff_spec,
 }
+
+
+def preset_spec(name: str) -> SyntheticSpec:
+    """The spec of the shipped preset ``name``."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (available: {sorted(PRESETS)})")
+    return PRESETS[name]()

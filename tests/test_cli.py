@@ -195,8 +195,12 @@ class TestEval:
             lambda c: c.update(sweep={"axis": "n", "values": 5}),
             lambda c: c.update(data={"synthetic": {**SMALL_SPEC, "n_classes": "4"}}),
             lambda c: c.update(selector={"method": "gcp"}, gcp={**TINY_GCP, "dim": "8"}),
+            lambda c: c.update(per_query_ap="no"),
+            lambda c: c.update(selector={"method": "gcp"}, gcp=[]),
+            lambda c: c.update(sweep={"values": [1, 2]}),
         ],
-        ids=["selector-n", "sweep-values", "synthetic-n-classes", "gcp-dim"],
+        ids=["selector-n", "sweep-values", "synthetic-n-classes", "gcp-dim",
+             "per-query-ap-string", "gcp-empty-list", "sweep-without-axis"],
     )
     def test_wrong_typed_field_prints_one_error_line(self, datadir, capsys, edit):
         cfg = {

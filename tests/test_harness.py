@@ -186,6 +186,53 @@ class TestConfigJson:
         with pytest.raises(ConfigError):
             experiment_config_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(per_query_ap="no"),
+            lambda d: d.update(group_buckets=5),
+            lambda d: d.update(gcp=[]),
+            lambda d: d.update(gcp=[["dim", 8]]),
+            lambda d: d["data"].update(synthetic=[]),
+            lambda d: d.update(sweep={"values": [1, 2]}),
+        ],
+        ids=["per-query-ap-string", "group-buckets-int", "gcp-empty-list",
+             "gcp-pair-list", "synthetic-empty-list", "sweep-without-axis"],
+    )
+    def test_malformed_section_is_config_error(self, edit):
+        data = cfg_for().to_json_dict()
+        edit(data)
+        with pytest.raises(ConfigError):
+            experiment_config_from_json_dict(data)
+
+    def test_ranged_elongation_scale_reads_as_tuple(self, tmp_path):
+        data = cfg_for().to_json_dict()
+        data["data"]["synthetic"]["elongation_scale"] = [0.5, 2.0]
+        cfg = experiment_config_from_json_dict(data)
+        assert cfg.synthetic.elongation_scale == (0.5, 2.0)
+        # and the resolved config it writes loads back to the same config
+        run_experiment(cfg, out_dir=tmp_path)
+        assert load_experiment_config(tmp_path / "resolved_config.json") == cfg
+
+    def test_integer_in_float_field_echoes_as_float_in_every_section(self):
+        data = cfg_for(method="gcp", gcp=TINY_GCP).to_json_dict()
+        data["selector"]["alpha"] = 1
+        data["gcp"]["margin"] = 2
+        data["data"]["synthetic"]["class_center_scale"] = 6
+        echo = experiment_config_from_json_dict(data).to_json_dict()
+        for value in (
+            echo["selector"]["alpha"], echo["gcp"]["margin"],
+            echo["data"]["synthetic"]["class_center_scale"],
+        ):
+            assert type(value) is float
+        assert json.dumps(echo["gcp"]["margin"]) == "2.0"
+
+    def test_unknown_nested_keys_are_named(self):
+        data = cfg_for().to_json_dict()
+        data["data"]["synthetic"]["n_class"] = 3
+        with pytest.raises(ConfigError, match="n_class"):
+            experiment_config_from_json_dict(data)
+
     def test_integer_floats_keep_their_float_echo(self):
         data = cfg_for(method="alphafps").to_json_dict()
         data["selector"]["alpha"] = 1
@@ -477,6 +524,30 @@ class TestSweeps:
             sweep_n(cfg_for(), [])
         with pytest.raises(ConfigError):
             sweep_n(cfg_for(), [0])
+
+    def test_sweep_n_refuses_non_integer_values(self):
+        data = cfg_for(sweep_axis="n", sweep_values=[1]).to_json_dict()
+        data["sweep"]["values"] = [2.5, 2.9]
+        with pytest.raises(ConfigError):
+            experiment_config_from_json_dict(data)
+        with pytest.raises(ConfigError):
+            sweep_n(cfg_for(), [2.5, 2.9])
+        with pytest.raises(ConfigError):
+            cfg_for(sweep_axis="n", sweep_values=[2.0])
+
+    def test_sweep_n_refuses_alpha_axis_config(self):
+        cfg = cfg_for(method="alphafps", sweep_axis="alpha", sweep_values=[1, 2])
+        with pytest.raises(ConfigError, match="axis"):
+            sweep_n(cfg)
+
+    def test_sweep_alpha_refuses_n_axis_config(self):
+        cfg = cfg_for(method="alphafps", sweep_axis="n", sweep_values=[1])
+        with pytest.raises(ConfigError, match="axis"):
+            sweep_alpha(cfg)
+
+    def test_sweep_without_axis_is_refused(self):
+        with pytest.raises(ConfigError):
+            cfg_for(sweep_values=[1, 2])
 
     def test_sweep_csv_artifact(self, tmp_path):
         sweep_n(cfg_for(method="centroid"), [1, 2], out_dir=tmp_path)

@@ -46,6 +46,7 @@ from gcproto.model import (
     select_gcp,
     train,
 )
+from gcproto.schema import from_json, to_json
 from gcproto.seeding import counter_stream, substream
 from gcproto.selectors import SelectorConfig
 from gcproto.store import build_set
@@ -170,7 +171,7 @@ class SequentialDraws:
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = GcpConfig()
-        assert GcpConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert from_json(GcpConfig, to_json(cfg)) == cfg
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -190,11 +191,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             GcpConfig(**{field: value})
 
-    def test_from_json_rejects_key_drift(self):
-        data = GcpConfig().to_json_dict()
-        data["learning_rate"] = data.pop("lr")
+    def test_from_json_rejects_key_drift(self, tmp_path):
+        # a checkpoint's config block must name exactly the GcpConfig fields
+        model = tiny_model()
+        path = tmp_path / "model.gcpm"
+        save_model(model, path)
+        renamed = {"lr": "learning_rate"}
+        rewrite_checkpoint(path, edit_config=lambda c: {renamed.get(k, k): c[k] for k in c})
         with pytest.raises(DataFormatError):
-            GcpConfig.from_json_dict(data)
+            load_model(path)
+        save_model(model, path)
+        rewrite_checkpoint(path, edit_config=lambda c: {k: c[k] for k in c if k != "dim"})
+        with pytest.raises(DataFormatError):
+            load_model(path)
 
 
 class TestMemory:
