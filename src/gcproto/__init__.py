@@ -22,10 +22,7 @@ from .model import (
 from .retrieval import (
     EvalReport,
     Ranking,
-    coverage_violations,
-    distance,
     evaluate,
-    prototype_displacement,
     rank_query,
 )
 from .selectors import SelectorConfig, run_selector
@@ -60,14 +57,11 @@ __all__ = [
     "SyntheticSpec",
     "align_labels",
     "build_memory",
-    "coverage_violations",
-    "distance",
     "evaluate",
     "generate_prototypes",
     "generate_synthetic",
     "load_embedding_set",
     "load_model",
-    "prototype_displacement",
     "rank_query",
     "run_selector",
     "save_embedding_set",

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``gen`` (synthetic data), ``select`` (prototype file),
-``train`` (model checkpoint), ``eval`` (report), ``sweep-n``,
-``sweep-alpha``, ``group-eval``.  A run is configured either entirely by
-flags or by ``--config`` pointing at an experiment JSON; explicit flags
-override the config file field-for-field.
+``train`` (model checkpoint), ``eval`` (report), ``sweep-n`` and
+``sweep-alpha`` (both ``harness.sweep``), ``group-eval``.  A run is set
+by flags or by ``--config`` with an experiment JSON; flags override the
+config field-for-field, and ``--seed`` also fills each ``selector``,
+``gcp`` and ``data.synthetic`` seed the file left out.
 
 On failure the process exits nonzero after printing one line to stderr of
 the form ``error:<category>: <message>``, where the category is a stable
@@ -24,11 +25,9 @@ from .harness import (
     ExperimentConfig,
     experiment_config_from_json_dict,
     group_evaluate,
-    load_experiment_config,
     run_experiment,
     save_prototypes,
-    sweep_alpha,
-    sweep_n,
+    sweep,
 )
 from .model import GcpConfig, load_model, save_model, select_gcp, train
 from .schema import from_json, read_json_object, to_json
@@ -93,8 +92,10 @@ def cmd_train(args) -> int:
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
+    raw = {}  # the config file as written, to tell which seeds it left out
     if args.config is not None:
-        base = load_experiment_config(args.config).to_json_dict()
+        raw = read_json_object(args.config)
+        base = experiment_config_from_json_dict(raw).to_json_dict()
     else:
         if args.data is None or args.queries is None or args.method is None:
             raise ConfigError("without --config, provide --data, --queries and --method")
@@ -117,10 +118,14 @@ def _experiment_from_args(args) -> ExperimentConfig:
         base["protocol"] = args.protocol
     if args.seed is not None:
         base["seed"] = args.seed
-        # flag seed overrides sub-seeds the config file left implicit
-        for section in ("selector", "gcp"):
-            if base.get(section) is not None:
-                base[section].pop("seed", None)
+        # the flag seed fills only the sub-seeds the config file left out
+        for resolved, given in (
+            (base["selector"], raw.get("selector")),
+            (base.get("gcp"), raw.get("gcp")),
+            ((base["data"] or {}).get("synthetic"), (raw.get("data") or {}).get("synthetic")),
+        ):
+            if resolved is not None and "seed" not in (given or {}):
+                resolved.pop("seed", None)
     if args.checkpoint is not None:
         base["checkpoint"] = args.checkpoint
     return experiment_config_from_json_dict(base)
@@ -143,21 +148,12 @@ def _parse_values(text: str, kind) -> list:
         raise ConfigError(f"bad --values list {text!r}") from None
 
 
-def cmd_sweep_n(args) -> int:
+def cmd_sweep(args) -> int:
     cfg = _experiment_from_args(args)
-    values = _parse_values(args.values, int) if args.values else None
-    rows = sweep_n(cfg, values, out_dir=args.out)
-    for row in rows:
-        print(f"n={row['n']} top1={row['top1']!r} map={row['map']!r}")
-    return 0
-
-
-def cmd_sweep_alpha(args) -> int:
-    cfg = _experiment_from_args(args)
-    values = _parse_values(args.values, float) if args.values else None
-    rows = sweep_alpha(cfg, values, out_dir=args.out)
-    for row in rows:
-        print(f"alpha={row['alpha']!r} top1={row['top1']!r} map={row['map']!r}")
+    kind = int if args.axis == "n" else float
+    values = _parse_values(args.values, kind) if args.values else None
+    for row in sweep(cfg, args.axis, values, out_dir=args.out):
+        print(f"{args.axis}={row[args.axis]!r} top1={row['top1']!r} map={row['map']!r}")
     return 0
 
 
@@ -223,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-n", help="evaluate across prototype counts")
     _add_common_eval_flags(p)
     p.add_argument("--values", help="comma-separated N values, e.g. 1,2,3,6")
-    p.set_defaults(func=cmd_sweep_n)
+    p.set_defaults(func=cmd_sweep, axis="n")
 
     p = sub.add_parser("sweep-alpha", help="evaluate across alpha values")
     _add_common_eval_flags(p)
     p.add_argument("--values", help="comma-separated alpha values")
-    p.set_defaults(func=cmd_sweep_alpha)
+    p.set_defaults(func=cmd_sweep, axis="alpha")
 
     p = sub.add_parser("group-eval", help="per-bucket mAP by gallery size")
     _add_common_eval_flags(p)

@@ -28,9 +28,14 @@ Nested sections take the field names of ``SelectorConfig`` (with ``"n"``
 for ``n_prototypes``), ``SyntheticSpec`` and ``GcpConfig``; an absent key
 takes the dataclass default, and unknown keys are an error.  Ranges and
 lists are JSON lists: ``"instances_per_class": [4, 9]``,
-``"elongation_scale": [0.5, 2.0]``.  Sweep values for axis ``n`` are
-positive integers.  ``ExperimentConfig.to_json_dict`` writes this layout,
-and the ``resolved_config.json`` it writes is itself a valid config.
+``"elongation_scale": [0.5, 2.0]``.  ``ExperimentConfig.to_json_dict``
+writes this layout, and the ``resolved_config.json`` it writes is itself a
+valid config.
+
+A sweep sets one ``SelectorConfig`` field per value: axis ``"n"`` sets
+``n_prototypes``, axis ``"alpha"`` sets ``alpha``.  Each value is checked at
+load by building the selector config it sets; that an alpha sweep needs
+selector ``alphafps`` is checked when :func:`sweep` runs.
 
 Under the camera-filter protocol the query class's prototypes are rebuilt
 per distinct (class, camera) query group with that camera's records
@@ -45,7 +50,7 @@ and are flagged in the report.
 from __future__ import annotations
 
 import json
-import numbers
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -121,12 +126,7 @@ class ExperimentConfig:
                 f"unknown protocol {self.protocol!r} (choose from {PROTOCOL_CHOICES})"
             )
         if self.sweep_axis is not None or self.sweep_values is not None:
-            if self.sweep_axis not in ("n", "alpha"):
-                raise ConfigError(f"sweep axis must be 'n' or 'alpha', got {self.sweep_axis!r}")
-            if not self.sweep_values:
-                raise ConfigError("sweep values must be a non-empty list")
-            if self.sweep_axis == "n":
-                _n_values(self.sweep_values)
+            _selectors_at(self.selector, self.sweep_axis, self.sweep_values)
         if self.group_buckets is not None:
             parse_buckets(self.group_buckets)
         if self.max_rank < 1:
@@ -299,20 +299,21 @@ class ExperimentResult:
     artifacts: dict[str, str] = field(default_factory=dict)
 
 
-def _gallery_sizes(gallery: EmbeddingSet) -> dict[int, int]:
-    return {c: gallery.class_size(c) for c in gallery.class_ids}
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
-    """Select, rank, evaluate, and (optionally) write artifacts."""
+def _prepare(cfg: ExperimentConfig):
+    """(gallery, queries, model or None, trained_here) for ``cfg``."""
     gallery, queries = resolve_data(cfg)
-    model = None
-    trained_here = False
-    if cfg.selector.method == "gcp":
-        model, trained_here = obtain_model(cfg, gallery)
+    model = obtain_model(cfg, gallery) if cfg.selector.method == "gcp" else (None, False)
+    return gallery, queries, *model
+
+
+def _evaluate(
+    cfg: ExperimentConfig, gallery: EmbeddingSet, queries: EmbeddingSet, model: GcpModel | None
+) -> ExperimentResult:
+    """Build the protocol's prototypes and evaluate the queries against them."""
     base, proto_arg, groups = build_protocol_prototypes(
         cfg, gallery, queries, model, cfg.selector.n_prototypes
     )
+    sizes = {c: gallery.class_size(c) for c in gallery.class_ids} if cfg.group_buckets else None
     echo = cfg.to_json_dict()
     if groups:
         echo["camera_filter_groups"] = groups
@@ -322,13 +323,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         max_rank=cfg.max_rank,
         ap_mode=cfg.ap_mode,
         group_buckets=cfg.group_buckets,
-        gallery_sizes=_gallery_sizes(gallery) if cfg.group_buckets else None,
+        gallery_sizes=sizes,
         config_echo=echo,
         include_per_query_ap=cfg.per_query_ap,
     )
-    result = ExperimentResult(
-        report=report, prototypes=base, model=model, camera_groups=groups
-    )
+    return ExperimentResult(report=report, prototypes=base, model=model, camera_groups=groups)
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
+    """Select, rank, evaluate, and (optionally) write artifacts."""
+    gallery, queries, model, trained_here = _prepare(cfg)
+    result = _evaluate(cfg, gallery, queries, model)
     target = out_dir if out_dir is not None else cfg.out_dir
     if target is not None:
         result.artifacts = _write_artifacts(result, cfg, Path(target), trained_here)
@@ -370,86 +375,51 @@ def _write_artifacts(
 
 # -- sweeps and grouped evaluation --------------------------------------
 
-
-def _eval_once(
-    cfg: ExperimentConfig,
-    gallery: EmbeddingSet,
-    queries: EmbeddingSet,
-    model: GcpModel | None,
-    n: int,
-) -> EvalReport:
-    _, proto_arg, _ = build_protocol_prototypes(cfg, gallery, queries, model, n)
-    return evaluate(
-        queries, proto_arg, max_rank=cfg.max_rank, ap_mode=cfg.ap_mode
-    )
+# The SelectorConfig field that each sweep axis sets.
+SWEEP_FIELDS = {"n": "n_prototypes", "alpha": "alpha"}
 
 
-def _n_values(values: Sequence) -> list[int]:
+def _selectors_at(selector: SelectorConfig, axis: str, values) -> list[SelectorConfig]:
+    """``selector`` with the axis's field set to each value, cast to the
+    field's type (alpha 0 is 0.0); a value the field refuses is a ConfigError."""
+    if axis not in SWEEP_FIELDS:
+        raise ConfigError(f"sweep axis must be 'n' or 'alpha', got {axis!r}")
     if not values:
-        raise ConfigError("sweep-n needs a non-empty list of N values")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise ConfigError(f"sweep-n values must be positive integers, got {v!r}")
-    return [int(v) for v in values]
+        raise ConfigError("sweep values must be a non-empty list")
+    name = SWEEP_FIELDS[axis]
+    cast = typing.get_type_hints(SelectorConfig)[name]
+    try:  # check each value as given, then store it cast
+        return [replace(replace(selector, **{name: v}), **{name: cast(v)}) for v in values]
+    except ConfigError as exc:
+        raise ConfigError(f"sweep {axis} values {list(values)!r}: {exc}") from None
 
 
-def _sweep_values(cfg: ExperimentConfig, axis: str, given: Sequence | None) -> Sequence:
-    """The values passed in, else the config's sweep values for ``axis``."""
-    if given is None and cfg.sweep_axis != axis:
-        raise ConfigError(f"sweep-{axis} needs values, or a config sweep with axis {axis!r}")
-    return cfg.sweep_values if given is None else given
-
-
-def sweep_n(
-    cfg: ExperimentConfig, n_list: Sequence[int] | None = None, out_dir=None
+def sweep(
+    cfg: ExperimentConfig, axis: str, values: Sequence | None = None, out_dir=None
 ) -> list[dict]:
-    """Evaluate the configured pipeline at each prototype count.
+    """Evaluate the configured pipeline at each value of one selector field.
 
-    With the gcp selector one model serves every sweep point: prototype
-    generation is autoregressive with an exact prefix property, so the
-    first k of a longer generation equal a length-k generation bit for
-    bit, and the sweep varies only how many prototypes are generated.
-    Non-learned selectors rerun selection at each N.
+    ``axis`` is ``"n"`` (prototypes per class) or ``"alpha"`` (alphafps
+    only); ``values`` default to the config's sweep values for that axis.
+    Data and, with the gcp selector, the model are made once.  One model
+    serves every N: generation is autoregressive with an exact prefix
+    property, so the first k of a longer generation equal a length-k
+    generation bit for bit.  Non-learned selectors rerun selection at each
+    value.  Writes ``sweep_<axis>.csv`` under ``out_dir``.
     """
-    values = _n_values(_sweep_values(cfg, "n", n_list))
-    gallery, queries = resolve_data(cfg)
-    model = None
-    if cfg.selector.method == "gcp":
-        model, _ = obtain_model(cfg, gallery)
-    rows = []
-    for n in values:
-        report = _eval_once(cfg, gallery, queries, model, n)
-        rows.append({"n": n, "top1": report.top1, "map": report.map})
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["n,top1,map"]
-        lines += [f"{r['n']},{r['top1']!r},{r['map']!r}" for r in rows]
-        (out / "sweep_n.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return rows
-
-
-def sweep_alpha(
-    cfg: ExperimentConfig, alpha_list: Sequence[float] | None = None, out_dir=None
-) -> list[dict]:
-    """Evaluate the interpolated farthest-point selector at each alpha."""
-    values = [float(v) for v in _sweep_values(cfg, "alpha", alpha_list)]
-    if not values:
-        raise ConfigError("sweep-alpha needs a non-empty list of alpha values")
-    if cfg.selector.method != "alphafps":
+    if values is None and cfg.sweep_axis != axis:
+        raise ConfigError(f"sweep-{axis} needs values, or a config sweep with axis {axis!r}")
+    selectors = _selectors_at(cfg.selector, axis, cfg.sweep_values if values is None else values)
+    if axis == "alpha" and cfg.selector.method != "alphafps":
         raise ConfigError("sweep-alpha requires selector method 'alphafps'")
-    gallery, queries = resolve_data(cfg)
+    gallery, queries, model, _ = _prepare(cfg)
     rows = []
-    for alpha in values:
-        acfg = replace(cfg, selector=replace(cfg.selector, alpha=alpha))
-        report = _eval_once(acfg, gallery, queries, None, cfg.selector.n_prototypes)
-        rows.append({"alpha": alpha, "top1": report.top1, "map": report.map})
+    for sel in selectors:
+        report = _evaluate(replace(cfg, selector=sel), gallery, queries, model).report
+        value = getattr(sel, SWEEP_FIELDS[axis])
+        rows.append({axis: value, "top1": report.top1, "map": report.map})
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["alpha,top1,map"]
-        lines += [f"{r['alpha']!r},{r['top1']!r},{r['map']!r}" for r in rows]
-        (out / "sweep_alpha.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(out_dir, f"sweep_{axis}.csv", rows)
     return rows
 
 
@@ -464,36 +434,22 @@ def group_evaluate(
     labels = list(buckets) if buckets is not None else cfg.group_buckets
     if not labels:
         raise ConfigError("group-eval needs bucket labels")
-    parse_buckets(labels)
-    gallery, queries = resolve_data(cfg)
-    model = None
-    if cfg.selector.method == "gcp":
-        model, _ = obtain_model(cfg, gallery)
-    _, proto_arg, _ = build_protocol_prototypes(
-        cfg, gallery, queries, model, cfg.selector.n_prototypes
-    )
-    report = evaluate(
-        queries,
-        proto_arg,
-        max_rank=cfg.max_rank,
-        ap_mode=cfg.ap_mode,
-        group_buckets=labels,
-        gallery_sizes=_gallery_sizes(gallery),
-    )
+    report = run_experiment(replace(cfg, group_buckets=labels, out_dir=None)).report
     rows = [
-        {
-            "bucket": label,
-            "count": report.per_group[label]["count"],
-            "map": report.per_group[label]["map"],
-        }
-        for label in labels
+        {"bucket": b, "count": report.per_group[b]["count"], "map": report.per_group[b]["map"]}
+        for b in labels
     ]
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["bucket,count,map"]
-        for r in rows:
-            map_txt = "" if r["map"] is None else repr(r["map"])
-            lines.append(f"{r['bucket']},{r['count']},{map_txt}")
-        (out / "group_eval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(out_dir, "group_eval.csv", rows)
     return rows
+
+
+def _write_csv(out_dir, name: str, rows: list[dict]) -> None:
+    """``rows`` under a header of their keys: floats as repr, None empty."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(rows[0])] + [
+        ",".join("" if v is None else v if isinstance(v, str) else repr(v) for v in r.values())
+        for r in rows
+    ]
+    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Prototype-based ranking and evaluation: CMC, mAP, and diagnostics.
+"""Prototype-based ranking and evaluation: CMC and mAP.
 
 A query is matched against every prototype of every class by Euclidean
 distance.  Rankings break distance ties by (class_id, prototype_index) so
@@ -36,12 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    EmptyPrototypeSetError,
-    UnknownClassError,
-)
+from .errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
 from .store import EmbeddingRecord, EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
@@ -50,17 +45,6 @@ DEFAULT_MAX_RANK = 25
 QUERY_BLOCK = 128
 
 AP_MODES = ("per_prototype", "per_identity")
-
-
-def distance(p, q) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DimensionMismatchError(
-            f"distance between shapes {p.shape} and {q.shape}"
-        )
-    return float(np.linalg.norm(p - q))
 
 
 def _exact_dists(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -457,52 +441,6 @@ def parse_buckets(labels: Sequence[str]) -> list[tuple[int, float]]:
     if ordered[-1][1] != np.inf:
         raise ConfigError("last bucket must be open-ended (lo+)")
     return bounds
-
-
-def coverage_violations(
-    eset: EmbeddingSet, prototypes: PrototypeSet
-) -> tuple[int, list[str]]:
-    """Count gallery records with no own-class prototype strictly nearest.
-
-    A record violates when its closest own-class prototype is not strictly
-    nearer than every other class's closest prototype; exact ties count as
-    violations.  Squared distances are compared (ordering-equivalent).
-    """
-    if prototypes.total_count() == 0:
-        raise EmptyPrototypeSetError("no prototypes to check coverage against")
-    mat, class_arr, _ = prototypes.flattened()
-    if mat.shape[1] != eset.dim:
-        raise DimensionMismatchError(
-            f"set dimension {eset.dim} vs prototypes {mat.shape[1]}"
-        )
-    d2 = cdist(eset.features, mat, metric="sqeuclidean")
-    violating: list[str] = []
-    for i, rec in enumerate(eset.records):
-        own = d2[i, class_arr == rec.class_id]
-        other = d2[i, class_arr != rec.class_id]
-        if len(own) == 0:
-            violating.append(rec.id)
-            continue
-        if len(other) == 0:
-            continue
-        if not (own.min() < other.min()):
-            violating.append(rec.id)
-    return len(violating), violating
-
-
-def prototype_displacement(
-    prototypes: PrototypeSet, eset: EmbeddingSet
-) -> dict[int, list[float]]:
-    """Per class, distance of each prototype to the class centroid."""
-    out: dict[int, list[float]] = {}
-    for c in prototypes.class_ids:
-        if c not in eset.class_index:
-            raise UnknownClassError(f"prototype class {c} not present in the set")
-        centroid = eset.class_matrix(c).mean(axis=0)
-        out[c] = [
-            float(np.linalg.norm(p - centroid)) for p in prototypes.per_class[c]
-        ]
-    return out
 
 
 def report_to_json_dict(report: EvalReport) -> dict:

@@ -8,7 +8,8 @@ type check (:func:`check_field_types`), with one rule set for every section:
 * an absent key takes the dataclass default (or the caller's ``defaults``),
   and a nested section's absent ``seed`` takes the enclosing object's seed;
 * ``tuple[...]`` fields accept JSON lists; ``float`` fields accept JSON
-  integers and store them as floats; a bool never counts as a number;
+  integers and store them as floats; a bool never counts as a number, and
+  a NaN or infinity (which ``json`` reads) is refused;
 * the writer is the exact inverse of the reader and writes tuples as lists.
 
 JSON-only names are field metadata, declared once on the dataclass:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import types
 import typing
@@ -82,13 +84,27 @@ def _matches(value, tp) -> bool:
     return isinstance(value, tp)
 
 
+def _finite(value) -> bool:
+    # exact types first: a numbers ABC check costs about a microsecond
+    if type(value) is float:
+        return math.isfinite(value)
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if type(value) in (int, str, bool, _NONE) or isinstance(value, numbers.Integral):
+        return True  # an int may be too large for math.isfinite
+    return not isinstance(value, numbers.Real) or math.isfinite(value)
+
+
 def check_field_types(obj) -> None:
     """Raise ConfigError when a field of the dataclass ``obj`` holds a value
-    of none of its annotated types (numpy scalars count as numbers)."""
+    of none of its annotated types (numpy scalars count as numbers), or a
+    NaN or infinity, alone or in a tuple or list."""
     for f, _, _, kinds, exact in _schema(type(obj))[0]:
         value = getattr(obj, f.name)
         if type(value) not in exact and not any(_matches(value, k) for k in kinds):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def _read_value(value, tp, inherited: dict, where: str):

@@ -16,7 +16,7 @@ import time
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from gcproto.harness import ExperimentConfig, run_experiment, sweep_n
+from gcproto.harness import ExperimentConfig, run_experiment, sweep
 from gcproto.model import (
     ClassBatch,
     GcpConfig,
@@ -358,7 +358,7 @@ def test_criterion_07_prototype_count_tradeoff_direction():
         gcp=tradeoff_training(),
         sweep_axis="n", sweep_values=[1, 2, 3, 6],
     )
-    rows = {r["n"]: r for r in sweep_n(cfg)}
+    rows = {r["n"]: r for r in sweep(cfg, "n")}
     r1_gain = rows[6]["top1"] - rows[1]["top1"]
     map_drop = rows[1]["map"] - rows[6]["map"]
     ok = r1_gain >= 0.0 and map_drop >= 0.0

@@ -1,12 +1,15 @@
 """Command-line interface: full gen/train/select/eval flows in a temp
 directory, exit codes, and the single-line stderr error contract."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcproto
 from gcproto.cli import main
 from gcproto.harness import load_prototypes
 from gcproto.model import load_model
@@ -266,3 +269,16 @@ class TestSweepAndGroup:
         out = capsys.readouterr().out
         assert "bucket=1-99 count=12" in out
         assert "bucket=100+ count=0 map=absent" in out
+
+
+class TestEntryPoints:
+    def test_script_imports_and_package_names_resolve(self):
+        # the suite runs neither the script nor every export, so a renamed
+        # function would otherwise break them without a failing test
+        path = Path(__file__).resolve().parent.parent / "scripts" / "run_tradeoff_experiment.py"
+        spec = importlib.util.spec_from_file_location("run_tradeoff_experiment", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert callable(script.main)
+        for name in gcproto.__all__:
+            assert getattr(gcproto, name) is not None, name

@@ -19,8 +19,7 @@ from gcproto.harness import (
     resolve_data,
     run_experiment,
     save_prototypes,
-    sweep_alpha,
-    sweep_n,
+    sweep,
 )
 from gcproto.model import (
     GcpConfig,
@@ -499,13 +498,13 @@ class TestCameraFilter:
 class TestSweeps:
     def test_single_value_equals_direct_run(self):
         cfg = cfg_for(method="kcentroid", n_prototypes=2)
-        rows = sweep_n(cfg, [2])
+        rows = sweep(cfg, "n", [2])
         direct = run_experiment(cfg).report
         assert rows == [{"n": 2, "top1": direct.top1, "map": direct.map}]
 
     def test_gcp_sweep_matches_direct_runs(self):
-        rows = sweep_n(
-            cfg_for(method="gcp", gcp=TINY_GCP, protocol="camera-filter"), [1, 2]
+        rows = sweep(
+            cfg_for(method="gcp", gcp=TINY_GCP, protocol="camera-filter"), "n", [1, 2]
         )
         for n, row in zip((1, 2), rows):
             direct = run_experiment(
@@ -516,14 +515,14 @@ class TestSweeps:
 
     def test_sweep_values_from_config(self):
         cfg = cfg_for(method="fps", sweep_axis="n", sweep_values=[1, 3])
-        rows = sweep_n(cfg)
+        rows = sweep(cfg, "n")
         assert [r["n"] for r in rows] == [1, 3]
 
     def test_sweep_rejects_bad_values(self):
         with pytest.raises(ConfigError):
-            sweep_n(cfg_for(), [])
+            sweep(cfg_for(), "n", [])
         with pytest.raises(ConfigError):
-            sweep_n(cfg_for(), [0])
+            sweep(cfg_for(), "n", [0])
 
     def test_sweep_n_refuses_non_integer_values(self):
         data = cfg_for(sweep_axis="n", sweep_values=[1]).to_json_dict()
@@ -531,36 +530,46 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             experiment_config_from_json_dict(data)
         with pytest.raises(ConfigError):
-            sweep_n(cfg_for(), [2.5, 2.9])
+            sweep(cfg_for(), "n", [2.5, 2.9])
         with pytest.raises(ConfigError):
             cfg_for(sweep_axis="n", sweep_values=[2.0])
 
+    def test_alpha_values_checked_at_load(self):
+        data = cfg_for(method="alphafps", sweep_axis="alpha", sweep_values=[0.5]).to_json_dict()
+        data["sweep"]["values"] = [2.0]
+        with pytest.raises(ConfigError, match="alpha"):
+            experiment_config_from_json_dict(data)
+        # the alphafps requirement waits for the sweep itself
+        cfg = cfg_for(method="centroid", sweep_axis="alpha", sweep_values=[0, 1])
+        with pytest.raises(ConfigError, match="alphafps"):
+            sweep(cfg, "alpha")
+
     def test_sweep_n_refuses_alpha_axis_config(self):
-        cfg = cfg_for(method="alphafps", sweep_axis="alpha", sweep_values=[1, 2])
+        cfg = cfg_for(method="alphafps", sweep_axis="alpha", sweep_values=[0.0, 1.0])
         with pytest.raises(ConfigError, match="axis"):
-            sweep_n(cfg)
+            sweep(cfg, "n")
 
     def test_sweep_alpha_refuses_n_axis_config(self):
         cfg = cfg_for(method="alphafps", sweep_axis="n", sweep_values=[1])
         with pytest.raises(ConfigError, match="axis"):
-            sweep_alpha(cfg)
+            sweep(cfg, "alpha")
 
     def test_sweep_without_axis_is_refused(self):
         with pytest.raises(ConfigError):
             cfg_for(sweep_values=[1, 2])
 
     def test_sweep_csv_artifact(self, tmp_path):
-        sweep_n(cfg_for(method="centroid"), [1, 2], out_dir=tmp_path)
+        sweep(cfg_for(method="centroid"), "n", [1, 2], out_dir=tmp_path)
         lines = (tmp_path / "sweep_n.csv").read_text().strip().splitlines()
         assert lines[0] == "n,top1,map"
         assert len(lines) == 3
 
     def test_sweep_alpha_requires_alphafps(self):
         with pytest.raises(ConfigError):
-            sweep_alpha(cfg_for(method="centroid"), [0.5])
+            sweep(cfg_for(method="centroid"), "alpha", [0.5])
 
     def test_sweep_alpha_rows(self):
-        rows = sweep_alpha(cfg_for(method="alphafps", n_prototypes=2), [0.0, 0.5])
+        rows = sweep(cfg_for(method="alphafps", n_prototypes=2), "alpha", [0.0, 0.5])
         assert [r["alpha"] for r in rows] == [0.0, 0.5]
         for r in rows:
             assert 0.0 <= r["map"] <= 1.0

@@ -18,20 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gcproto.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    EmptyPrototypeSetError,
-    UnknownClassError,
-)
+from gcproto.errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
 from gcproto import retrieval
 from gcproto.retrieval import (
     AP_MODES,
-    coverage_violations,
-    distance,
     evaluate,
     parse_buckets,
-    prototype_displacement,
     rank_query,
     report_from_json,
     report_to_csv,
@@ -109,19 +101,7 @@ def random_instance(rng):
     return gallery, queries, pset
 
 
-# -- distance and ranking ------------------------------------------------
-
-
-class TestDistance:
-    def test_pythagorean(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_zero(self):
-        assert distance([1.5, -2.0], [1.5, -2.0]) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            distance([1.0], [1.0, 2.0])
+# -- ranking ------------------------------------------------------------
 
 
 class TestRankQuery:
@@ -269,8 +249,6 @@ class TestEvaluate:
             {c: gallery.class_matrix(c).mean(axis=0, keepdims=True) for c in range(3)},
             "centroid",
         )
-        count, _ = coverage_violations(gallery, pset)
-        assert count == 0
         self_queries = build_set(gallery.features, cls, [0] * 18, id_prefix="q")
         assert evaluate(self_queries, pset, max_rank=1).top1 == 1.0
 
@@ -526,58 +504,6 @@ class TestBuckets:
         assert rep.per_group["1-15"]["map"] == 1.0
         assert rep.per_group["16-30"] == {"count": 0, "map": None}
         assert rep.per_group["31+"]["count"] == 1
-
-
-# -- diagnostics ---------------------------------------------------------
-
-
-class TestCoverage:
-    def test_centroids_cover_separated_line(self):
-        gallery = build_set(np.array([[0.0], [1.0], [3.0]]), [0, 0, 1], [0] * 3)
-        pset = PrototypeSet({0: np.array([[0.5]]), 1: np.array([[3.0]])}, "centroid")
-        assert coverage_violations(gallery, pset) == (0, [])
-
-    def test_detects_stolen_record(self):
-        gallery = build_set(np.array([[0.0], [1.0], [3.0]]), [0, 0, 1], [0] * 3)
-        pset = PrototypeSet({0: np.array([[0.5]]), 1: np.array([[1.2]])}, "centroid")
-        count, ids = coverage_violations(gallery, pset)
-        assert (count, ids) == (1, ["r1"])
-
-    def test_exact_tie_is_a_violation(self):
-        gallery = build_set(np.array([[1.0]]), [0], [0])
-        pset = PrototypeSet({0: np.array([[0.5]]), 1: np.array([[1.5]])}, "centroid")
-        assert coverage_violations(gallery, pset)[0] == 1
-
-    def test_instance_prototypes_cover_unless_duplicated_across_classes(self):
-        gallery = build_set(np.array([[0.0, 0.0], [5.0, 0.0]]), [0, 1], [0, 0])
-        pset = PrototypeSet(
-            {0: np.array([[0.0, 0.0]]), 1: np.array([[5.0, 0.0]])}, "instance"
-        )
-        assert coverage_violations(gallery, pset)[0] == 0
-        clash = build_set(np.array([[0.0, 0.0], [0.0, 0.0]]), [0, 1], [0, 0])
-        pclash = PrototypeSet(
-            {0: np.array([[0.0, 0.0]]), 1: np.array([[0.0, 0.0]])}, "instance"
-        )
-        assert coverage_violations(clash, pclash)[0] == 2
-
-    def test_class_without_prototypes_all_violate(self):
-        gallery = build_set(np.array([[0.0], [9.0]]), [0, 1], [0, 0])
-        pset = PrototypeSet({0: np.array([[0.0]])}, "centroid")
-        count, ids = coverage_violations(gallery, pset)
-        assert (count, ids) == (1, ["r1"])
-
-
-class TestDisplacement:
-    def test_hand_values(self):
-        gallery = build_set(np.array([[0.0, 0.0], [2.0, 0.0]]), [0, 0], [0, 0])
-        pset = PrototypeSet({0: np.array([[1.0, 0.0], [3.0, 0.0]])}, "fps")
-        assert prototype_displacement(pset, gallery) == {0: [0.0, 2.0]}
-
-    def test_unknown_class(self):
-        gallery = build_set(np.array([[0.0]]), [0], [0])
-        pset = PrototypeSet({5: np.array([[1.0]])}, "fps")
-        with pytest.raises(UnknownClassError):
-            prototype_displacement(pset, gallery)
 
 
 # -- serialization -------------------------------------------------------

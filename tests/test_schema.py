@@ -4,13 +4,16 @@ reader (only a GcprotoError escapes; the CLI prints one error line)."""
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
+import math
 import re
 import struct
+import typing
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from gcproto.cli import main
 from gcproto.errors import ConfigError, GcprotoError
@@ -145,20 +148,22 @@ def experiment_configs(draw):
     )
 
 
+any_config = st.one_of(
+    selector_configs.map(lambda c: (SelectorConfig, c)),
+    synthetic_specs().map(lambda c: (SyntheticSpec, c)),
+    gcp_configs().map(lambda c: (GcpConfig, c)),
+    experiment_configs().map(lambda c: (ExperimentConfig, c)),
+)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 def through_json_text(obj):
     return json.loads(json.dumps(to_json(obj)))
 
 
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
-    @given(
-        cls_and_config=st.one_of(
-            selector_configs.map(lambda c: (SelectorConfig, c)),
-            synthetic_specs().map(lambda c: (SyntheticSpec, c)),
-            gcp_configs().map(lambda c: (GcpConfig, c)),
-            experiment_configs().map(lambda c: (ExperimentConfig, c)),
-        )
-    )
+    @given(cls_and_config=any_config)
     def test_reader_inverts_writer(self, cls_and_config):
         cls, cfg = cls_and_config
         back = from_json(cls, through_json_text(cfg))
@@ -183,13 +188,48 @@ class TestRoundTrip:
             (GcpConfig, {"margins": 1.0}, "margins"),
             (ExperimentConfig, {"selector": {"method": "fps"}, "data": [1]}, "data"),
             (ExperimentConfig, {"selector": {"method": "fps"}, "data": {"preset": "tradeoff", "x": 1}}, "x"),
+            (SelectorConfig, {"method": "kcentroid", "kmeans_tol": math.nan}, "kmeans_tol"),
+            (GcpConfig, {"margin": math.nan}, "margin"),
+            (GcpConfig, {"lr": math.inf}, "lr"),
+            (SyntheticSpec, {"class_center_scale": math.inf}, "class_center_scale"),
+            (SyntheticSpec, {"elongation_scale": [0.5, math.inf]}, "elongation_scale"),
+            (ExperimentConfig, {"selector": {"method": "alphafps"}, "data": {"preset": "tradeoff"},
+                                "sweep": {"axis": "alpha", "values": [-math.inf]}}, "sweep_values"),
         ],
         ids=["bool-alpha", "bool-count", "long-range", "float-range", "float-dim",
-             "huge-int-float", "unknown-key", "data-list", "unknown-data-key"],
+             "huge-int-float", "unknown-key", "data-list", "unknown-data-key",
+             "nan-tol", "nan-margin", "inf-lr", "inf-scale", "inf-range-member",
+             "inf-sweep-alpha"],
     )
     def test_rule_violations_are_config_errors(self, cls, data, match):
         with pytest.raises(ConfigError, match=match):
             from_json(cls, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_floats_are_config_errors(self, data):
+        # Python callers through the constructor, JSON callers through
+        # from_json, which reads NaN and Infinity as json.loads does
+        cls, cfg = data.draw(any_config)
+        hints = typing.get_type_hints(cls)
+        names = [
+            f.name for f in dataclasses.fields(cls)
+            if "float" in str(hints[f.name]) and getattr(cfg, f.name) is not None
+        ]
+        assume(names)
+        name, bad = data.draw(st.sampled_from(names)), data.draw(non_finite)
+        value = getattr(cfg, name)
+        if isinstance(value, (tuple, list)):
+            i = data.draw(st.integers(0, len(value) - 1))
+            value = type(value)(bad if j == i else v for j, v in enumerate(value))
+        else:
+            value = bad
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, **{name: value})
+        unchecked = copy.copy(cfg)
+        object.__setattr__(unchecked, name, value)  # past frozen and __post_init__
+        with pytest.raises(ConfigError):
+            from_json(cls, through_json_text(unchecked))
 
     def test_caller_defaults_fill_absent_keys_only(self):
         assert from_json(GcpConfig, {}, {"dim": 8, "n_heads": 2}).dim == 8
@@ -260,11 +300,48 @@ class TestEchoes:
             ["report.json", "report.csv", "prototypes.json", "resolved_config.json"],
         )
 
+    @pytest.mark.parametrize(
+        "file_seeds,expected",
+        [
+            ({"selector": 9, "synthetic": 5}, {"selector": 9, "synthetic": 5, "gcp": 7}),
+            ({}, {"selector": 7, "synthetic": 7, "gcp": 7}),
+        ],
+        ids=["file-sets-some", "file-sets-none"],
+    )
+    def test_seed_flag_fills_only_seeds_the_file_left_out(self, tmp_path, file_seeds, expected):
+        synthetic = {k: v for k, v in to_json(SMALL).items() if k != "seed"}
+        gcp = {k: v for k, v in to_json(TINY_GCP).items() if k != "seed"}
+        doc = {
+            "version": 1,
+            "seed": 1,
+            "data": {"synthetic": synthetic},
+            "selector": {"method": "kcentroid", "n": 2},
+            "gcp": gcp,
+        }
+        if "selector" in file_seeds:
+            doc["selector"]["seed"] = file_seeds["selector"]
+        if "synthetic" in file_seeds:
+            synthetic["seed"] = file_seeds["synthetic"]
+        (tmp_path / "exp.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["eval", "--config", tmp_path / "exp.json", "--seed", 7, "--out", tmp_path / "a"]
+        assert cli(argv)[0] == 0
+        resolved = read_json_object(tmp_path / "a" / "resolved_config.json")
+        assert resolved["seed"] == 7
+        assert {
+            "selector": resolved["selector"]["seed"],
+            "synthetic": resolved["data"]["synthetic"]["seed"],
+            "gcp": resolved["gcp"]["seed"],
+        } == expected
+        argv = ["eval", "--config", tmp_path / "a" / "resolved_config.json", "--out", tmp_path / "b"]
+        assert cli(argv)[0] == 0
+        assert same_files(tmp_path / "a", tmp_path / "b", ["report.json", "resolved_config.json"])
+
 
 # -- fuzzing ---------------------------------------------------------------
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | non_finite
+    | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
