@@ -235,7 +235,8 @@ def _regen_class(
     Returns (prototype rows, fell_back).  Falls back to the unfiltered class
     when every record of the class comes from that camera.
     """
-    kept = [i for i in gallery.class_index[class_id] if gallery.records[i].camera_id != camera]
+    dropped = set(gallery.camera_index.get((class_id, camera), ()))
+    kept = [i for i in gallery.class_index[class_id] if i not in dropped]
     fell_back = not kept
     if cfg.selector.method == "gcp":
         excluded = None if fell_back else camera
@@ -269,24 +270,21 @@ def build_protocol_prototypes(
     group_info: list[dict] = []
     mapping: dict[str, PrototypeSet] = {}
     class_index = gallery.class_index
-    for rec in queries.records:
-        key = (rec.class_id, rec.camera_id)
+    keys = zip(queries.row_classes.tolist(), queries.row_cameras.tolist())
+    for query_id, key in zip(queries.ids, keys):
         if key not in group_psets:
-            if rec.class_id not in class_index:
+            class_id, camera = key
+            if class_id not in class_index:
                 # no gallery evidence at all; evaluation will flag the query
                 group_psets[key] = base
                 group_info.append(
-                    {"class": key[0], "camera": key[1], "fallback": False, "absent": True}
+                    {"class": class_id, "camera": camera, "fallback": False, "absent": True}
                 )
             else:
-                protos, fell_back = _regen_class(
-                    cfg, gallery, model, rec.class_id, rec.camera_id, n
-                )
-                group_psets[key] = base.replace_class(rec.class_id, protos)
-                group_info.append(
-                    {"class": key[0], "camera": key[1], "fallback": fell_back}
-                )
-        mapping[rec.id] = group_psets[key]
+                protos, fell_back = _regen_class(cfg, gallery, model, class_id, camera, n)
+                group_psets[key] = base.replace_class(class_id, protos)
+                group_info.append({"class": class_id, "camera": camera, "fallback": fell_back})
+        mapping[query_id] = group_psets[key]
     return base, mapping, group_info
 
 

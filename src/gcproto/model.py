@@ -197,27 +197,26 @@ def build_memory(
         raise UnknownCameraError(
             f"camera {excluded_camera} outside [0, {cfg.n_cameras})"
         )
-    rows = eset.class_index[class_id]
-    records = [eset.records[i] for i in rows]
-    for r in records:
-        if r.camera_id >= cfg.n_cameras:
-            raise UnknownCameraError(
-                f"record {r.id!r} has camera {r.camera_id} "
-                f"outside [0, {cfg.n_cameras})"
-            )
+    rows = np.array(eset.class_index[class_id])
+    cams = eset.row_cameras[rows]
+    outside = np.flatnonzero(cams >= cfg.n_cameras)
+    if len(outside):
+        raise UnknownCameraError(
+            f"record {eset.ids[rows[outside[0]]]!r} has camera {cams[outside[0]]} "
+            f"outside [0, {cfg.n_cameras})"
+        )
     if excluded_camera is not None:
-        records = [r for r in records if r.camera_id != excluded_camera]
-        if not records:
+        kept = cams != excluded_camera
+        rows, cams = rows[kept], cams[kept]
+        if not len(rows):
             raise EmptyMemoryError(
                 f"class {class_id} has no records outside camera {excluded_camera}"
             )
-    feats = np.vstack([r.vector for r in records])
-    cams = np.array([r.camera_id for r in records], dtype=np.int64)
-    tokens = feats + model.params["camera_embeddings"][cams]
+    tokens = eset.features[rows] + model.params["camera_embeddings"][cams]
     return Memory(
         tokens=tokens,
         class_id=class_id,
-        source_record_ids=tuple(r.id for r in records),
+        source_record_ids=tuple(eset.ids[i] for i in rows.tolist()),
     )
 
 
@@ -508,9 +507,7 @@ def _sample_class_batches(
     picked = []
     for c in class_chunk:
         feats = eset.class_matrix(c)
-        cams = np.array(
-            [eset.records[i].camera_id for i in eset.class_index[c]], dtype=np.int64
-        )
+        cams = eset.row_cameras[list(eset.class_index[c])]
         pool = len(feats)
         # short classes are resampled with replacement to fill the slot
         idx = rng.choice(pool, size=m, replace=pool < m)
@@ -551,7 +548,7 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
         raise ConfigError("batch_classes must be at least 2 to mine negatives")
     if cfg.instances_per_class < 2:
         raise ConfigError("instances_per_class must be at least 2 (memory needs >= 2 rows)")
-    max_cam = max(r.camera_id for r in eset.records)
+    max_cam = int(eset.row_cameras.max())
     if max_cam >= cfg.n_cameras:
         raise UnknownCameraError(
             f"set contains camera {max_cam}, outside [0, {cfg.n_cameras})"

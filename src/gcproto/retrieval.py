@@ -118,13 +118,13 @@ def _as_pset_groups(
 ) -> list[tuple[PrototypeSet, list[int]]]:
     """Group query row indices by the identity of their prototype set."""
     if isinstance(prototypes_per_query, PrototypeSet):
-        return [(prototypes_per_query, list(range(len(queries.records))))]
+        return [(prototypes_per_query, list(range(len(queries))))]
     groups: dict[int, tuple[PrototypeSet, list[int]]] = {}
-    for qi, rec in enumerate(queries.records):
+    for qi, query_id in enumerate(queries.ids):
         try:
-            pset = prototypes_per_query[rec.id]
+            pset = prototypes_per_query[query_id]
         except KeyError:
-            raise ConfigError(f"no prototype set supplied for query {rec.id!r}")
+            raise ConfigError(f"no prototype set supplied for query {query_id!r}")
         key = id(pset)
         if key not in groups:
             groups[key] = (pset, [])
@@ -321,7 +321,7 @@ def evaluate(
         raise ConfigError("max_rank must be positive")
     if ap_mode not in AP_MODES:
         raise ConfigError(f"unknown ap_mode {ap_mode!r} (choose from {AP_MODES})")
-    n = len(queries.records)
+    n = len(queries)
     if n == 0:
         raise ConfigError("no queries to evaluate")
     groups = _as_pset_groups(queries, prototypes_per_query)
@@ -343,6 +343,7 @@ def evaluate(
         else:
             items.extend((qi, None, None) for qi in rows)
     ranks_of: list[np.ndarray] = [None] * n
+    classes = queries.row_classes.tolist()
     for root, items in by_root.values():
         kernel = _RankKernel(root)
         for start in range(0, len(items), QUERY_BLOCK):
@@ -350,8 +351,7 @@ def evaluate(
             qmat = queries.features[[qi for qi, _, _ in block]]
             q_sq, approx = kernel.approx_sq_dists(qmat)
             for (qi, splice, spliced), q, q_sq_i, row in zip(block, qmat, q_sq, approx):
-                class_id = queries.records[qi].class_id
-                ranks_of[qi] = kernel.own_ranks(q, class_id, q_sq_i, row, splice, spliced)
+                ranks_of[qi] = kernel.own_ranks(q, classes[qi], q_sq_i, row, splice, spliced)
     ap_by_query = np.zeros(n)
     first_hit = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     missing: list[str] = []
@@ -359,7 +359,7 @@ def evaluate(
         for qi in rows:
             ranks = ranks_of[qi]
             if len(ranks) == 0:
-                missing.append(queries.records[qi].id)
+                missing.append(queries.ids[qi])
                 continue
             ap_by_query[qi] = _ap_from_relevance_ranks(ranks, ap_mode)
             first_hit[qi] = int(ranks[0])
@@ -379,8 +379,8 @@ def evaluate(
         for label, (lo, hi) in zip(group_buckets, bounds):
             members = [
                 qi
-                for qi, rec in enumerate(queries.records)
-                if lo <= gallery_sizes.get(rec.class_id, 0) <= hi
+                for qi, class_id in enumerate(classes)
+                if lo <= gallery_sizes.get(class_id, 0) <= hi
             ]
             if not members:
                 per_group[label] = {"count": 0, "map": None}
@@ -396,7 +396,7 @@ def evaluate(
         per_group=per_group,
         config_echo=dict(config_echo) if config_echo else {},
         per_query_ap=(
-            [[queries.records[qi].id, float(ap_by_query[qi])] for qi in range(n)]
+            [[queries.ids[qi], float(ap_by_query[qi])] for qi in range(n)]
             if include_per_query_ap
             else None
         ),

@@ -13,8 +13,11 @@ Two on-disk formats are supported:
 * A binary format (magic ``GCPE``) storing vectors as little-endian float64,
   which round-trips bit-exactly.
 
-``EmbeddingSet`` is immutable after construction and safe for concurrent
-reads.
+``EmbeddingSet`` is stored as read-only columns (features, ids, class and
+camera labels) and checked and indexed a column at a time; the pipeline and
+the file IO read the columns, and ``EmbeddingRecord`` objects are built only
+when a caller asks for ``records``.  A set is immutable after construction
+and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,10 +57,14 @@ class EmbeddingRecord:
 
 
 class EmbeddingSet:
-    """Indexed, immutable collection of embedding records of uniform dimension.
+    """Indexed, immutable collection of labeled embeddings of uniform dimension.
 
-    Provides per-class and per-(class, camera) record indices and feature
-    rows, used by selectors and by the camera-filtered inference protocol.
+    Read-only columns, one row per record: ``features`` (n, D) float64,
+    ``ids`` (str) and the int64 ``row_classes`` and ``row_cameras``.
+    ``records`` is built from them on first access and cached; concurrent
+    first accesses each build identical tuples.  Construction checks one kind
+    of fault over every row before the next (dimension, non-finite value,
+    label, duplicate id) and names the first offending record.
     """
 
     def __init__(
@@ -66,58 +73,88 @@ class EmbeddingSet:
         class_names: Mapping[int, str] | None = None,
         camera_names: Mapping[int, str] | None = None,
     ):
-        if not records:
-            raise EmptyFileError("embedding set must contain at least one record")
-        dim = records[0].vector.shape[-1]
-        seen: set[str] = set()
-        features = np.empty((len(records), dim), dtype=np.float64)
-        for i, rec in enumerate(records):
-            vec = np.asarray(rec.vector, dtype=np.float64)
-            if vec.ndim != 1 or vec.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"record {rec.id!r} has dimension {vec.shape[-1]}, expected {dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise NonFiniteValueError(f"record {rec.id!r} contains a non-finite value")
-            if rec.class_id < 0 or rec.camera_id < 0:
-                raise DataFormatError(f"record {rec.id!r} has negative class or camera id")
-            if rec.id in seen:
-                raise DuplicateIdError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            features[i] = vec
-
-        self._records = tuple(
-            EmbeddingRecord(rec.id, features[i], rec.class_id, rec.camera_id)
-            for i, rec in enumerate(records)
+        shapes = [np.shape(rec.vector) for rec in records]
+        bad = [rec.id for rec, shape in zip(records, shapes) if shape != shapes[0][-1:]]
+        if bad:
+            raise DimensionMismatchError(f"record {bad[0]!r}: shape is not {shapes[0][-1:]}")
+        vectors = np.array([rec.vector for rec in records], dtype=np.float64)
+        self._set_columns(
+            [rec.id for rec in records], vectors, [rec.class_id for rec in records],
+            [rec.camera_id for rec in records], class_names, camera_names,
         )
-        self._features = features
-        self._features.setflags(write=False)
-        self._dim = dim
+
+    @classmethod
+    def _from_columns(cls, ids, features, classes, cameras, class_names=None, camera_names=None):
+        """A set over these columns; ``features`` is kept, not copied."""
+        eset = cls.__new__(cls)
+        eset._set_columns(ids, features, classes, cameras, class_names, camera_names)
+        return eset
+
+    def _set_columns(self, ids, features, classes, cameras, class_names, camera_names):
+        ids = tuple(ids)
+        n = len(ids)
+        if n == 0:
+            raise EmptyFileError("embedding set must contain at least one record")
+        counts = (len(features) if features.ndim == 2 else 0, len(classes), len(cameras))
+        if counts != (n, n, n):
+            raise DimensionMismatchError(
+                f"record {ids[min(*counts, n - 1)]!r}: {n} records, features of shape "
+                f"{features.shape}, {counts[1]} class and {counts[2]} camera labels"
+            )
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise NonFiniteValueError(f"record {ids[np.argmin(finite)]!r} has a non-finite value")
+        row_classes, row_cameras = _label_column(classes), _label_column(cameras)
+        bad = np.flatnonzero((row_classes < 0) | (row_cameras < 0))
+        if len(bad):
+            i = bad[0]
+            raise DataFormatError(
+                f"record {ids[i]!r}: class {classes[i]!r} or camera {cameras[i]!r} is not a "
+                "non-negative integer"
+            )
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            dup = next(i for i in ids if i in seen or seen.add(i))
+            raise DuplicateIdError(f"duplicate record id {dup!r}")
+        for column in (features, row_classes, row_cameras):
+            column.setflags(write=False)
+        self._ids, self._features, self._records = ids, features, None
+        self._row_classes, self._row_cameras = row_classes, row_cameras
         self._class_names = dict(class_names) if class_names else None
         self._camera_names = dict(camera_names) if camera_names else None
-
-        class_index: dict[int, list[int]] = {}
-        camera_index: dict[tuple[int, int], list[int]] = {}
-        for i, rec in enumerate(self._records):
-            class_index.setdefault(rec.class_id, []).append(i)
-            camera_index.setdefault((rec.class_id, rec.camera_id), []).append(i)
-        self._class_index = MappingProxyType({c: tuple(ix) for c, ix in class_index.items()})
-        self._camera_index = MappingProxyType({k: tuple(ix) for k, ix in camera_index.items()})
+        self._class_index = _group_rows(row_classes)
+        self._camera_index = _group_rows(row_classes, row_cameras)
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def records(self) -> tuple[EmbeddingRecord, ...]:
+        """One record per row, its ``vector`` a view of the row."""
+        if self._records is None:
+            labels = (self._row_classes.tolist(), self._row_cameras.tolist())
+            self._records = tuple(map(EmbeddingRecord, self._ids, self._features, *labels))
         return self._records
 
     @property
     def features(self) -> np.ndarray:
-        """(n, D) float64 matrix, read-only, row i belongs to records[i]."""
+        """(n, D) float64 matrix, read-only, row i belongs to ``ids[i]``."""
         return self._features
 
     @property
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    @property
+    def row_classes(self) -> np.ndarray:
+        return self._row_classes
+
+    @property
+    def row_cameras(self) -> np.ndarray:
+        return self._row_cameras
+
+    @property
     def dim(self) -> int:
-        return self._dim
+        return self._features.shape[1]
 
     @property
     def class_ids(self) -> list[int]:
@@ -143,14 +180,13 @@ class EmbeddingSet:
         return dict(self._camera_names) if self._camera_names else None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     def class_size(self, class_id: int) -> int:
         return len(self._class_indices(class_id))
 
     def cameras_of_class(self, class_id: int) -> list[int]:
-        self._class_indices(class_id)
-        return sorted({self._records[i].camera_id for i in self._class_index[class_id]})
+        return np.unique(self._row_cameras[list(self._class_indices(class_id))]).tolist()
 
     # -- views -----------------------------------------------------------
 
@@ -161,8 +197,34 @@ class EmbeddingSet:
             raise UnknownClassError(f"unknown class {class_id}") from None
 
     def class_matrix(self, class_id: int) -> np.ndarray:
-        """(|G_c|, D) feature rows of a class, in record-index order."""
-        return self._features[list(self._class_indices(class_id))]
+        """(|G_c|, D) rows of a class in record order; a view when adjacent."""
+        rows = self._class_indices(class_id)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            return self._features[rows[0] : rows[-1] + 1]
+        return self._features[list(rows)]
+
+
+def _label_column(labels) -> np.ndarray:
+    """``labels`` as int64, -1 where one is not a non-negative integer."""
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu":
+        return labels.astype(np.int64)  # uint64 beyond int64 wraps negative
+    return np.array(
+        [v if type(v) is not bool and isinstance(v, (int, np.integer)) and 0 <= v < 2**63 else -1
+         for v in labels],
+        dtype=np.int64,
+    )
+
+
+def _group_rows(*columns: np.ndarray) -> Mapping:
+    """Read-only map from each row's key (its values in ``columns``, a tuple when
+    there are several) to the ascending rows holding it, in first-appearance order."""
+    order = np.lexsort(columns[::-1])  # stable: each group's rows ascend
+    keys = np.stack(columns, axis=1)[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    bounds, rows = np.r_[starts, len(order)].tolist(), order.tolist()
+    keys = [tuple(k) if len(k) > 1 else k[0] for k in keys[starts].tolist()]
+    by_first_row = sorted(range(len(keys)), key=lambda g: rows[bounds[g]])
+    return MappingProxyType({keys[g]: tuple(rows[bounds[g] : bounds[g + 1]]) for g in by_first_row})
 
 
 def _checked_rows(class_id: int, protos) -> np.ndarray:
@@ -307,14 +369,9 @@ class PrototypeSet:
 # -- CSV ----------------------------------------------------------------
 
 
-def _dense_remap(labels: Iterable[str]) -> tuple[list[int], dict[int, str]]:
-    mapping: dict[str, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out.append(mapping[lab])
-    return out, {v: k for k, v in mapping.items()}
+def _dense_remap(labels: Sequence[str]) -> tuple[list[int], dict[int, str]]:
+    mapping = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}  # first appearance
+    return [mapping[lab] for lab in labels], {i: lab for lab, i in mapping.items()}
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
@@ -334,32 +391,24 @@ def _load_csv(path: Path) -> EmbeddingSet:
     if len(lines) == 1:
         raise EmptyFileError(f"{path}: no data rows")
 
-    ids, class_labels, camera_labels = [], [], []
-    vectors = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    coords = []
+    for lineno, parts in enumerate(rows, start=2):
         if len(parts) != 3 + dim:
             raise DimensionMismatchError(
                 f"{path}: line {lineno} has {len(parts) - 3} feature values, expected {dim}"
             )
-        ids.append(parts[0])
-        class_labels.append(parts[1])
-        camera_labels.append(parts[2])
         try:
-            vec = np.array([float(v) for v in parts[3:]], dtype=np.float64)
+            coords.append([float(v) for v in parts[3:]])
         except ValueError:
             raise DataFormatError(f"{path}: line {lineno} has a non-numeric coordinate") from None
-        if not np.all(np.isfinite(vec)):
-            raise NonFiniteValueError(f"{path}: line {lineno} (id {parts[0]!r}) has a non-finite value")
-        vectors.append(vec)
 
+    ids, class_labels, camera_labels = zip(*(parts[:3] for parts in rows))
     dense_classes, class_names = _dense_remap(class_labels)
     dense_cameras, camera_names = _dense_remap(camera_labels)
-    records = [
-        EmbeddingRecord(ids[i], vectors[i], dense_classes[i], dense_cameras[i])
-        for i in range(len(ids))
-    ]
-    return EmbeddingSet(records, class_names=class_names, camera_names=camera_names)
+    return EmbeddingSet._from_columns(
+        ids, np.array(coords), dense_classes, dense_cameras, class_names, camera_names
+    )
 
 
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
@@ -368,21 +417,19 @@ def _save_csv(eset: EmbeddingSet, path: Path) -> None:
     class_names = eset.class_names or {}
     camera_names = eset.camera_names or {}
     heads = []
-    for rec in eset.records:
-        cls = class_names.get(rec.class_id, rec.class_id)
-        cam = camera_names.get(rec.camera_id, rec.camera_id)
-        head = f"{rec.id},{cls},{cam}"
+    for rec_id, cls, cam in zip(eset.ids, eset.row_classes.tolist(), eset.row_cameras.tolist()):
+        head = f"{rec_id},{class_names.get(cls, cls)},{camera_names.get(cam, cam)}"
         if head.count(",") != 2 or "\n" in head or "\r" in head:
             raise DataFormatError(
-                f"record {rec.id!r}: a comma or line break in its id or labels "
+                f"record {rec_id!r}: a comma or line break in its id or labels "
                 "cannot be written to CSV"
             )
         heads.append(head)
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"f{i}" for i in range(eset.dim))
         fh.write(f"id,class,camera,{cols}\n")
-        for rec, head in zip(eset.records, heads):
-            coords = ",".join(f"{v:.17g}" for v in rec.vector)
+        for head, vector in zip(heads, eset.features):
+            coords = ",".join(f"{v:.17g}" for v in vector)
             fh.write(f"{head},{coords}\n")
 
 
@@ -401,34 +448,32 @@ def _load_binary(path: Path) -> EmbeddingSet:
     if count == 0:
         raise EmptyFileError(f"{path}: zero records")
     offset = 16
-    records = []
+    ids, labels, vectors = [], [], []
     try:
         for _ in range(count):
             (id_len,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            rec_id = data[offset : offset + id_len].decode("utf-8")
+            ids.append(data[offset : offset + id_len].decode("utf-8"))
             offset += id_len
-            cls, cam = struct.unpack_from("<II", data, offset)
+            labels.append(struct.unpack_from("<II", data, offset))
             offset += 8
-            vec = np.frombuffer(data, dtype="<f8", count=dim, offset=offset).astype(np.float64)
+            vectors.append(np.frombuffer(data, dtype="<f8", count=dim, offset=offset))
             offset += 8 * dim
-            if not np.all(np.isfinite(vec)):
-                raise NonFiniteValueError(f"{path}: record {rec_id!r} has a non-finite value")
-            records.append(EmbeddingRecord(rec_id, vec, cls, cam))
     except (struct.error, ValueError):
         # ValueError comes from np.frombuffer when the blob ends mid-vector.
         raise DataFormatError(f"{path}: truncated file") from None
-    return EmbeddingSet(records)
+    classes, cameras = zip(*labels)
+    return EmbeddingSet._from_columns(ids, np.array(vectors, dtype=np.float64), classes, cameras)
 
 
 def _save_binary(eset: EmbeddingSet, path: Path) -> None:
     parts = [BINARY_MAGIC, struct.pack("<III", BINARY_VERSION, len(eset), eset.dim)]
-    for rec in eset.records:
-        rec_id = rec.id.encode("utf-8")
+    for rec_id, cls, cam, vec in zip(eset.ids, eset.row_classes, eset.row_cameras, eset.features):
+        rec_id = rec_id.encode("utf-8")
         parts.append(struct.pack("<I", len(rec_id)))
         parts.append(rec_id)
-        parts.append(struct.pack("<II", rec.class_id, rec.camera_id))
-        parts.append(rec.vector.astype("<f8").tobytes())
+        parts.append(struct.pack("<II", cls, cam))
+        parts.append(vec.astype("<f8").tobytes())
     path.write_bytes(b"".join(parts))
 
 
@@ -463,25 +508,19 @@ def build_set(
     camera_ids: Sequence[int],
     id_prefix: str = "r",
 ) -> EmbeddingSet:
-    """Convenience constructor from parallel arrays, ids auto-generated."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    records = [
-        EmbeddingRecord(f"{id_prefix}{i}", vectors[i], int(class_ids[i]), int(camera_ids[i]))
-        for i in range(vectors.shape[0])
-    ]
-    return EmbeddingSet(records)
+    """Convenience constructor from parallel arrays, ids auto-generated;
+    the vectors are copied."""
+    vectors = np.array(vectors, dtype=np.float64, ndmin=1)
+    ids = [f"{id_prefix}{i}" for i in range(len(vectors))]
+    return EmbeddingSet._from_columns(ids, vectors, class_ids, camera_ids)
 
 
 def _labels_of(eset: EmbeddingSet, kind: str) -> dict[int, str]:
     # A set without a stored mapping labels its ids by their decimal form,
     # matching what _save_csv writes for it.
-    if kind == "class":
-        names = eset.class_names
-        present = sorted({rec.class_id for rec in eset.records})
-    else:
-        names = eset.camera_names
-        present = sorted({rec.camera_id for rec in eset.records})
-    return {i: (names[i] if names and i in names else str(i)) for i in present}
+    names = (eset.class_names if kind == "class" else eset.camera_names) or {}
+    column = eset.row_classes if kind == "class" else eset.row_cameras
+    return {i: names.get(i, str(i)) for i in np.unique(column).tolist()}
 
 
 def align_labels(reference: EmbeddingSet, other: EmbeddingSet) -> EmbeddingSet:
@@ -492,26 +531,22 @@ def align_labels(reference: EmbeddingSet, other: EmbeddingSet) -> EmbeddingSet:
     to; joining them on raw ids would then compare the wrong classes and
     filter the wrong cameras.  Labels present in ``reference`` keep its ids;
     labels only in ``other`` are appended after the reference's highest id,
-    in ascending order of their old ids.  Returns a rebuilt copy of
-    ``other`` carrying the merged label mappings.
+    in ascending order of their old ids.  Returns a copy of ``other``, its
+    features shared, carrying the merged label mappings.
     """
-    remap: dict[str, dict[int, int]] = {}
+    columns = []
     merged: dict[str, dict[int, str]] = {}
-    for kind in ("class", "camera"):
+    for kind, column in (("class", other.row_classes), ("camera", other.row_cameras)):
         to_id = {lab: i for i, lab in _labels_of(reference, kind).items()}
         next_id = max(to_id.values()) + 1
-        kind_remap = {}
-        for old_id, lab in sorted(_labels_of(other, kind).items()):
+        new_ids = []  # per old id, ascending
+        for lab in _labels_of(other, kind).values():
             if lab not in to_id:
                 to_id[lab] = next_id
                 next_id += 1
-            kind_remap[old_id] = to_id[lab]
-        remap[kind] = kind_remap
+            new_ids.append(to_id[lab])
+        columns.append(np.array(new_ids, dtype=np.int64)[np.unique(column, return_inverse=True)[1]])
         merged[kind] = {i: lab for lab, i in to_id.items()}
-    records = [
-        EmbeddingRecord(
-            rec.id, rec.vector, remap["class"][rec.class_id], remap["camera"][rec.camera_id]
-        )
-        for rec in other.records
-    ]
-    return EmbeddingSet(records, class_names=merged["class"], camera_names=merged["camera"])
+    return EmbeddingSet._from_columns(
+        other.ids, other.features, *columns, merged["class"], merged["camera"]
+    )

@@ -53,7 +53,7 @@ from .errors import ConfigError
 from .model import GcpConfig
 from .schema import check_field_types
 from .seeding import substream
-from .store import EmbeddingSet, build_set
+from .store import EmbeddingSet
 
 
 @dataclass(frozen=True)
@@ -144,26 +144,26 @@ def _draw_records(
     extents: np.ndarray,
     sizes: np.ndarray,
 ):
-    vectors, classes, cameras = [], [], []
-    for c in range(spec.n_classes):
-        for _ in range(int(sizes[c])):
-            cam = int(rng.integers(spec.n_cameras))
-            vec = centers[c] + offsets[cam]
-            if axes is not None:
-                mag = rng.uniform(spec.elongation_floor, 1.0)
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                if spec.tail_fraction > 0.0:
-                    # contamination: a minority of instances slide, always
-                    # toward the positive end; the rest stay on the core
-                    slide = mag if rng.random() < spec.tail_fraction else 0.0
-                else:
-                    slide = sign * mag
-                vec = vec + slide * extents[c] * axes[c]
-            vec = vec + rng.normal(0.0, spec.within_class_noise, spec.dim)
-            vectors.append(vec)
-            classes.append(c)
-            cameras.append(cam)
-    return np.array(vectors), classes, cameras
+    """(vectors, classes, cameras) of ``sizes[c]`` records per class, in order."""
+    classes = np.repeat(np.arange(spec.n_classes, dtype=np.int64), sizes)
+    cameras = np.empty(len(classes), dtype=np.int64)
+    vectors = np.empty((len(classes), spec.dim))
+    for i, c in enumerate(classes.tolist()):
+        cam = int(rng.integers(spec.n_cameras))
+        vec = centers[c] + offsets[cam]
+        if axes is not None:
+            mag = rng.uniform(spec.elongation_floor, 1.0)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            if spec.tail_fraction > 0.0:
+                # contamination: a minority of instances slide, always
+                # toward the positive end; the rest stay on the core
+                slide = mag if rng.random() < spec.tail_fraction else 0.0
+            else:
+                slide = sign * mag
+            vec = vec + slide * extents[c] * axes[c]
+        vectors[i] = vec + rng.normal(0.0, spec.within_class_noise, spec.dim)
+        cameras[i] = cam
+    return vectors, classes, cameras
 
 
 def _tilt_axes(shared: np.ndarray, random_axes: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -224,16 +224,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EmbeddingSet, EmbeddingSet]
     else:
         extents = np.full(spec.n_classes, float(spec.elongation_scale))
     sizes = _class_sizes(spec, substream(spec.seed, "synthetic.sizes"))
-    g_vecs, g_cls, g_cams = _draw_records(
-        spec, substream(spec.seed, "synthetic.gallery"), centers, offsets, axes, extents, sizes
-    )
-    gallery = build_set(g_vecs, g_cls, g_cams, id_prefix="g")
     q_sizes = np.full(spec.n_classes, spec.queries_per_class, dtype=np.int64)
-    q_vecs, q_cls, q_cams = _draw_records(
-        spec, substream(spec.seed, "synthetic.queries"), centers, offsets, axes, extents, q_sizes
-    )
-    queries = build_set(q_vecs, q_cls, q_cams, id_prefix="q")
-    return gallery, queries
+    sets = []
+    for prefix, stream, counts in (("g", "gallery", sizes), ("q", "queries", q_sizes)):
+        rng = substream(spec.seed, f"synthetic.{stream}")
+        vecs, classes, cameras = _draw_records(spec, rng, centers, offsets, axes, extents, counts)
+        # the drawn matrix is the set's own: no copy, unlike build_set
+        ids = [f"{prefix}{i}" for i in range(len(vecs))]
+        sets.append(EmbeddingSet._from_columns(ids, vecs, classes, cameras))
+    return sets[0], sets[1]
 
 
 def tradeoff_spec(seed: int = 25) -> SyntheticSpec:

@@ -9,11 +9,14 @@ prefixes, finite-difference gradient agreement through the full decoder,
 decoder permutation/prefix invariants, the prototype-count tradeoff and
 baseline ordering on the shipped synthetic preset, the anti-collapse
 effect of the diversity term, and a selection + evaluation throughput
-floor."""
+floor.  A last test pins the artifacts of every non-learned selector
+under both protocols on the shipped preset."""
 
+import hashlib
 import time
 
 import numpy as np
+import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from gcproto.harness import ExperimentConfig, run_experiment, sweep
@@ -442,3 +445,47 @@ def test_criterion_10_selection_and_evaluation_throughput():
         f"{pset.total_count()} prototypes, mAP {report.map:.3f}",
         elapsed, budget=10.0,
     )
+
+
+# sha256 over report.json, prototypes.json and camera_filter_groups.json
+# (when written), each preceded by its name, as first recorded.
+ARTIFACT_DIGESTS = {
+    ("instance", "plain"):
+        "ed718805a4818b30da2b279950631d0b5e289a6f3ee94f1ee1288d97ad4b4e87",
+    ("instance", "camera-filter"):
+        "f8e4a5352cf23b172d93c84be99a2312a9a30f452e5b8bdd4809f967a10ad7f1",
+    ("centroid", "plain"):
+        "ff761f5de0dc31994432b4a4ea1e0a6d9a6f629780bdfe6011432ca27e9e194b",
+    ("centroid", "camera-filter"):
+        "0ecc51d164ec8d3c9e0dce06c5c4ea46b122e64d304655e3143a7d13314c0753",
+    ("kcentroid", "plain"):
+        "c5ea19e6755f74c55ae3d30acd0e4b54073aca06f506678ace1a19a963b3aeba",
+    ("kcentroid", "camera-filter"):
+        "f0f27e30308e2c3f654733b0fb2bcd0183be7695a7eab29a7710b0df59d261eb",
+    ("fps", "plain"):
+        "2e28c27ec6ddc8deeff33871d682a7a89666312e031971aaafd6c0b08ab76e42",
+    ("fps", "camera-filter"):
+        "61f3ce210337f72ab134c2ed5e156d50361cd1488890494a8df8c45e2740656c",
+    ("alphafps", "plain"):
+        "fb74b886f02a3a752f6a364d3cc1ba3c565c07f82a16b47fb992ff83554c9bd1",
+    ("alphafps", "camera-filter"):
+        "1f72b95e60aec474f0e9a3ff2943dd3979252efb2d468abb3bf2b75af8ff2cbb",
+}
+
+
+@pytest.mark.parametrize("method, protocol", sorted(ARTIFACT_DIGESTS))
+def test_preset_artifacts_are_pinned(method, protocol, tmp_path):
+    cfg = ExperimentConfig(
+        selector=SelectorConfig(method=method),
+        preset="tradeoff",
+        protocol=protocol,
+        per_query_ap=True,
+    )
+    run_experiment(cfg, out_dir=tmp_path)
+    h = hashlib.sha256()
+    for name in ("report.json", "prototypes.json", "camera_filter_groups.json"):
+        path = tmp_path / name
+        if path.exists():
+            h.update(name.encode())
+            h.update(path.read_bytes())
+    assert h.hexdigest() == ARTIFACT_DIGESTS[(method, protocol)]

@@ -89,6 +89,125 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError):
             es.features[0, 0] = 9.0
 
+    def test_columns_are_read_only_and_records_built_once(self):
+        es = small_set()
+        assert es.ids == ("r0", "r1", "r2", "r3", "r4")
+        np.testing.assert_array_equal(es.row_classes, [0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(es.row_cameras, [0, 1, 0, 0, 2])
+        for column in (es.row_classes, es.row_cameras):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 5
+        assert es.records is es.records
+        assert np.shares_memory(es.records[3].vector, es.features)
+        # a class whose rows are adjacent is served as a view
+        assert np.shares_memory(es.class_matrix(1), es.features)
+        mixed = build_set(np.eye(3), [0, 1, 0], [0, 0, 0])
+        np.testing.assert_array_equal(mixed.class_matrix(0), [[1, 0, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize(
+        "build, error, named",
+        [
+            (lambda: EmbeddingSet([EmbeddingRecord("a", np.zeros(2), 0, 0),
+                                   EmbeddingRecord("b", np.zeros(2), "x", 0)]),
+             DataFormatError, "'b'"),
+            (lambda: EmbeddingSet([EmbeddingRecord("a", np.zeros(2), None, 0)]),
+             DataFormatError, "'a'"),
+            (lambda: EmbeddingSet([EmbeddingRecord("a", np.zeros(2), 0, 0),
+                                   EmbeddingRecord("b", np.zeros(2), 1.5, 0)]),
+             DataFormatError, "'b'"),
+            (lambda: EmbeddingSet([EmbeddingRecord("a", np.zeros(2), 0, True)]),
+             DataFormatError, "'a'"),
+            (lambda: build_set(np.zeros((2, 2)), [0, 1.7], [0, 0]), DataFormatError, "'r1'"),
+            (lambda: build_set(np.zeros((3, 2)), [0, 1], [0, 0, 0]),
+             DimensionMismatchError, "'r2'"),
+            (lambda: build_set(np.zeros(3), [0, 0, 0], [0, 0, 0]),
+             DimensionMismatchError, "'r0'"),
+        ],
+        ids=["str-class", "none-class", "float-class", "bool-camera", "fractional-label",
+             "short-labels", "1d-vectors"],
+    )
+    def test_bad_labels_and_shapes_are_typed_errors(self, build, error, named):
+        with pytest.raises(error) as err:
+            build()
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kept, error, named",
+        [
+            (7, DimensionMismatchError, "'e'"),
+            (5, NonFiniteValueError, "'c'"),
+            (3, DataFormatError, "'b'"),
+            (2, DuplicateIdError, "'a'"),
+        ],
+    )
+    def test_fault_kinds_checked_in_order(self, kept, error, named):
+        # the earliest record ("a" again) is a duplicate id, yet each kind of
+        # fault is checked over every row before the next kind, and names
+        # the first record that has it
+        recs = [
+            EmbeddingRecord("a", np.zeros(2), 0, 0),
+            EmbeddingRecord("a", np.zeros(2), 0, 0),
+            EmbeddingRecord("b", np.zeros(2), -1, 0),
+            EmbeddingRecord("c", np.array([np.inf, 0.0]), 0, -2),
+            EmbeddingRecord("d", np.array([0.0, np.nan]), 0, 0),
+            EmbeddingRecord("e", np.zeros(3), 0, 0),
+            EmbeddingRecord("f", np.zeros((1, 2)), 0, 0),
+        ][:kept]
+        with pytest.raises(error) as err:
+            EmbeddingSet(recs)
+        assert type(err.value) is error
+        assert named in str(err.value)
+
+
+@st.composite
+def labeled_rows(draw):
+    """(vectors, class labels, camera labels): few distinct labels, not
+    dense, so single-class sets and repeated cameras are common."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 4))
+    class_pool = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    camera_pool = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    classes = draw(st.lists(st.sampled_from(class_pool), min_size=n, max_size=n))
+    cameras = draw(st.lists(st.sampled_from(camera_pool), min_size=n, max_size=n))
+    coords = draw(st.lists(st.floats(-1e6, 1e6), min_size=n * dim, max_size=n * dim))
+    return np.array(coords).reshape(n, dim), classes, cameras
+
+
+class TestColumnarEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=labeled_rows())
+    def test_columnar_set_equals_per_record_build(self, rows):
+        vectors, classes, cameras = rows
+        records = [
+            EmbeddingRecord(f"r{i}", vectors[i], c, k)
+            for i, (c, k) in enumerate(zip(classes, cameras))
+        ]
+        # the indices as a per-record loop builds them: keys in order of
+        # first appearance, rows ascending
+        class_index, camera_index = {}, {}
+        for i, rec in enumerate(records):
+            class_index.setdefault(rec.class_id, []).append(i)
+            camera_index.setdefault((rec.class_id, rec.camera_id), []).append(i)
+        for es in (EmbeddingSet(records), build_set(vectors, classes, cameras)):
+            assert es.features.tobytes() == vectors.tobytes()
+            assert list(es.class_index.items()) == [
+                (c, tuple(ix)) for c, ix in class_index.items()
+            ]
+            assert list(es.camera_index.items()) == [
+                (key, tuple(ix)) for key, ix in camera_index.items()
+            ]
+            assert all(type(c) is int for c in es.class_index)
+            for c, ix in class_index.items():
+                assert es.cameras_of_class(c) == sorted({cameras[i] for i in ix})
+                assert es.class_matrix(c).tobytes() == vectors[ix].tobytes()
+            assert [
+                (r.id, type(r.class_id), r.class_id, r.camera_id, r.vector.tobytes())
+                for r in es.records
+            ] == [
+                (r.id, int, r.class_id, r.camera_id, r.vector.tobytes()) for r in records
+            ]
+
 
 class TestCsvIo:
     def test_round_trip_exact(self, tmp_path):

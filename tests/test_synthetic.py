@@ -1,5 +1,7 @@
 """Synthetic data generation: reproducibility and degenerate limits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,48 @@ class TestGeneration:
             SyntheticSpec(within_class_noise=-1.0)
         with pytest.raises(ConfigError):
             SyntheticSpec(seed=-1)
+
+
+def set_digest(eset) -> str:
+    """sha256 of a set's feature bytes, ids, and class and camera labels."""
+    h = hashlib.sha256(eset.features.tobytes())
+    h.update("\n".join(r.id for r in eset.records).encode())
+    labels = [(r.class_id, r.camera_id) for r in eset.records]
+    h.update(np.array(labels, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# Elongated with ranged extents and sizes, one-sided tails and tilted axes
+# on a chain: every branch of the per-record draw.
+SHAPED = SyntheticSpec(
+    n_classes=5, instances_per_class=(3, 7), dim=6, n_cameras=3,
+    elongation_scale=(0.5, 2.0), elongation_floor=0.2, tail_fraction=0.3,
+    tail_angle_deg=30.0, chain_spacing=1.0, queries_per_class=2, seed=4,
+)
+
+
+class TestPinnedData:
+    # Digests of the data as first generated; any change to the draw order,
+    # the arithmetic or the ids moves them.
+    @pytest.mark.parametrize(
+        "spec, gallery_digest, query_digest",
+        [
+            (
+                tradeoff_spec(),
+                "8a1c4a1bd9a84d0618eb55ba12d4ac6a5b35a48ce89a94c4fe50cfef4c251b11",
+                "3e4ede2cb385c792cfdae3c7ac09f3829ad4c648f0d77ed0dc1d1173f5c8be2b",
+            ),
+            (
+                SHAPED,
+                "903be291ca072cd4f9c08821c14ed994e9893ad79218eea2252483e369ef00ef",
+                "25f6f643e40b5d99e64fcd652cc1582e273ca3130c1212db2de2198b33d2f663",
+            ),
+        ],
+        ids=["tradeoff", "shaped"],
+    )
+    def test_generated_sets_are_pinned(self, spec, gallery_digest, query_digest):
+        gallery, queries = generate_synthetic(spec)
+        assert (set_digest(gallery), set_digest(queries)) == (gallery_digest, query_digest)
 
 
 class TestPresets:
