@@ -475,14 +475,16 @@ def loss_and_grads(
     params: Mapping[str, np.ndarray],
     cfg: GcpConfig,
     batches: Sequence[ClassBatch],
+    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value and analytic gradients for explicit batches, dropout off.
+    """Loss value and analytic gradients for explicit batches.
 
-    This is the deterministic entry point used by finite-difference checks;
-    the training loop runs the same graph with dropout enabled.
+    Dropout is off unless ``dropout_rng`` is given.  Every training step
+    calls this with the dropout stream, so the finite-difference checks of
+    the dropout-off path cover the function training runs.
     """
     params_t = _wrap_params(dict(params), requires_grad=True)
-    out = _loss_graph(params_t, cfg, batches)
+    out = _loss_graph(params_t, cfg, batches, dropout_rng)
     out.backward()
     grads = {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -571,25 +573,20 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
         epoch_losses = []
         for bi, chunk in enumerate(chunks):
             batches = _sample_class_batches(eset, chunk, cfg, sampler)
-            params_t = _wrap_params(params, requires_grad=True)
-            out = _loss_graph(params_t, cfg, batches, dropout_rng)
-            if not np.isfinite(out.data):
+            loss, grads = loss_and_grads(params, cfg, batches, dropout_rng)
+            if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 )
-            out.backward()
             for name, p in params.items():
-                g = params_t[name].grad
-                if g is None:
-                    g = np.zeros_like(p)
-                g = g + cfg.weight_decay * p
+                g = grads[name] + cfg.weight_decay * p
                 velocity[name] = cfg.momentum * velocity[name] + g
                 p -= cfg.lr * velocity[name]
                 if not np.all(np.isfinite(p)):
                     raise TrainingDivergedError(
                         f"non-finite parameter {name!r} after epoch {epoch}, batch {bi}"
                     )
-            epoch_losses.append(float(out.data))
+            epoch_losses.append(loss)
         trace.epoch_mean_loss.append(float(np.mean(epoch_losses)))
     return GcpModel(config=cfg, params=params), trace
 

@@ -12,13 +12,14 @@ ranking.  It takes queries in blocks of ``QUERY_BLOCK`` and gets squared
 distances to the packed prototypes from one GEMM per block
 (‖q‖² + ‖p‖² − 2qpᵀ, the decomposition used by exact L2 search in
 FAISS).  A set made by ``PrototypeSet.replace_class`` is ranked against
-its parent's packed matrix; the rows it replaced get squared distances
-from one ``cdist`` call per set, so the camera-filter protocol costs one
-GEMM plus a few rows per (class, camera) group.  Each own-class item is
-ranked by counting the prototypes certainly nearer than it, given a
-certified rounding margin on these approximate distances; a prototype
-inside the margin is re-checked with exact distances,
-``np.linalg.norm(rows - q)``, under the tie rule.  Every rank therefore
+its base's packed matrix; the rows it holds in place of the base's get
+squared distances from one ``cdist`` call per set, so the camera-filter
+protocol costs one GEMM plus a few rows per (class, camera) group.  The
+squared norms these distances need are computed here too; the store keeps
+none.  Each own-class item is ranked by counting the prototypes certainly
+nearer than it, given a certified rounding margin on these approximate
+distances; a prototype inside the margin is re-checked with exact
+distances, ``np.linalg.norm(rows - q)``, under the tie rule.  Every rank therefore
 equals the brute-force rank: the report does not depend on the block,
 the BLAS library or its thread count.
 
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
-from .store import EmbeddingRecord, EmbeddingSet, PrototypeSet
+from .store import EmbeddingRecord, EmbeddingSet, PrototypeSet, pack
 
 DEFAULT_MAX_RANK = 25
 # Queries per GEMM in ``evaluate``; bounds the block's (queries, P)
@@ -119,44 +120,31 @@ def _as_pset_groups(
     """Group query row indices by the identity of their prototype set."""
     if isinstance(prototypes_per_query, PrototypeSet):
         return [(prototypes_per_query, list(range(len(queries))))]
-    groups: dict[int, tuple[PrototypeSet, list[int]]] = {}
+    groups: dict[PrototypeSet, list[int]] = {}
     for qi, query_id in enumerate(queries.ids):
         try:
             pset = prototypes_per_query[query_id]
         except KeyError:
             raise ConfigError(f"no prototype set supplied for query {query_id!r}")
-        key = id(pset)
-        if key not in groups:
-            groups[key] = (pset, [])
-        groups[key][1].append(qi)
-    return list(groups.values())
+        groups.setdefault(pset, []).append(qi)
+    return list(groups.items())
 
 
-def _packed_root(pset: PrototypeSet) -> tuple[PrototypeSet, dict[int, np.ndarray]]:
-    """(packed set, class -> rows put in place of its own) behind ``pset``."""
-    replaced: dict[int, np.ndarray] = {}
-    while pset.derived_from is not None:
-        parent, class_id = pset.derived_from
-        replaced.setdefault(class_id, pset.per_class[class_id])
-        pset = parent
-    return pset, replaced
+def _sq_norms(mat: np.ndarray) -> np.ndarray:
+    """Squared norm of each row; a huge finite row squares to inf, which
+    ``own_ranks`` catches with its finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ij,ij->i", mat, mat)
 
 
 class _Splice:
     """The rows a set made by ``replace_class`` holds in place of its
-    packed root's, with their squared distances to the set's queries from
+    base's, packed, with their squared distances to the set's queries from
     one ``cdist`` call."""
 
-    def __init__(self, qmat: np.ndarray, replaced: Mapping[int, np.ndarray]):
-        ids = sorted(replaced)
-        counts = [len(replaced[c]) for c in ids]
-        self.rows = np.concatenate([replaced[c] for c in ids])
-        self.classes = np.repeat(np.array(ids, dtype=np.int64), counts)
-        stops = np.cumsum(counts)
-        self.spans = {c: slice(int(e) - k, int(e)) for c, k, e in zip(ids, counts, stops)}
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq_norms = np.einsum("ij,ij->i", self.rows, self.rows)
-        self.max_sq_norm = float(sq_norms.max(initial=0.0))
+    def __init__(self, qmat: np.ndarray, pset: PrototypeSet):
+        self.rows, self.classes, _, self.spans = pack(pset.replaced, pset.dim)
+        self.max_sq_norm = float(_sq_norms(self.rows).max(initial=0.0))
         self.approx = cdist(qmat, self.rows, "sqeuclidean")
 
 
@@ -217,17 +205,17 @@ class _RankKernel:
     """Exact own-class ranks of queries against one packed prototype set
     and the sets made from it by ``replace_class``."""
 
-    def __init__(self, root: PrototypeSet):
-        self.mat, self.classes, _ = root.flattened()
-        self.sq_norms = root.sq_norms
+    def __init__(self, base: PrototypeSet):
+        self.mat, self.classes, _ = base.flattened()
+        self.sq_norms = _sq_norms(self.mat)
         self.max_sq_norm = float(self.sq_norms.max(initial=0.0))
-        self.spans = root.class_spans
+        self.spans = base.class_spans
 
     def approx_sq_dists(self, qmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(‖q‖² per query, GEMM squared distances to every packed row)."""
+        q_sq = _sq_norms(qmat)
         # values that overflow are caught by the finiteness check of own_ranks
         with np.errstate(over="ignore", invalid="ignore"):
-            q_sq = np.einsum("ij,ij->i", qmat, qmat)
             approx = qmat @ self.mat.T
             approx *= -2.0
             approx += self.sq_norms
@@ -325,9 +313,9 @@ def evaluate(
     if n == 0:
         raise ConfigError("no queries to evaluate")
     groups = _as_pset_groups(queries, prototypes_per_query)
-    # queries of every group derived from one packed set share its GEMM;
-    # the rows a derived set replaced get one cdist call per group
-    by_root: dict[int, tuple[PrototypeSet, list[tuple]]] = {}
+    # queries of every group with one base share its GEMM; the rows a
+    # derived set holds in place of its base's get one cdist call per group
+    by_base: dict[PrototypeSet, list[tuple]] = {}
     for pset, rows in groups:
         if pset.total_count() == 0:
             raise EmptyPrototypeSetError("cannot evaluate against an empty prototype set")
@@ -335,17 +323,16 @@ def evaluate(
             raise DimensionMismatchError(
                 f"query dimension {queries.dim} vs prototypes {pset.dim}"
             )
-        root, replaced = _packed_root(pset)
-        items = by_root.setdefault(id(root), (root, []))[1]
-        if replaced:
-            splice = _Splice(queries.features[rows], replaced)
+        items = by_base.setdefault(pset.base, [])
+        if pset.replaced:
+            splice = _Splice(queries.features[rows], pset)
             items.extend((qi, splice, row) for qi, row in zip(rows, splice.approx))
         else:
             items.extend((qi, None, None) for qi in rows)
     ranks_of: list[np.ndarray] = [None] * n
     classes = queries.row_classes.tolist()
-    for root, items in by_root.values():
-        kernel = _RankKernel(root)
+    for base, items in by_base.items():
+        kernel = _RankKernel(base)
         for start in range(0, len(items), QUERY_BLOCK):
             block = items[start : start + QUERY_BLOCK]
             qmat = queries.features[[qi for qi, _, _ in block]]

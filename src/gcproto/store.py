@@ -1,23 +1,32 @@
 """Labeled embedding vectors: records, indexed sets, prototype sets, file IO.
 
-Two on-disk formats are supported:
+Two on-disk formats are supported, chosen by the file suffix:
 
-* CSV with header ``id,class,camera,f0,...,f{D-1}``. Ids and class and
-  camera labels may be any strings without a comma or line break (the writer
-  refuses those); labels are remapped to dense non-negative integers
-  in order of first appearance and the mapping is kept on the set so reports
-  can echo it. Because that order is per file, two independently loaded sets
-  must be passed through :func:`align_labels` before their dense ids can be
+* CSV (suffix ``.csv``, UTF-8 text) with header
+  ``id,class,camera,f0,...,f{D-1}``. Ids and class and camera labels may be
+  any strings without a comma or line break (the writer refuses those);
+  labels are remapped to dense non-negative integers in order of first
+  appearance and the mapping is kept on the set so reports can echo it.
+  Because that order is per file, two independently loaded sets must be
+  passed through :func:`align_labels` before their dense ids can be
   compared. Coordinates are written with 17 significant digits, so a
   save/load cycle reproduces every float64 exactly.
-* A binary format (magic ``GCPE``) storing vectors as little-endian float64,
-  which round-trips bit-exactly.
+* A binary format (magic ``GCPE``, any other suffix) storing UTF-8 ids and
+  vectors as little-endian float64, which round-trips bit-exactly.
+
+Text that is not UTF-8 is a ``DataFormatError`` in either format.
 
 ``EmbeddingSet`` is stored as read-only columns (features, ids, class and
 camera labels) and checked and indexed a column at a time; the pipeline and
 the file IO read the columns, and ``EmbeddingRecord`` objects are built only
 when a caller asks for ``records``.  A set is immutable after construction
 and safe for concurrent reads.
+
+``PrototypeSet`` packs its classes into one read-only matrix with the one
+packer, :func:`pack`.  The camera-filter protocol's per-group sets are made
+by ``replace_class``: each shares a packed ``base`` and records only the
+classes it ``replaced``, which is all the evaluator needs to rank against
+the base's matrix plus a few spliced rows.
 """
 
 from __future__ import annotations
@@ -237,33 +246,23 @@ def _checked_rows(class_id: int, protos) -> np.ndarray:
     return arr
 
 
-def _pack(per_class: Mapping[int, np.ndarray], dim: int):
-    """Read-only (P, D) matrix of every class's rows, classes ascending,
-    plus the parallel class-id and within-class-index arrays."""
+def pack(per_class: Mapping[int, np.ndarray], dim: int):
+    """Every class's rows packed into one read-only (P, D) matrix, classes
+    ascending: (matrix, parallel class-id array, parallel within-class-index
+    array, read-only class id -> slice of the matrix holding its rows)."""
     ids = sorted(per_class)
-    counts = np.array([per_class[c].shape[0] for c in ids], dtype=np.int64)
-    if ids:
-        matrix = np.concatenate([per_class[c] for c in ids])
-    else:
-        matrix = np.empty((0, dim))
+    counts = np.array([len(per_class[c]) for c in ids], dtype=np.int64)
+    matrix = np.concatenate([per_class[c] for c in ids]) if ids else np.empty((0, dim))
     classes = np.repeat(np.array(ids, dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    index = np.arange(len(classes), dtype=np.int64) - np.repeat(starts, counts)
+    stops = np.cumsum(counts)
+    index = np.arange(len(classes), dtype=np.int64) - np.repeat(stops - counts, counts)
     for arr in (matrix, classes, index):
         arr.setflags(write=False)
-    return matrix, classes, index
+    spans = {c: slice(e - k, e) for c, k, e in zip(ids, counts.tolist(), stops.tolist())}
+    return matrix, classes, index, MappingProxyType(spans)
 
 
-def _class_spans(per_class: Mapping[int, np.ndarray]) -> dict[int, slice]:
-    """Class id -> its rows' slice of the packed matrix, classes ascending."""
-    spans, start = {}, 0
-    for c in sorted(per_class):
-        spans[c] = slice(start, start + len(per_class[c]))
-        start = spans[c].stop
-    return spans
-
-
-@dataclass
+@dataclass(eq=False)
 class PrototypeSet:
     """Per-class ordered prototype vectors with selection provenance.
 
@@ -272,18 +271,17 @@ class PrototypeSet:
 
     Storage is packed and read-only: construction copies every class into
     one (P, D) float64 matrix, rows ordered by (class ascending, prototype
-    index), with each class's row span and each row's squared norm cached;
-    ``per_class`` becomes a read-only mapping of row views into that matrix.  ``replace_class``
-    makes a derived set that shares this storage, holds only the new rows,
-    and records ``derived_from = (parent, class_id)``.
+    index), and ``per_class`` becomes a read-only mapping of row views into
+    it.  Such a packed set is its own ``base`` and has no ``replaced``
+    classes.  ``replace_class`` makes a derived set that shares its base's
+    storage: ``base`` is that packed set and ``replaced`` maps each class
+    id to the rows the derived set holds in place of the base's, so a chain
+    of replacements is flat.  Sets compare by identity.
     """
 
     per_class: Mapping[int, np.ndarray]
     selector_tag: str
     params_echo: dict = field(default_factory=dict)
-    derived_from: tuple["PrototypeSet", int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.selector_tag not in SELECTOR_TAGS:
@@ -293,15 +291,12 @@ class PrototypeSet:
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent prototype dimensions {sorted(dims)}")
         self._dim = dims.pop() if dims else 0
-        self._flat = _pack(rows, self._dim)
-        matrix = self._flat[0]
-        # huge finite rows may square to inf; the ranking kernel checks for it
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._sq_norms = np.einsum("ij,ij->i", matrix, matrix)
-        self._sq_norms.setflags(write=False)
+        self._packed = pack(rows, self._dim)
+        matrix, spans = self._packed[0], self._packed[3]
         self._count = len(matrix)
-        self._spans = MappingProxyType(_class_spans(rows))
-        self.per_class = MappingProxyType({c: matrix[s] for c, s in self._spans.items()})
+        self.per_class = MappingProxyType({c: matrix[s] for c, s in spans.items()})
+        # ``base`` reads None as the set itself, without a reference cycle
+        self._base, self._replaced = None, MappingProxyType({})
 
     @property
     def dim(self) -> int:
@@ -311,11 +306,28 @@ class PrototypeSet:
     def class_ids(self) -> list[int]:
         return sorted(self.per_class)
 
+    @property
+    def base(self) -> "PrototypeSet":
+        """The packed set whose storage this one shares; a packed set is
+        its own base."""
+        return self if self._base is None else self._base
+
+    @property
+    def replaced(self) -> Mapping[int, np.ndarray]:
+        """Read-only class id -> the rows this set holds in place of
+        ``base``'s; empty for a packed set."""
+        return self._replaced
+
     def total_count(self) -> int:
         return self._count
 
     def counts_by_class(self) -> dict[int, int]:
         return {c: arr.shape[0] for c, arr in self.per_class.items()}
+
+    def _packing(self):
+        if self._base is None:
+            return self._packed
+        return pack(self.per_class, self._dim)
 
     def flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(P, D) matrix plus parallel class-id and within-class-index arrays.
@@ -324,27 +336,21 @@ class PrototypeSet:
         three are read-only.  A packed set returns its cached arrays; a set
         made by ``replace_class`` assembles them on every call.
         """
-        if self.derived_from is None:
-            return self._flat
-        return _pack(self.per_class, self._dim)
+        return self._packing()[:3]
 
     @property
     def class_spans(self) -> Mapping[int, slice]:
         """Class id -> the slice of ``flattened()`` rows holding its
-        prototypes; a set made by ``replace_class`` has none."""
-        return self._spans
-
-    @property
-    def sq_norms(self) -> np.ndarray:
-        """Squared norm of each ``flattened()`` row; a set made by
-        ``replace_class`` has none."""
-        return self._sq_norms
+        prototypes; a set made by ``replace_class`` assembles it on every
+        access."""
+        return self._packing()[3]
 
     def replace_class(self, class_id: int, protos: np.ndarray) -> "PrototypeSet":
         """A set with ``class_id``'s prototypes replaced by ``protos``.
 
-        Only ``protos`` is validated and copied; the result shares this
-        set's storage.
+        Only ``protos`` is validated and copied.  The result shares this
+        set's ``base`` and keeps its other ``replaced`` classes, so a chain
+        of calls stays one step from the packed set.
         """
         rows = _checked_rows(class_id, protos)
         if not self.per_class:  # nothing to share
@@ -360,7 +366,8 @@ class PrototypeSet:
         new.per_class = MappingProxyType({**self.per_class, class_id: rows})
         new.selector_tag = self.selector_tag
         new.params_echo = dict(self.params_echo)
-        new.derived_from = (self, class_id)
+        new._base = self.base
+        new._replaced = MappingProxyType({**self._replaced, class_id: rows})
         new._dim = rows.shape[1]
         new._count = self._count - len(self.per_class.get(class_id, ())) + len(rows)
         return new
@@ -375,8 +382,11 @@ def _dense_remap(labels: Sequence[str]) -> tuple[list[int], dict[int, str]]:
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: text is not UTF-8") from None
     if not lines:
         raise EmptyFileError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -453,7 +463,7 @@ def _load_binary(path: Path) -> EmbeddingSet:
         for _ in range(count):
             (id_len,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            ids.append(data[offset : offset + id_len].decode("utf-8"))
+            ids.append(data[offset : offset + id_len])
             offset += id_len
             labels.append(struct.unpack_from("<II", data, offset))
             offset += 8
@@ -462,6 +472,10 @@ def _load_binary(path: Path) -> EmbeddingSet:
     except (struct.error, ValueError):
         # ValueError comes from np.frombuffer when the blob ends mid-vector.
         raise DataFormatError(f"{path}: truncated file") from None
+    try:
+        ids = [raw.decode("utf-8") for raw in ids]
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: a record id is not UTF-8 text") from None
     classes, cameras = zip(*labels)
     return EmbeddingSet._from_columns(ids, np.array(vectors, dtype=np.float64), classes, cameras)
 
@@ -480,26 +494,16 @@ def _save_binary(eset: EmbeddingSet, path: Path) -> None:
 # -- public IO ----------------------------------------------------------
 
 
-def load_embedding_set(path: str | Path, format: str | None = None) -> EmbeddingSet:
-    """Load a gallery/query file; format inferred from suffix when omitted."""
+def load_embedding_set(path: str | Path) -> EmbeddingSet:
+    """Load a gallery/query file: CSV when the suffix is ``.csv``, else binary."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "binary")
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "binary":
-        return _load_binary(path)
-    raise DataFormatError(f"unknown format {fmt!r}")
+    return _load_csv(path) if path.suffix.lower() == ".csv" else _load_binary(path)
 
 
-def save_embedding_set(eset: EmbeddingSet, path: str | Path, format: str | None = None) -> None:
+def save_embedding_set(eset: EmbeddingSet, path: str | Path) -> None:
+    """Write a gallery/query file: CSV when the suffix is ``.csv``, else binary."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "binary")
-    if fmt == "csv":
-        _save_csv(eset, path)
-    elif fmt == "binary":
-        _save_binary(eset, path)
-    else:
-        raise DataFormatError(f"unknown format {fmt!r}")
+    (_save_csv if path.suffix.lower() == ".csv" else _save_binary)(eset, path)
 
 
 def build_set(

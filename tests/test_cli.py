@@ -219,6 +219,21 @@ class TestEval:
         assert rc == 1
         assert err_line(capsys).startswith("error:config: ")
 
+    def test_data_not_utf8_prints_one_error_line(self, datadir, capsys):
+        gallery = datadir / "data" / "gallery.csv"
+        header, first, rest = gallery.read_bytes().split(b"\n", 2)
+        rec_id, label, tail = first.split(b",", 2)
+        first = b",".join([rec_id, label + b"\xff\xfe", tail])
+        gallery.write_bytes(b"\n".join([header, first, rest]))
+        rc = main([
+            "eval", "--data", str(gallery),
+            "--queries", str(datadir / "data" / "queries.csv"),
+            "--method", "centroid",
+        ])
+        assert rc == 1
+        line = err_line(capsys)
+        assert line.startswith("error:format: ") and "not UTF-8" in line
+
     def test_invalid_config_json(self, datadir, capsys):
         path = datadir / "broken.json"
         path.write_text("{oops", encoding="utf-8")

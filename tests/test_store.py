@@ -295,6 +295,12 @@ class TestCsvIo:
         with pytest.raises(EmptyFileError):
             load_embedding_set(path)
 
+    def test_text_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,class,camera,f0\na,cl\xff\xfe,0,1.0\n")
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            load_embedding_set(path)
+
     @pytest.mark.parametrize("bad", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
     @pytest.mark.parametrize("field", ["id", "class", "camera"])
     def test_unreadable_field_refused_before_writing(self, tmp_path, field, bad):
@@ -420,7 +426,17 @@ class TestBinaryIo:
         path = tmp_path / "x.gcpe"
         save_embedding_set(es, path)
         path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_embedding_set(path)
+
+    def test_id_not_utf8(self, tmp_path):
+        es = build_set(np.ones((2, 3)), [0, 1], [0, 0])
+        path = tmp_path / "x.gcpe"
+        save_embedding_set(es, path)
+        data = path.read_bytes()
+        assert data.count(b"r0") == 1
+        path.write_bytes(data.replace(b"r0", b"\xff0"))  # same length: the file is complete
+        with pytest.raises(DataFormatError, match="not UTF-8"):
             load_embedding_set(path)
 
     def test_empty(self, tmp_path):
@@ -455,7 +471,7 @@ class TestPrototypeSet:
         mat = pset.flattened()[0]
         assert pset.flattened()[0] is mat
         assert pset.class_spans == {0: slice(0, 1), 2: slice(1, 3)}
-        np.testing.assert_array_equal(pset.sq_norms, [5.0, 3.0, 3.0])
+        assert pset.base is pset and pset.replaced == {}
         assert np.shares_memory(pset.per_class[2], mat)
         assert not np.shares_memory(given_rows[2], mat)
         with pytest.raises(ValueError):
@@ -466,7 +482,8 @@ class TestPrototypeSet:
     def test_replace_class_shares_the_parent_and_checks_only_new_rows(self):
         pset = PrototypeSet({0: np.zeros((1, 2)), 1: np.ones((2, 2))}, "centroid")
         new = pset.replace_class(1, np.full((3, 2), 2.0))
-        assert new.derived_from == (pset, 1)
+        assert new.base is pset and list(new.replaced) == [1]
+        assert new.replaced[1] is new.per_class[1]
         assert new.per_class[0] is pset.per_class[0]
         assert new.total_count() == 4 and new.dim == 2
         mat, cls, idx = new.flattened()
@@ -478,7 +495,39 @@ class TestPrototypeSet:
         with pytest.raises(DimensionMismatchError):
             pset.replace_class(0, np.zeros((1, 3)))
         alone = PrototypeSet({}, "centroid").replace_class(4, np.ones((1, 3)))
-        assert alone.derived_from is None and alone.dim == 3
+        assert alone.base is alone and alone.replaced == {} and alone.dim == 3
+
+    def test_derived_set_answers_like_an_equal_packed_set(self):
+        pset = PrototypeSet({0: np.zeros((1, 2)), 2: np.ones((2, 2))}, "fps")
+        derived = pset.replace_class(2, np.full((3, 2), 2.0)).replace_class(1, np.ones((1, 2)))
+        packed = PrototypeSet(dict(derived.per_class), "fps")
+        assert derived.class_spans == packed.class_spans
+        assert derived.class_spans == {0: slice(0, 1), 1: slice(1, 2), 2: slice(2, 5)}
+        for got, want in zip(derived.flattened(), packed.flattened()):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and not got.flags.writeable
+        assert derived.total_count() == packed.total_count() == 5
+        assert derived.counts_by_class() == packed.counts_by_class()
+        assert derived.class_ids == packed.class_ids and derived.dim == packed.dim
+
+    def test_sets_compare_by_identity(self):
+        rows = {0: np.zeros((2, 2))}
+        pset, twin = PrototypeSet(rows, "fps"), PrototypeSet(rows, "fps")
+        assert pset == pset and pset != twin
+        assert len({pset, twin, pset.replace_class(0, np.ones((1, 2)))}) == 3
+
+    def test_replacement_chain_is_flat_and_last_rows_win(self):
+        pset = PrototypeSet({0: np.zeros((1, 2)), 1: np.ones((2, 2))}, "centroid")
+        first = pset.replace_class(0, np.full((2, 2), 3.0))
+        second = first.replace_class(1, np.full((1, 2), 4.0))
+        third = second.replace_class(0, np.full((1, 2), 5.0))
+        assert third.base is pset and second.base is pset
+        assert sorted(third.replaced) == [0, 1]
+        np.testing.assert_array_equal(third.replaced[0], [[5.0, 5.0]])
+        np.testing.assert_array_equal(third.replaced[1], [[4.0, 4.0]])
+        np.testing.assert_array_equal(third.flattened()[0], [[5.0, 5.0], [4.0, 4.0]])
+        assert third.total_count() == 2
+        assert list(first.replaced) == [0] and first.replaced[0].shape == (2, 2)
 
     def test_bad_tag(self):
         with pytest.raises(DataFormatError):
