@@ -8,9 +8,16 @@ and sums.
 Graphs are plain DAGs of ``Tensor`` nodes; ``backward()`` walks them in
 iterative topological order (chains get thousands of nodes deep).
 
-Constants (requires_grad=False leaves, or any node whose ancestors are all
-constants) carry no backward closures, so inference-time graphs cost only
-the forward arithmetic.
+Every node is built through ``Tensor.__init__``, so counting its calls
+counts the nodes of a graph.  Constants (requires_grad=False leaves, or any
+node whose ancestors are all constants) carry no parents and no backward
+closure: an op on constants costs its numpy arithmetic plus one
+``Tensor.__init__`` that stores the result (a float64 ndarray is kept as
+given, without a conversion call, and a node without parents skips the
+scan of their flags).  The reductions inside ``layer_norm`` and
+``softmax_rows`` call the ufunc reductions that ``ndarray.mean``/``sum``/
+``max`` call, without those methods' Python wrappers, so their results are
+the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+_F64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -30,11 +39,15 @@ class Tensor:
         backward: Callable[[np.ndarray], None] | None = None,
         requires_grad: bool = False,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.parents = parents
         self._backward = backward
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if parents and not requires_grad:
+            requires_grad = any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -69,25 +82,25 @@ class Tensor:
 
     # operator sugar; scalars and ndarrays are treated as constants
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(other, self)
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -98,7 +111,7 @@ class Tensor:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if type(x) is Tensor else Tensor(x)
 
 
 def const(x) -> Tensor:
@@ -170,13 +183,13 @@ def matmul(a, b) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute axes as ``np.transpose`` does; reverses them when ``axes`` is None."""
-    out = np.transpose(a.data, axes)
+    out = a.data.transpose(axes)
     if not a.requires_grad:
         return Tensor(out)
     inverse = None if axes is None else np.argsort(axes)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.transpose(g, inverse))
+        a._accumulate(g.transpose(inverse))
 
     return Tensor(out, (a,), backward)
 
@@ -229,17 +242,27 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)``: the same ufunc reduction."""
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``: the same sum and division."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis; entries at -inf (an additive key mask)
     get weight exactly 0 and no gradient."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
+    z = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = e / _sum_last(e)
     if not a.requires_grad:
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * out).sum(axis=-1, keepdims=True)
+        dot = _sum_last(g * out)
         a._accumulate(out * (g - dot))
 
     return Tensor(out, (a,), backward)
@@ -247,9 +270,8 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row over the last axis, then scale and shift."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = a.data - _mean_last(a.data)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -263,8 +285,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = _mean_last(dxhat)
+            m2 = _mean_last(dxhat * xhat)
             a._accumulate(inv * (dxhat - m1 - xhat * m2))
 
     return Tensor(out, (a, gain, bias), backward)

@@ -215,20 +215,19 @@ def obtain_model(
 
 
 def _select_base(
-    cfg: ExperimentConfig, gallery: EmbeddingSet, model: GcpModel | None, n: int
+    selector: SelectorConfig, gallery: EmbeddingSet, model: GcpModel | None
 ) -> PrototypeSet:
-    if cfg.selector.method == "gcp":
-        return select_gcp(gallery, model, n=n)
-    return run_selector(gallery, replace(cfg.selector, n_prototypes=n))
+    if selector.method == "gcp":
+        return select_gcp(gallery, model, n=selector.n_prototypes)
+    return run_selector(gallery, selector)
 
 
 def _regen_class(
-    cfg: ExperimentConfig,
+    selector: SelectorConfig,
     gallery: EmbeddingSet,
     model: GcpModel | None,
     class_id: int,
     camera: int,
-    n: int,
 ) -> tuple[np.ndarray, bool]:
     """Rebuild one class's prototypes with one camera excluded.
 
@@ -238,13 +237,13 @@ def _regen_class(
     dropped = set(gallery.camera_index.get((class_id, camera), ()))
     kept = [i for i in gallery.class_index[class_id] if i not in dropped]
     fell_back = not kept
-    if cfg.selector.method == "gcp":
+    if selector.method == "gcp":
         excluded = None if fell_back else camera
         memory = build_memory(gallery, model, class_id, excluded_camera=excluded)
-        n_c = min(n, memory.tokens.shape[0])
+        n_c = min(selector.n_prototypes, memory.tokens.shape[0])
         return np.vstack(generate_prototypes(model, memory, n_c)), fell_back
     points = gallery.class_matrix(class_id) if fell_back else gallery.features[kept]
-    protos, _ = class_prototypes(points, class_id, replace(cfg.selector, n_prototypes=n))
+    protos, _ = class_prototypes(points, class_id, selector)
     return protos, fell_back
 
 
@@ -262,8 +261,10 @@ def build_protocol_prototypes(
     element is the base set itself; under camera-filter it maps each query
     id to a set whose own class was rebuilt without the query's camera.
     Per-(class, camera) results are cached and shared between queries.
+    The selector config for ``n`` is built once and serves every group.
     """
-    base = _select_base(cfg, gallery, model, n)
+    selector = replace(cfg.selector, n_prototypes=n)
+    base = _select_base(selector, gallery, model)
     if cfg.protocol == "plain":
         return base, base, []
     group_psets: dict[tuple[int, int], PrototypeSet] = {}
@@ -281,7 +282,7 @@ def build_protocol_prototypes(
                     {"class": class_id, "camera": camera, "fallback": False, "absent": True}
                 )
             else:
-                protos, fell_back = _regen_class(cfg, gallery, model, class_id, camera, n)
+                protos, fell_back = _regen_class(selector, gallery, model, class_id, camera)
                 group_psets[key] = base.replace_class(class_id, protos)
                 group_info.append({"class": class_id, "camera": camera, "fallback": fell_back})
         mapping[query_id] = group_psets[key]

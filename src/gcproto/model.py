@@ -694,6 +694,10 @@ def load_model(path) -> GcpModel:
             raise DataFormatError(f"{path}: parameter {name!r} extends past end of file")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         params[name] = arr.astype(np.float64).reshape(shape)
+    if end != len(blob):
+        raise DataFormatError(
+            f"{path}: {len(blob) - end} extra bytes after the last parameter"
+        )
     for name, arr in params.items():
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValueError(f"{path}: parameter {name!r} has non-finite values")

@@ -472,6 +472,10 @@ def _load_binary(path: Path) -> EmbeddingSet:
     except (struct.error, ValueError):
         # ValueError comes from np.frombuffer when the blob ends mid-vector.
         raise DataFormatError(f"{path}: truncated file") from None
+    if offset != len(data):
+        raise DataFormatError(
+            f"{path}: {len(data) - offset} extra bytes after the last of {count} records"
+        )
     try:
         ids = [raw.decode("utf-8") for raw in ids]
     except UnicodeDecodeError:

@@ -9,8 +9,9 @@ prefixes, finite-difference gradient agreement through the full decoder,
 decoder permutation/prefix invariants, the prototype-count tradeoff and
 baseline ordering on the shipped synthetic preset, the anti-collapse
 effect of the diversity term, and a selection + evaluation throughput
-floor.  A last test pins the artifacts of every non-learned selector
-under both protocols on the shipped preset."""
+floor.  A last test pins the artifacts of every selector under both
+protocols: the non-learned ones on the shipped preset, the learned
+generator (checkpoint included) on a small synthetic set."""
 
 import hashlib
 import time
@@ -447,8 +448,10 @@ def test_criterion_10_selection_and_evaluation_throughput():
     )
 
 
-# sha256 over report.json, prototypes.json and camera_filter_groups.json
-# (when written), each preceded by its name, as first recorded.
+# sha256 over model.gcpm, report.json, prototypes.json and
+# camera_filter_groups.json (when written), each preceded by its name, as
+# first recorded.  The learned generator trains a small model on its own
+# synthetic set; every other method runs the tradeoff preset.
 ARTIFACT_DIGESTS = {
     ("instance", "plain"):
         "ed718805a4818b30da2b279950631d0b5e289a6f3ee94f1ee1288d97ad4b4e87",
@@ -470,20 +473,31 @@ ARTIFACT_DIGESTS = {
         "fb74b886f02a3a752f6a364d3cc1ba3c565c07f82a16b47fb992ff83554c9bd1",
     ("alphafps", "camera-filter"):
         "1f72b95e60aec474f0e9a3ff2943dd3979252efb2d468abb3bf2b75af8ff2cbb",
+    ("gcp", "plain"):
+        "e66f6c065fe6ea7265fa3573a5edb6c7060faf40eacc45c4dfc5061dbaf4debf",
+    ("gcp", "camera-filter"):
+        "8ce774f2cd41fc219dfc92f7fdf7bc901d49e254b850c74cd1db3838731e7721",
 }
 
 
 @pytest.mark.parametrize("method, protocol", sorted(ARTIFACT_DIGESTS))
 def test_preset_artifacts_are_pinned(method, protocol, tmp_path):
+    if method == "gcp":
+        data = dict(
+            synthetic=SyntheticSpec(n_classes=24, instances_per_class=10, dim=32, seed=3),
+            gcp=GcpConfig(dim=32, epochs=2, seed=3),
+        )
+    else:
+        data = dict(preset="tradeoff")
     cfg = ExperimentConfig(
         selector=SelectorConfig(method=method),
-        preset="tradeoff",
         protocol=protocol,
         per_query_ap=True,
+        **data,
     )
     run_experiment(cfg, out_dir=tmp_path)
     h = hashlib.sha256()
-    for name in ("report.json", "prototypes.json", "camera_filter_groups.json"):
+    for name in ("model.gcpm", "report.json", "prototypes.json", "camera_filter_groups.json"):
         path = tmp_path / name
         if path.exists():
             h.update(name.encode())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcproto import autodiff as ad
 
@@ -211,6 +212,111 @@ class TestNormalizers:
                 return ad.sum_(ad.mul(y, ad.const(RNG_W[y.data.shape])))
 
             check(build, init)
+
+
+def seed_softmax_rows(x):
+    """Softmax over the last axis through the ndarray reduction methods."""
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def seed_layer_norm(x, gain, bias, eps):
+    """Layer norm through the ndarray reduction methods."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv * gain + bias
+
+
+@st.composite
+def row_batches(draw, masked=False):
+    """Float64 arrays of a leading shape and a last axis of 1..300 entries
+    (across numpy's 8- and 128-element pairwise-sum blocks), contiguous or
+    strided, optionally with -inf entries that leave each row one finite one."""
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3), (2, 1, 4)]))
+    width = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    shift = draw(st.sampled_from([0.0, 1e4]))
+    x = rng.normal(shift, scale, size=lead + (width, 2))
+    x = x[..., 0] if draw(st.booleans()) else np.ascontiguousarray(x[..., 0])
+    if masked:
+        hidden = rng.random(x.shape) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+        kept = rng.integers(width, size=lead + (1,))
+        np.put_along_axis(hidden, kept, False, axis=-1)
+        x[hidden] = -np.inf
+    return x
+
+
+def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
+    return (
+        actual.dtype == expected.dtype
+        and actual.shape == expected.shape
+        and actual.tobytes() == expected.tobytes()
+    )
+
+
+class TestConstantFastPath:
+    """Constant inputs take the lean path: the same bits as the ndarray
+    reduction methods, and ``Tensor`` storing what ``np.asarray`` gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.one_of(row_batches(), row_batches(masked=True)))
+    def test_softmax_rows_matches_reduction_methods(self, x):
+        assert same_bits(ad.softmax_rows(ad.const(x)).data, seed_softmax_rows(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=row_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_layer_norm_matches_reduction_methods(self, x, seed):
+        rng = np.random.default_rng(seed)
+        gain = rng.normal(1.0, 0.5, size=x.shape[-1])
+        bias = rng.normal(size=x.shape[-1])
+        out = ad.layer_norm(ad.const(x), ad.const(gain), ad.const(bias), 1e-5)
+        assert same_bits(out.data, seed_layer_norm(x, gain, bias, 1e-5))
+
+    def test_float64_array_is_stored_without_copy(self):
+        x = np.arange(6.0).reshape(2, 3)
+        for arr in (x, x.T, x[:, ::2], np.array(2.5)):
+            assert ad.Tensor(arr).data is arr
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["list", "nested", "int", "float", "float64", "float32", "int64",
+             "f8-scalar", "f4-scalar", "big-endian", "subclass"]
+        ),
+        values=st.lists(st.floats(width=32), min_size=1, max_size=6),
+    )
+    def test_other_inputs_convert_as_asarray_does(self, kind, values):
+        class Sub(np.ndarray):
+            pass
+
+        x = {
+            "list": values,
+            "nested": [values, values],
+            "int": len(values),
+            "float": values[0],
+            "float64": np.array(values),
+            "float32": np.array(values, dtype=np.float32),
+            "int64": np.arange(len(values)),
+            "f8-scalar": np.float64(values[0]),
+            "f4-scalar": np.float32(values[0]),
+            "big-endian": np.array(values, dtype=">f8"),
+            "subclass": np.array(values).view(Sub),
+        }[kind]
+        expected = np.asarray(x, dtype=np.float64)
+        data = ad.Tensor(x).data
+        assert type(data) is np.ndarray and data.dtype.isnative
+        assert same_bits(data, expected)
+        assert (data is x) == (expected is x)
+
+    @given(flags=st.lists(st.booleans(), max_size=3), own=st.booleans())
+    def test_requires_grad_propagates_from_parents(self, flags, own):
+        parents = tuple(ad.Tensor(np.zeros(1), requires_grad=f) for f in flags)
+        node = ad.Tensor(np.ones(1), parents, requires_grad=own)
+        assert node.requires_grad == (own or any(flags))
 
 
 class TestGraphMechanics:

@@ -2,14 +2,36 @@
 
 ``bench/spans.py`` replaces ``owner.__dict__[attr]`` for every target, so a
 renamed or deleted function breaks only the benchmark unless this checks it.
+The counts it takes must also mean what they say: every autodiff node goes
+through ``Tensor.__init__``.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from gcproto.autodiff import Tensor
+from gcproto.model import (
+    ClassBatch,
+    GcpConfig,
+    GcpModel,
+    Memory,
+    generate_prototypes,
+    init_params,
+    loss_and_grads,
+    mine_negative_distances,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "bench" / "spans.py"
+SRC_DIR = ROOT / "src"
 
 
 def load_spans():
@@ -29,3 +51,68 @@ SPANS = load_spans()
 )
 def test_traced_name_is_defined_on_its_owner(owner, attr):
     assert attr in owner.__dict__
+
+
+def count_node_constructions() -> list[dict[str, int]]:
+    """``Tensor.__new__`` and ``Tensor.__init__`` calls during one small
+    ``generate_prototypes`` call and one ``loss_and_grads`` step.
+
+    Patches ``Tensor`` for good: once a Python ``__new__`` is set on a
+    class, deleting it leaves the slot looking the name up, and
+    ``object.__new__`` then refuses the constructor's arguments.  Run it in
+    its own interpreter.
+    """
+    calls: Counter = Counter()
+    init = Tensor.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        calls["new"] += 1
+        return object.__new__(cls)
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    cfg = GcpConfig(dim=8, n_blocks=2, n_heads=2, ffn_dim=8, n_cameras=2, dropout_rate=0.2)
+    rng = np.random.default_rng(0)
+    model = GcpModel(cfg, init_params(cfg, rng))
+    memory = Memory(rng.normal(size=(5, cfg.dim)), 0, tuple("abcde"))
+    feats = [rng.normal(size=(4, cfg.dim)) for _ in range(2)]
+    batches = [
+        ClassBatch(c, f, neg, f[:3], np.array([0, 1, 1]), cfg.n_prototypes)
+        for c, (f, neg) in enumerate(zip(feats, mine_negative_distances(feats)))
+    ]
+    Tensor.__new__ = staticmethod(counting_new)
+    Tensor.__init__ = counting_init
+    counts = []
+    for run in (
+        lambda: generate_prototypes(model, memory, 3),
+        lambda: loss_and_grads(model.params, cfg, batches, np.random.default_rng(1)),
+    ):
+        calls.clear()
+        run()
+        counts.append(dict(calls))
+    return counts
+
+
+def test_every_tensor_is_built_through_init():
+    """The benchmark counts autodiff nodes (``autodiff.tensors_generate``,
+    ``autodiff.tensors_train``) by wrapping ``Tensor.__init__``, so a node
+    made by ``Tensor.__new__`` without ``__init__`` would go uncounted."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    generate, train_step = json.loads(proc.stdout.splitlines()[-1])
+    for counts in (generate, train_step):
+        assert counts["init"] > 100
+        assert counts.get("new", 0) == counts["init"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(count_node_constructions()))

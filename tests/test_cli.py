@@ -14,6 +14,7 @@ from gcproto.cli import main
 from gcproto.harness import load_prototypes
 from gcproto.model import load_model
 from gcproto.selectors import SelectorConfig
+from gcproto.store import load_embedding_set, save_embedding_set
 
 TINY_GCP = {
     "dim": 6, "n_blocks": 1, "n_heads": 2, "ffn_dim": 8, "dropout_rate": 0.0,
@@ -233,6 +234,29 @@ class TestEval:
         assert rc == 1
         line = err_line(capsys)
         assert line.startswith("error:format: ") and "not UTF-8" in line
+
+    @pytest.mark.parametrize("damaged", ["data", "checkpoint"])
+    def test_trailing_bytes_print_one_error_line(self, datadir, capsys, damaged):
+        gallery = datadir / "data" / "gallery.gcpe"
+        save_embedding_set(load_embedding_set(datadir / "data" / "gallery.csv"), gallery)
+        args = ["eval", "--data", str(gallery),
+                "--queries", str(datadir / "data" / "queries.csv")]
+        if damaged == "checkpoint":
+            gcp_cfg = datadir / "gcp.json"
+            gcp_cfg.write_text(json.dumps(TINY_GCP), encoding="utf-8")
+            target = datadir / "model.gcpm"
+            assert main(["train", "--data", str(gallery), "--config", str(gcp_cfg),
+                         "--out", str(target)]) == 0
+            args += ["--method", "gcp", "--checkpoint", str(target)]
+        else:
+            target = gallery
+            args += ["--method", "centroid"]
+        assert main(args) == 0
+        capsys.readouterr()
+        target.write_bytes(target.read_bytes() + bytes(8))
+        assert main(args) == 1
+        line = err_line(capsys)
+        assert line.startswith("error:format: ") and "8 extra bytes" in line
 
     def test_invalid_config_json(self, datadir, capsys):
         path = datadir / "broken.json"

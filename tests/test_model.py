@@ -842,10 +842,16 @@ class TestCheckpoint:
 
     def test_rewrite_helper_round_trips(self, tmp_path):
         model, path = self.trained(tmp_path)
-        rewrite_checkpoint(path, tail=bytes(8))
+        rewrite_checkpoint(path)
         loaded = load_model(path)
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, path = self.trained(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DataFormatError, match="8 extra bytes after the last parameter"):
+            load_model(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         model, path = self.trained(tmp_path)

@@ -429,6 +429,14 @@ class TestBinaryIo:
         with pytest.raises(DataFormatError, match="truncated"):
             load_embedding_set(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        es = build_set(np.ones((6, 4)), [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1])
+        path = tmp_path / "x.gcpe"
+        save_embedding_set(es, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 40)
+        with pytest.raises(DataFormatError, match="40 extra bytes after the last of 6 records"):
+            load_embedding_set(path)
+
     def test_id_not_utf8(self, tmp_path):
         es = build_set(np.ones((2, 3)), [0, 1], [0, 0])
         path = tmp_path / "x.gcpe"
