@@ -308,6 +308,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    # a tuple of its own: the caller's list may grow, and holding it from
+    # the backward closure would tie later nodes into a reference cycle
+    parts = tuple(parts)
     out = np.concatenate([p.data for p in parts], axis=axis)
     if not any(p.requires_grad for p in parts):
         return Tensor(out)
@@ -321,4 +324,4 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl[axis] = slice(lo, hi)
                 p._accumulate(g[tuple(sl)])
 
-    return Tensor(out, tuple(parts), backward)
+    return Tensor(out, parts, backward)

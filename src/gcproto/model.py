@@ -166,8 +166,29 @@ def init_params(cfg: GcpConfig, rng: np.random.Generator) -> dict[str, np.ndarra
 
 @dataclass
 class GcpModel:
+    """A generator's config and parameter arrays.
+
+    Construction wraps each parameter array, without a copy, in a constant
+    ``Tensor`` that every ``generate_prototypes`` call reuses, so in-place
+    edits of the arrays are seen by generation.
+    """
+
     config: GcpConfig
     params: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        self._const_params = _wrap_params(self.params, requires_grad=False)
+
+    @property
+    def const_params(self) -> dict[str, Tensor]:
+        """``params`` as constant nodes; wrapped again only when the dict no
+        longer holds the arrays they wrap."""
+        consts = self._const_params
+        if consts.keys() != self.params.keys() or any(
+            consts[k].data is not v for k, v in self.params.items()
+        ):
+            self._const_params = consts = _wrap_params(self.params, requires_grad=False)
+        return consts
 
 
 @dataclass(frozen=True)
@@ -338,8 +359,7 @@ def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> list[np.ndar
             f"memory tokens have width {memory.tokens.shape[-1]}, "
             f"model dim is {model.config.dim}"
         )
-    params = _wrap_params(model.params, requires_grad=False)
-    rows = _generate_rows(params, model.config, Tensor(memory.tokens[None]), n)
+    rows = _generate_rows(model.const_params, model.config, Tensor(memory.tokens[None]), n)
     return [r.copy() for r in rows.data[0]]
 
 

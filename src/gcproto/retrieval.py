@@ -11,10 +11,11 @@ galleries admit both readings.
 ranking.  It takes queries in blocks of ``QUERY_BLOCK`` and gets squared
 distances to the packed prototypes from one GEMM per block
 (‖q‖² + ‖p‖² − 2qpᵀ, the decomposition used by exact L2 search in
-FAISS).  A set made by ``PrototypeSet.replace_class`` is ranked against
-its base's packed matrix; the rows it holds in place of the base's get
-squared distances from one ``cdist`` call per set, so the camera-filter
-protocol costs one GEMM plus a few rows per (class, camera) group.  The
+FAISS), written into one buffer that every block reuses.  A set made by
+``PrototypeSet.replace_class`` is ranked against its base's packed
+matrix; the rows it holds in place of the base's get squared distances
+from one ``cdist`` call per set, so the camera-filter protocol costs one
+GEMM plus a few rows per (class, camera) group.  The
 squared norms these distances need are computed here too; the store keeps
 none.  Each own-class item is ranked by counting the prototypes certainly
 nearer than it, given a certified rounding margin on these approximate
@@ -42,7 +43,7 @@ from .store import EmbeddingRecord, EmbeddingSet, PrototypeSet, pack
 
 DEFAULT_MAX_RANK = 25
 # Queries per GEMM in ``evaluate``; bounds the block's (queries, P)
-# approximate distance matrix, the only one kept.
+# approximate distance matrix, one buffer reused by every block.
 QUERY_BLOCK = 128
 
 AP_MODES = ("per_prototype", "per_identity")
@@ -203,20 +204,27 @@ def _certified(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 class _RankKernel:
     """Exact own-class ranks of queries against one packed prototype set
-    and the sets made from it by ``replace_class``."""
+    and the sets made from it by ``replace_class``.
 
-    def __init__(self, base: PrototypeSet):
+    The GEMM distances of every query block go into one buffer of
+    ``min(QUERY_BLOCK, n_queries)`` rows, overwritten block after block, so
+    one block's (queries, P) matrix is alive at a time."""
+
+    def __init__(self, base: PrototypeSet, n_queries: int):
         self.mat, self.classes, _ = base.flattened()
         self.sq_norms = _sq_norms(self.mat)
         self.max_sq_norm = float(self.sq_norms.max(initial=0.0))
         self.spans = base.class_spans
+        self._block = np.empty((min(QUERY_BLOCK, n_queries), len(self.mat)))
 
     def approx_sq_dists(self, qmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(‖q‖² per query, GEMM squared distances to every packed row)."""
+        """(‖q‖² per query, GEMM squared distances to every packed row); the
+        distances are a view of the buffer, valid until the next call."""
         q_sq = _sq_norms(qmat)
+        approx = self._block[: len(qmat)]
         # values that overflow are caught by the finiteness check of own_ranks
         with np.errstate(over="ignore", invalid="ignore"):
-            approx = qmat @ self.mat.T
+            np.matmul(qmat, self.mat.T, out=approx)
             approx *= -2.0
             approx += self.sq_norms
             approx += q_sq[:, None]
@@ -332,7 +340,7 @@ def evaluate(
     ranks_of: list[np.ndarray] = [None] * n
     classes = queries.row_classes.tolist()
     for base, items in by_base.items():
-        kernel = _RankKernel(base)
+        kernel = _RankKernel(base, len(items))
         for start in range(0, len(items), QUERY_BLOCK):
             block = items[start : start + QUERY_BLOCK]
             qmat = queries.features[[qi for qi, _, _ in block]]

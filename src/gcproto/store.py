@@ -23,10 +23,11 @@ when a caller asks for ``records``.  A set is immutable after construction
 and safe for concurrent reads.
 
 ``PrototypeSet`` packs its classes into one read-only matrix with the one
-packer, :func:`pack`.  The camera-filter protocol's per-group sets are made
-by ``replace_class``: each shares a packed ``base`` and records only the
-classes it ``replaced``, which is all the evaluator needs to rank against
-the base's matrix plus a few spliced rows.
+packer, :func:`pack`, which takes a view instead of a copy when the classes
+already lie in order in one read-only matrix.  The camera-filter protocol's
+per-group sets are made by ``replace_class``: each shares a packed ``base``
+and records only the classes it ``replaced``, which is all the evaluator
+needs to rank against the base's matrix plus a few spliced rows.
 """
 
 from __future__ import annotations
@@ -246,13 +247,52 @@ def _checked_rows(class_id: int, protos) -> np.ndarray:
     return arr
 
 
+def _owner(arr: np.ndarray) -> np.ndarray:
+    return arr if arr.base is None else arr.base
+
+
+def _shared_block(parts: list[np.ndarray], dim: int) -> np.ndarray | None:
+    """``parts`` stacked as one read-only view, when they lie end to end, in
+    order, in the memory of one read-only, C-contiguous float64 owner and
+    every part is a read-only, C-contiguous float64 (k, dim) array; else None."""
+    parts = [p for p in parts if len(p)]
+    if not parts or dim == 0:
+        return None
+    owner = _owner(parts[0])
+    if not (
+        isinstance(owner, np.ndarray) and owner.dtype == np.float64
+        and owner.flags.c_contiguous and not owner.flags.writeable
+    ):
+        return None
+    start = end = parts[0].ctypes.data
+    for p in parts:
+        if (
+            _owner(p) is not owner or p.flags.writeable or not p.flags.c_contiguous
+            or p.dtype != np.float64 or p.shape[1:] != (dim,) or p.ctypes.data != end
+        ):
+            return None
+        end += p.nbytes
+    first = (start - owner.ctypes.data) // 8
+    return owner.reshape(-1)[first : first + (end - start) // 8].reshape(-1, dim)
+
+
 def pack(per_class: Mapping[int, np.ndarray], dim: int):
     """Every class's rows packed into one read-only (P, D) matrix, classes
     ascending: (matrix, parallel class-id array, parallel within-class-index
-    array, read-only class id -> slice of the matrix holding its rows)."""
+    array, read-only class id -> slice of the matrix holding its rows).
+
+    The matrix is a view, sharing storage, when the classes' arrays lie end
+    to end, in ascending class order, in one read-only, C-contiguous float64
+    owner (consecutive row ranges of it, as ``EmbeddingSet.class_matrix``
+    gives them for a class-sorted set); otherwise, or when the owner or a
+    part is writable, the rows are copied.  Either way the matrix holds the
+    bits the concatenation would."""
     ids = sorted(per_class)
-    counts = np.array([len(per_class[c]) for c in ids], dtype=np.int64)
-    matrix = np.concatenate([per_class[c] for c in ids]) if ids else np.empty((0, dim))
+    parts = [per_class[c] for c in ids]
+    counts = np.array([len(p) for p in parts], dtype=np.int64)
+    matrix = _shared_block(parts, dim)
+    if matrix is None:
+        matrix = np.concatenate(parts) if ids else np.empty((0, dim))
     classes = np.repeat(np.array(ids, dtype=np.int64), counts)
     stops = np.cumsum(counts)
     index = np.arange(len(classes), dtype=np.int64) - np.repeat(stops - counts, counts)
@@ -269,11 +309,14 @@ class PrototypeSet:
     List position within a class records the generation iteration, which is
     meaningful for the iterative selectors.
 
-    Storage is packed and read-only: construction copies every class into
-    one (P, D) float64 matrix, rows ordered by (class ascending, prototype
-    index), and ``per_class`` becomes a read-only mapping of row views into
-    it.  Such a packed set is its own ``base`` and has no ``replaced``
-    classes.  ``replace_class`` makes a derived set that shares its base's
+    Storage is packed and read-only: construction puts every class into one
+    (P, D) float64 matrix with :func:`pack`, rows ordered by (class
+    ascending, prototype index), and ``per_class`` becomes a read-only
+    mapping of row views into it.  The matrix shares storage with the
+    classes' arrays when they tile one read-only owner in that order, as an
+    instance selection over a class-sorted ``EmbeddingSet`` does; otherwise
+    every class is copied.  Such a packed set is its own ``base`` and has
+    no ``replaced`` classes.  ``replace_class`` makes a derived set that shares its base's
     storage: ``base`` is that packed set and ``replaced`` maps each class
     id to the rows the derived set holds in place of the base's, so a chain
     of replacements is flat.  Sets compare by identity.

@@ -144,25 +144,41 @@ def _draw_records(
     extents: np.ndarray,
     sizes: np.ndarray,
 ):
-    """(vectors, classes, cameras) of ``sizes[c]`` records per class, in order."""
+    """(vectors, classes, cameras) of ``sizes[c]`` records per class, in order.
+
+    Per record the stream gives its camera, then (with ``axes``) its slide
+    draws, then its noise, which goes straight into its row: the draws and
+    their order are those of ``centers[c] + offsets[cam] + slide * extent *
+    axis + rng.normal(0, s, D)`` record by record, and so are the bits.
+    ``standard_normal`` consumes what ``normal`` does and ``normal`` returns
+    ``0.0 + s * z``, so the noise is scaled and shifted by 0.0 after the
+    loop; each class's (camera-dependent) mean is then added once per block
+    of its rows.
+    """
     classes = np.repeat(np.arange(spec.n_classes, dtype=np.int64), sizes)
     cameras = np.empty(len(classes), dtype=np.int64)
+    slides = np.zeros(len(classes))
     vectors = np.empty((len(classes), spec.dim))
-    for i, c in enumerate(classes.tolist()):
-        cam = int(rng.integers(spec.n_cameras))
-        vec = centers[c] + offsets[cam]
+    for i in range(len(classes)):
+        cameras[i] = rng.integers(spec.n_cameras)
         if axes is not None:
             mag = rng.uniform(spec.elongation_floor, 1.0)
             sign = 1.0 if rng.random() < 0.5 else -1.0
             if spec.tail_fraction > 0.0:
                 # contamination: a minority of instances slide, always
                 # toward the positive end; the rest stay on the core
-                slide = mag if rng.random() < spec.tail_fraction else 0.0
+                slides[i] = mag if rng.random() < spec.tail_fraction else 0.0
             else:
-                slide = sign * mag
-            vec = vec + slide * extents[c] * axes[c]
-        vectors[i] = vec + rng.normal(0.0, spec.within_class_noise, spec.dim)
-        cameras[i] = cam
+                slides[i] = sign * mag
+        rng.standard_normal(out=vectors[i])
+    vectors *= spec.within_class_noise
+    vectors += 0.0
+    stops = np.cumsum(sizes).tolist()
+    for c, (lo, hi) in enumerate(zip([0, *stops], stops)):
+        mean = centers[c] + offsets[cameras[lo:hi]]
+        if axes is not None:
+            mean += (slides[lo:hi] * extents[c])[:, None] * axes[c]
+        vectors[lo:hi] += mean
     return vectors, classes, cameras
 
 

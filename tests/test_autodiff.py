@@ -337,6 +337,19 @@ class TestGraphMechanics:
         y = ad.mul(leaf(np.ones(2)), ad.const(np.ones(2)))
         assert y.requires_grad
 
+    def test_concat_keeps_its_parts_when_the_callers_list_changes(self):
+        a, b, c = leaf(RNG.normal(size=(2, 3))), leaf(RNG.normal(size=(1, 3))), leaf(np.ones((1, 3)))
+        w = RNG.normal(size=(3, 3))
+        for mutate in (list.clear, lambda parts: parts.append(c), lambda parts: parts.reverse()):
+            a.grad = b.grad = c.grad = None
+            parts = [a, b]
+            out = ad.concat(parts, axis=0)
+            mutate(parts)
+            ad.sum_(ad.mul(out, ad.const(w))).backward()
+            np.testing.assert_array_equal(a.grad, w[:2])
+            np.testing.assert_array_equal(b.grad, w[2:])
+            assert c.grad is None
+
     def test_deep_chain_no_recursion_limit(self):
         t = leaf(np.array([1.0]))
         node = t

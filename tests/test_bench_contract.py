@@ -3,7 +3,7 @@
 ``bench/spans.py`` replaces ``owner.__dict__[attr]`` for every target, so a
 renamed or deleted function breaks only the benchmark unless this checks it.
 The counts it takes must also mean what they say: every autodiff node goes
-through ``Tensor.__init__``.
+through ``Tensor.__init__``.  And the benchmark's own tests must pass.
 """
 
 import importlib.util
@@ -112,6 +112,20 @@ def test_every_tensor_is_built_through_init():
     for counts in (generate, train_step):
         assert counts["init"] > 100
         assert counts.get("new", 0) == counts["init"]
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own tests (its workloads, gate and tracer at a tiny
+    size) run against this tree, so a change that breaks the benchmark's
+    contract fails here too."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
 
 if __name__ == "__main__":

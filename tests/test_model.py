@@ -3,6 +3,7 @@ loss values against independent re-derivations, the batched loss graph
 against a per-class reference graph, finite-difference gradient agreement,
 training behavior, and checkpoint integrity."""
 
+import gc
 import json
 import os
 import struct
@@ -286,6 +287,25 @@ class TestGeneration:
             for x, y in zip(a, b):
                 np.testing.assert_allclose(x, y, atol=1e-9)
 
+    def test_parameter_nodes_are_built_once_and_follow_the_arrays(self):
+        model = tiny_model(4)
+        mem = self.mem(model, np.random.default_rng(6))
+        consts = model.const_params
+        generate_prototypes(model, mem, 2)
+        assert model.const_params is consts
+        assert all(consts[k].data is v for k, v in model.params.items())
+
+        def fresh():
+            params = {k: v.copy() for k, v in model.params.items()}
+            return generate_prototypes(GcpModel(model.config, params), mem, 2)
+
+        model.params["head.b"] += 1.0  # in place: the same nodes see it
+        np.testing.assert_array_equal(generate_prototypes(model, mem, 2), fresh())
+        assert model.const_params is consts
+        model.params["head.b"] = model.params["head.b"] - 2.0  # a new array
+        np.testing.assert_array_equal(generate_prototypes(model, mem, 2), fresh())
+        assert model.const_params["head.b"].data is model.params["head.b"]
+
     def test_dim_mismatch(self):
         model = tiny_model()
         bad = Memory(tokens=np.ones((3, 7)), class_id=0, source_record_ids=())
@@ -447,6 +467,22 @@ class TestTrainingLossGraph:
         if reg:
             val += cfg.lam * np.mean(reg)
         return val
+
+    def test_a_step_leaves_no_reference_cycle(self):
+        # the graph is a DAG, freed by reference counting as soon as the
+        # step returns; a cycle would keep it until the cyclic collector ran
+        cfg = GcpConfig(
+            dim=4, n_blocks=2, n_heads=2, ffn_dim=8, dropout_rate=0.2, n_prototypes=3, n_cameras=2
+        )
+        model = tiny_model(2, cfg)
+        batches = self.batches(model, np.random.default_rng(9), n_protos=3)
+        gc.collect()
+        gc.disable()
+        try:
+            loss_and_grads(model.params, model.config, batches, np.random.default_rng(1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_value_matches_numpy_rederivation(self):
         for seed in range(5):

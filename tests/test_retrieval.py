@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +30,9 @@ from gcproto.retrieval import (
     report_to_csv,
     report_to_json,
 )
+from gcproto.selectors import SelectorConfig, run_selector
 from gcproto.store import EmbeddingSet, PrototypeSet, build_set
+from gcproto.synthetic import SyntheticSpec, generate_synthetic
 
 
 # -- oracle --------------------------------------------------------------
@@ -463,6 +466,27 @@ class TestGemmKernel:
 
 
 # -- grouping ------------------------------------------------------------
+
+
+class TestMemory:
+    def test_instance_pipeline_peaks_below_one_gallery_matrix(self):
+        # the instance set shares the class-sorted gallery's rows and the
+        # evaluator keeps one query block of GEMM distances, so selection
+        # plus evaluation allocates less than a copy of the gallery, and
+        # less than two blocks of distances
+        spec = SyntheticSpec(n_classes=80, instances_per_class=25, dim=512, queries_per_class=4)
+        gallery, queries = generate_synthetic(spec)
+        assert len(queries) > 2 * retrieval.QUERY_BLOCK  # three blocks
+        tracemalloc.start()
+        try:
+            pset = run_selector(gallery, SelectorConfig(method="instance"))
+            rep = evaluate(queries, pset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_queries == len(queries)
+        assert peak < gallery.features.nbytes
+        assert peak < 2 * retrieval.QUERY_BLOCK * len(gallery) * 8
 
 
 class TestBuckets:

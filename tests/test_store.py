@@ -548,3 +548,87 @@ class TestPrototypeSet:
     def test_non_finite(self):
         with pytest.raises(NonFiniteValueError):
             PrototypeSet({0: np.array([[np.inf, 0.0]])}, "fps")
+
+
+# How the classes' arrays relate to one owner matrix.  "tiled" cuts them as
+# consecutive row ranges, in class order, of a read-only owner, and
+# "straddling" as consecutive stretches of its memory that cross its rows;
+# every other layout breaks one condition of sharing.
+SHARED_LAYOUTS = ("tiled", "straddling")
+LAYOUTS = SHARED_LAYOUTS + (
+    "gap", "reordered", "writable_owner", "writable_part", "strided", "copied_part",
+)
+
+
+@st.composite
+def class_arrays(draw):
+    """(per-class arrays, the matrix they are cut from, layout)."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    dim = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+    if layout == "strided":  # one class, its rows every other row of the owner
+        lengths = [max(lengths[0], 2)] + [0] * (len(lengths) - 1)
+    elif layout not in SHARED_LAYOUTS:  # two non-empty classes, so the layout breaks sharing
+        lengths[0], lengths[-1] = max(lengths[0], 1), max(lengths[-1], 1)
+    lead, tail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    gap = 1 if layout == "gap" else 0
+    n_rows = (2 if layout == "strided" else 1) * (lead + sum(lengths) + gap + tail + 1)
+    values = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=n_rows * dim, max_size=n_rows * dim,
+    ))
+    owner = np.array(np.reshape(values, (n_rows, dim)))  # owns its memory
+    rows = owner[::2] if layout == "strided" else owner
+    parts, start = [], lead
+    for i, k in enumerate(lengths):
+        if layout == "straddling":
+            parts.append(owner.reshape(-1)[start * dim + 1 : (start + k) * dim + 1].reshape(k, dim))
+        else:
+            parts.append(rows[start : start + k])
+        start += k + (gap if i == 0 else 0)
+    if layout == "copied_part":
+        parts[-1] = parts[-1].copy()
+        parts[-1].setflags(write=False)
+    if layout != "writable_owner":
+        owner.setflags(write=False)  # after slicing: "writable_part" keeps writable views
+    if layout != "writable_part":
+        for p in parts:
+            p.setflags(write=False)
+    ids = list(range(len(parts)))
+    if layout == "reordered":
+        ids.reverse()
+    return dict(zip(ids, parts)), owner, layout
+
+
+class TestPacking:
+    @settings(max_examples=150, deadline=None)
+    @given(case=class_arrays())
+    def test_packing_equals_concatenation_and_shares_exactly_a_tiling(self, case):
+        per_class, owner, layout = case
+        given_bytes = {c: arr.tobytes() for c, arr in per_class.items()}
+        ids = sorted(per_class)
+        want = np.concatenate([per_class[c] for c in ids])
+        pset = PrototypeSet(per_class, "instance")
+        mat, cls, idx = pset.flattened()
+        assert mat.shape == want.shape and mat.dtype == want.dtype
+        assert mat.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(cls, np.repeat(ids, [len(per_class[c]) for c in ids]))
+        np.testing.assert_array_equal(idx, np.concatenate([np.arange(len(per_class[c])) for c in ids]))
+        stops = np.cumsum([len(per_class[c]) for c in ids]).tolist()
+        assert pset.class_spans == {c: slice(e - len(per_class[c]), e) for c, e in zip(ids, stops)}
+        for c in ids:
+            assert pset.per_class[c].tobytes() == given_bytes[c]
+            assert pset.per_class[c].shape == per_class[c].shape
+        assert not any(arr.flags.writeable for arr in (mat, cls, idx))
+        shared = layout in SHARED_LAYOUTS and len(want) > 0
+        assert np.shares_memory(mat, owner) == shared
+        assert all(np.shares_memory(pset.per_class[c], mat) for c in ids if len(per_class[c]))
+
+    def test_instance_selection_shares_a_class_sorted_gallery(self):
+        vecs = np.arange(24.0).reshape(6, 4)
+        sorted_set = build_set(vecs, [0, 0, 1, 1, 1, 2], [0] * 6)
+        mixed_set = build_set(vecs, [0, 1, 0, 1, 1, 2], [0] * 6)
+        for eset, shared in ((sorted_set, True), (mixed_set, False)):
+            pset = PrototypeSet({c: eset.class_matrix(c) for c in eset.class_ids}, "instance")
+            assert np.shares_memory(pset.flattened()[0], eset.features) == shared
+            assert not pset.flattened()[0].flags.writeable

@@ -1,10 +1,13 @@
 """Synthetic data generation: reproducibility and degenerate limits."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gcproto import synthetic
 from gcproto.errors import ConfigError
 from gcproto.retrieval import evaluate
 from gcproto.selectors import SelectorConfig, run_selector
@@ -135,6 +138,89 @@ class TestPinnedData:
     def test_generated_sets_are_pinned(self, spec, gallery_digest, query_digest):
         gallery, queries = generate_synthetic(spec)
         assert (set_digest(gallery), set_digest(queries)) == (gallery_digest, query_digest)
+
+
+def per_record_draw(spec, rng, centers, offsets, axes, extents, sizes):
+    """``_draw_records`` as one expression per record: the oracle its
+    in-place rows must equal bit for bit."""
+    classes = np.repeat(np.arange(spec.n_classes, dtype=np.int64), sizes)
+    cameras = np.empty(len(classes), dtype=np.int64)
+    vectors = np.empty((len(classes), spec.dim))
+    for i, c in enumerate(classes.tolist()):
+        cam = int(rng.integers(spec.n_cameras))
+        vec = centers[c] + offsets[cam]
+        if axes is not None:
+            mag = rng.uniform(spec.elongation_floor, 1.0)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            if spec.tail_fraction > 0.0:
+                slide = mag if rng.random() < spec.tail_fraction else 0.0
+            else:
+                slide = sign * mag
+            vec = vec + slide * extents[c] * axes[c]
+        vectors[i] = vec + rng.normal(0.0, spec.within_class_noise, spec.dim)
+        cameras[i] = cam
+    return vectors, classes, cameras
+
+
+@st.composite
+def specs(draw):
+    """Specs over every branch of the draw: fixed or ranged sizes and
+    extents, no elongation, two-sided slides or one-sided tails, tilted
+    axes, free, chained or ring centers, and zero noise."""
+    dim = draw(st.integers(1, 6))
+    geometry = draw(st.sampled_from(["free", "chain", "ring"] if dim >= 2 else ["free", "chain"]))
+    size = st.integers(1, 5)
+    scale = st.floats(0.0, 3.0)
+    return SyntheticSpec(
+        n_classes=draw(st.integers(1, 5)),
+        instances_per_class=draw(size | st.tuples(size, size).map(lambda t: tuple(sorted(t)))),
+        dim=dim,
+        n_cameras=draw(st.integers(1, 4)),
+        within_class_noise=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+        camera_offset_scale=draw(st.floats(0.0, 2.0)),
+        elongation_scale=draw(st.just(0.0) | scale | st.tuples(scale, scale).map(lambda t: tuple(sorted(t)))),
+        elongation_floor=draw(st.floats(0.0, 0.9)),
+        tail_fraction=draw(st.just(0.0) | st.floats(0.01, 0.9)),
+        tail_angle_deg=draw(st.floats(0.0, 90.0)) if dim >= 2 else 0.0,
+        chain_spacing=1.5 if geometry == "chain" else 0.0,
+        ring_spacing=1.5 if geometry == "ring" else 0.0,
+        queries_per_class=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestDrawRecords:
+    @settings(max_examples=120, deadline=None)
+    @given(spec=specs())
+    def test_rows_written_in_place_equal_the_per_record_draw(self, spec):
+        got = generate_synthetic(spec)
+        with mock.patch.object(synthetic, "_draw_records", per_record_draw):
+            want = generate_synthetic(spec)
+        for g, w in zip(got, want):
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.ids == w.ids
+            np.testing.assert_array_equal(g.row_classes, w.row_classes)
+            np.testing.assert_array_equal(g.row_cameras, w.row_cameras)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=specs(), data=st.data())
+    def test_signed_zeros_equal_the_per_record_draw(self, spec, data):
+        # means and slides that are exact zeros of either sign make the sign
+        # of zero noise (s = 0) show in the rows
+        def array(*shape):
+            values = st.lists(st.sampled_from([0.0, -0.0, 1.5]), min_size=int(np.prod(shape)),
+                              max_size=int(np.prod(shape)))
+            return np.reshape(data.draw(values), shape)
+
+        n, d = spec.n_classes, spec.dim
+        axes = array(n, d) if data.draw(st.booleans()) else None
+        sizes = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        inputs = (array(n, d), array(spec.n_cameras, d), axes, array(n), sizes)
+        seed = data.draw(st.integers(0, 2**32))
+        got = synthetic._draw_records(spec, np.random.default_rng(seed), *inputs)
+        want = per_record_draw(spec, np.random.default_rng(seed), *inputs)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestPresets:
