@@ -19,12 +19,7 @@ from .model import (
     select_gcp,
     train,
 )
-from .retrieval import (
-    EvalReport,
-    Ranking,
-    evaluate,
-    rank_query,
-)
+from .retrieval import EvalReport, evaluate
 from .selectors import SelectorConfig, run_selector
 from .store import (
     EmbeddingRecord,
@@ -52,7 +47,6 @@ __all__ = [
     "GcprotoError",
     "Memory",
     "PrototypeSet",
-    "Ranking",
     "SelectorConfig",
     "SyntheticSpec",
     "align_labels",
@@ -62,7 +56,6 @@ __all__ = [
     "generate_synthetic",
     "load_embedding_set",
     "load_model",
-    "rank_query",
     "run_selector",
     "save_embedding_set",
     "save_model",

@@ -41,10 +41,13 @@ Under the camera-filter protocol the query class's prototypes are rebuilt
 per distinct (class, camera) query group with that camera's records
 excluded; other classes keep their full-gallery prototypes.  The rebuild
 takes the base run's own per-class path: ``selectors.class_prototypes`` on
-the kept gallery rows, or ``build_memory`` without the camera plus
-``generate_prototypes`` for the learned generator.  Groups whose every
-class record comes from the query camera fall back to the unfiltered class
-and are flagged in the report.
+the class's gallery rows under a mask of the rows from other cameras, or
+``build_memory`` without the camera plus ``generate_prototypes`` for the
+learned generator.  Groups whose every class record comes from the query
+camera fall back to the unfiltered class and are flagged in the report.
+Each group's set is ``base.replace_class``: it copies two small mappings
+and validates only the rebuilt rows, and the evaluator ranks it against
+the base's packed matrix plus those rows.
 """
 
 from __future__ import annotations
@@ -186,6 +189,8 @@ def load_prototypes(path) -> PrototypeSet:
         }
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad class id or prototype rows ({exc})") from None
+    if any(not -(2**63) <= c < 2**63 for c in per_class):
+        raise DataFormatError(f"{path}: a class id does not fit a 64-bit integer")
     return PrototypeSet(per_class, data["selector"], data.get("params_echo", {}))
 
 
@@ -234,16 +239,15 @@ def _regen_class(
     Returns (prototype rows, fell_back).  Falls back to the unfiltered class
     when every record of the class comes from that camera.
     """
-    dropped = set(gallery.camera_index.get((class_id, camera), ()))
-    kept = [i for i in gallery.class_index[class_id] if i not in dropped]
-    fell_back = not kept
+    kept = gallery.row_cameras[list(gallery.class_index[class_id])] != camera
+    fell_back = not kept.any()
     if selector.method == "gcp":
         excluded = None if fell_back else camera
         memory = build_memory(gallery, model, class_id, excluded_camera=excluded)
         n_c = min(selector.n_prototypes, memory.tokens.shape[0])
         return np.vstack(generate_prototypes(model, memory, n_c)), fell_back
-    points = gallery.class_matrix(class_id) if fell_back else gallery.features[kept]
-    protos, _ = class_prototypes(points, class_id, selector)
+    points = gallery.class_matrix(class_id)
+    protos, _ = class_prototypes(points if fell_back else points[kept], class_id, selector)
     return protos, fell_back
 
 

@@ -11,18 +11,18 @@ galleries admit both readings.
 ranking.  It takes queries in blocks of ``QUERY_BLOCK`` and gets squared
 distances to the packed prototypes from one GEMM per block
 (‖q‖² + ‖p‖² − 2qpᵀ, the decomposition used by exact L2 search in
-FAISS), written into one buffer that every block reuses.  A set made by
-``PrototypeSet.replace_class`` is ranked against its base's packed
-matrix; the rows it holds in place of the base's get squared distances
-from one ``cdist`` call per set, so the camera-filter protocol costs one
-GEMM plus a few rows per (class, camera) group.  The
-squared norms these distances need are computed here too; the store keeps
-none.  Each own-class item is ranked by counting the prototypes certainly
-nearer than it, given a certified rounding margin on these approximate
-distances; a prototype inside the margin is re-checked with exact
-distances, ``np.linalg.norm(rows - q)``, under the tie rule.  Every rank therefore
-equals the brute-force rank: the report does not depend on the block,
-the BLAS library or its thread count.
+FAISS); each block's query rows and distances go into two buffers that
+every block reuses.  A set made by ``PrototypeSet.replace_class`` is
+ranked against its base's packed matrix; the rows it holds in place of
+the base's get squared distances from one ``cdist`` call per set, so the
+camera-filter protocol costs one GEMM plus a few rows per (class, camera)
+group.  The squared norms these distances need are computed here too;
+the store keeps none.  Each own-class item is ranked by counting the
+prototypes certainly nearer than it, given a certified rounding margin on
+these approximate distances; a prototype inside the margin is re-checked
+with exact distances, ``np.linalg.norm(rows - q)``, under the tie rule.
+Every rank therefore equals the brute-force rank: the report does not
+depend on the block, the BLAS library or its thread count.
 
 Final metric averaging is done with sequential scalar arithmetic in a
 fixed order, so an independently coded brute-force implementation that
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
-from .store import EmbeddingRecord, EmbeddingSet, PrototypeSet, pack
+from .store import EmbeddingSet, PrototypeSet, pack
 
 DEFAULT_MAX_RANK = 25
 # Queries per GEMM in ``evaluate``; bounds the block's (queries, P)
@@ -54,36 +54,6 @@ def _exact_dists(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     exact in; one too large for float64 is inf, without a warning."""
     with np.errstate(over="ignore"):
         return np.linalg.norm(rows - q, axis=1)
-
-
-@dataclass(frozen=True)
-class Ranking:
-    query_id: str
-    entries: tuple[tuple[int, int, float], ...]  # (class_id, prototype_index, distance)
-    tie_rule_applied: bool
-
-
-def rank_query(query: EmbeddingRecord, prototypes: PrototypeSet) -> Ranking:
-    """Full ascending ranking of one query against every prototype.
-
-    ``flattened()`` rows are in (class, prototype index) order, so a stable
-    sort on distance applies the tie rule.
-    """
-    if prototypes.total_count() == 0:
-        raise EmptyPrototypeSetError("cannot rank against an empty prototype set")
-    mat, class_arr, proto_arr = prototypes.flattened()
-    if mat.shape[1] != query.vector.shape[0]:
-        raise DimensionMismatchError(
-            f"query dimension {query.vector.shape[0]} vs prototypes {mat.shape[1]}"
-        )
-    dists = _exact_dists(mat, query.vector)
-    order = np.argsort(dists, kind="stable")
-    sorted_d = dists[order]
-    tie = bool(np.any(sorted_d[1:] == sorted_d[:-1])) if len(sorted_d) > 1 else False
-    entries = tuple(
-        (int(class_arr[i]), int(proto_arr[i]), float(dists[i])) for i in order
-    )
-    return Ranking(query_id=query.id, entries=entries, tie_rule_applied=tie)
 
 
 @dataclass
@@ -206,20 +176,26 @@ class _RankKernel:
     """Exact own-class ranks of queries against one packed prototype set
     and the sets made from it by ``replace_class``.
 
-    The GEMM distances of every query block go into one buffer of
-    ``min(QUERY_BLOCK, n_queries)`` rows, overwritten block after block, so
-    one block's (queries, P) matrix is alive at a time."""
+    Every query block is gathered into one buffer of
+    ``min(QUERY_BLOCK, n_queries)`` rows and its GEMM distances go into
+    another, both overwritten block after block, so one block's query rows
+    and (queries, P) matrix are alive at a time."""
 
     def __init__(self, base: PrototypeSet, n_queries: int):
         self.mat, self.classes, _ = base.flattened()
         self.sq_norms = _sq_norms(self.mat)
         self.max_sq_norm = float(self.sq_norms.max(initial=0.0))
         self.spans = base.class_spans
-        self._block = np.empty((min(QUERY_BLOCK, n_queries), len(self.mat)))
+        rows = min(QUERY_BLOCK, n_queries)
+        self._queries = np.empty((rows, self.mat.shape[1]))
+        self._block = np.empty((rows, len(self.mat)))
 
-    def approx_sq_dists(self, qmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(‖q‖² per query, GEMM squared distances to every packed row); the
-        distances are a view of the buffer, valid until the next call."""
+    def approx_sq_dists(self, features: np.ndarray, rows: list[int]):
+        """(the query rows ``rows`` of ``features``, their ‖q‖², GEMM squared
+        distances to every packed row); the rows and distances are views of
+        the buffers, valid until the next call."""
+        # every index is in range; mode "raise" would stage a copy of the block
+        qmat = np.take(features, rows, axis=0, out=self._queries[: len(rows)], mode="clip")
         q_sq = _sq_norms(qmat)
         approx = self._block[: len(qmat)]
         # values that overflow are caught by the finiteness check of own_ranks
@@ -228,7 +204,7 @@ class _RankKernel:
             approx *= -2.0
             approx += self.sq_norms
             approx += q_sq[:, None]
-        return q_sq, approx
+        return qmat, q_sq, approx
 
     def own_ranks(
         self,
@@ -343,8 +319,9 @@ def evaluate(
         kernel = _RankKernel(base, len(items))
         for start in range(0, len(items), QUERY_BLOCK):
             block = items[start : start + QUERY_BLOCK]
-            qmat = queries.features[[qi for qi, _, _ in block]]
-            q_sq, approx = kernel.approx_sq_dists(qmat)
+            qmat, q_sq, approx = kernel.approx_sq_dists(
+                queries.features, [qi for qi, _, _ in block]
+            )
             for (qi, splice, spliced), q, q_sq_i, row in zip(block, qmat, q_sq, approx):
                 ranks_of[qi] = kernel.own_ranks(q, classes[qi], q_sq_i, row, splice, spliced)
     ap_by_query = np.zeros(n)

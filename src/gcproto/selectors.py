@@ -6,6 +6,19 @@ every class of a set, and the camera-filter protocol applies it to one
 class's rows with the query camera left out.  All are deterministic under a
 fixed seed. Ties in nearest/farthest scans are broken by lowest record
 index so repeated runs agree bit-for-bit.
+
+The farthest-point selectors run per class and, under camera-filter, per
+(class, camera) group on a few dozen rows, so each call works in buffers
+made once.  A distance scan subtracts into one (rows, D) buffer, squares
+it in place, sums rows with ``np.add.reduce(axis=1)`` and takes the root
+in place: the operations and contiguous layout of
+``np.linalg.norm(points - anchor, axis=1)``, so every distance and pick is
+bit for bit the norm's.  Interpolated farthest-point sampling writes into
+one preallocated output and marks a picked point by setting its distance
+to ``-inf``, so ``argmax`` over all points returns the lowest-index
+farthest point not yet picked, as a scan over the remaining ones would.
+Only a non-finite prototype, which ``PrototypeSet`` refuses, can make a
+distance NaN and undo that mark.
 """
 
 from __future__ import annotations
@@ -52,8 +65,13 @@ class SelectorConfig:
             raise ConfigError("kmeans_tol must be positive")
 
 
-def _min_dists(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(points - anchor[None, :], axis=1)
+def _dists(points: np.ndarray, anchor: np.ndarray, diff=None, out=None) -> np.ndarray:
+    """``np.linalg.norm(points - anchor, axis=1)``, bit for bit, written
+    into ``diff`` (``points``' shape) and ``out`` (one per row) when given."""
+    diff = np.subtract(points, anchor, out=diff)
+    np.multiply(diff, diff, out=diff)
+    out = np.add.reduce(diff, axis=1, out=out)
+    return np.sqrt(out, out=out)
 
 
 def maximin_selection(points: np.ndarray, n: int, start_index: int) -> list[int]:
@@ -64,11 +82,12 @@ def maximin_selection(points: np.ndarray, n: int, start_index: int) -> list[int]
     """
     n = min(n, points.shape[0])
     chosen = [start_index]
-    min_d = _min_dists(points, points[start_index])
+    diff, d_new = np.empty(points.shape), np.empty(points.shape[0])
+    min_d = _dists(points, points[start_index], diff)
     while len(chosen) < n:
-        nxt = int(np.argmax(min_d))
+        nxt = int(min_d.argmax())
         chosen.append(nxt)
-        np.minimum(min_d, _min_dists(points, points[nxt]), out=min_d)
+        np.minimum(min_d, _dists(points, points[nxt], diff, d_new), out=min_d)
     return chosen
 
 
@@ -80,31 +99,27 @@ def alpha_fps_points(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
     its nearest prototype, and add it. Output row 0 is the centroid, later
     rows follow iteration order; fewer rows when the class runs out of points.
     """
-    if points.shape[0] < 2:
+    m = points.shape[0]
+    if m < 2:
         return points.mean(axis=0, keepdims=True)
-    remaining = list(range(points.shape[0]))
-    protos = [points.mean(axis=0)]
-    # min distance from each remaining point to the prototype set, plus the
-    # index (within protos) of the nearest prototype, kept incrementally
-    d_near = _min_dists(points, protos[0])
-    near_idx = np.zeros(points.shape[0], dtype=np.int64)
-    for _ in range(n):
-        if not remaining:
-            break
-        rem = np.array(remaining)
-        far_pos = int(np.argmax(d_near[rem]))
-        pick = int(rem[far_pos])
-        remaining.remove(pick)
-        p = protos[near_idx[pick]]
+    out = np.empty((min(n, m) + 1, points.shape[1]))
+    out[0] = points.mean(axis=0)
+    diff, d_new = np.empty(points.shape), np.empty(m)
+    # min distance from each point to the prototypes, -inf once picked, and
+    # the row of ``out`` holding its nearest prototype, kept incrementally
+    d_near = _dists(points, out[0], diff)
+    near_idx = np.zeros(m, dtype=np.int64)
+    for t in range(1, len(out)):
+        pick = int(d_near.argmax())
+        d_near[pick] = -np.inf
+        p = out[near_idx[pick]]
         # convex-combination form so alpha=0 yields the raw point and alpha=1
         # duplicates the nearest prototype, both bit-exactly
-        x = alpha * p + (1.0 - alpha) * points[pick]
-        protos.append(x)
-        d_new = _min_dists(points, x)
-        closer = d_new < d_near
-        near_idx[closer] = len(protos) - 1
-        d_near = np.minimum(d_near, d_new)
-    return np.vstack(protos)
+        out[t] = alpha * p + (1.0 - alpha) * points[pick]
+        _dists(points, out[t], diff, d_new)
+        near_idx[d_new < d_near] = t
+        np.minimum(d_near, d_new, out=d_near)
+    return out
 
 
 def kmeans(
@@ -179,7 +194,7 @@ def class_prototypes(
     if method == "centroid":
         return points.mean(axis=0, keepdims=True), True
     if method == "fps":
-        start = int(np.argmin(_min_dists(points, points.mean(axis=0))))
+        start = int(np.argmin(_dists(points, points.mean(axis=0))))
         return points[maximin_selection(points, cfg.n_prototypes, start)], True
     if method == "alphafps":
         return alpha_fps_points(points, cfg.n_prototypes, cfg.alpha), True

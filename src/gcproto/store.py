@@ -237,12 +237,13 @@ def _group_rows(*columns: np.ndarray) -> Mapping:
     return MappingProxyType({keys[g]: tuple(rows[bounds[g] : bounds[g + 1]]) for g in by_first_row})
 
 
-def _checked_rows(class_id: int, protos) -> np.ndarray:
-    """One class's prototypes as a validated 2-D float64 array."""
+def _checked_rows(class_id: int, protos, finite: bool = True) -> np.ndarray:
+    """One class's prototypes as a validated 2-D float64 array; ``finite=False``
+    leaves the finiteness check to the caller."""
     arr = np.asarray(protos, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"class {class_id}: prototypes must be a 2-D array")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise NonFiniteValueError(f"class {class_id}: non-finite prototype")
     return arr
 
@@ -264,6 +265,8 @@ def _shared_block(parts: list[np.ndarray], dim: int) -> np.ndarray | None:
         and owner.flags.c_contiguous and not owner.flags.writeable
     ):
         return None
+    if len(parts) == 1 and owner is parts[0] and owner.shape[1:] == (dim,):
+        return owner  # a part that owns its rows is already the block
     start = end = parts[0].ctypes.data
     for p in parts:
         if (
@@ -284,9 +287,10 @@ def pack(per_class: Mapping[int, np.ndarray], dim: int):
     The matrix is a view, sharing storage, when the classes' arrays lie end
     to end, in ascending class order, in one read-only, C-contiguous float64
     owner (consecutive row ranges of it, as ``EmbeddingSet.class_matrix``
-    gives them for a class-sorted set); otherwise, or when the owner or a
-    part is writable, the rows are copied.  Either way the matrix holds the
-    bits the concatenation would."""
+    gives them for a class-sorted set), and is that owner itself when it is
+    the one class's array (as ``replace_class`` stores each new class);
+    otherwise, or when the owner or a part is writable, the rows are
+    copied.  Either way the matrix holds the bits the concatenation would."""
     ids = sorted(per_class)
     parts = [per_class[c] for c in ids]
     counts = np.array([len(p) for p in parts], dtype=np.int64)
@@ -329,13 +333,18 @@ class PrototypeSet:
     def __post_init__(self):
         if self.selector_tag not in SELECTOR_TAGS:
             raise DataFormatError(f"unknown selector tag {self.selector_tag!r}")
-        rows = {c: _checked_rows(c, protos) for c, protos in self.per_class.items()}
+        rows = {c: _checked_rows(c, p, finite=False) for c, p in self.per_class.items()}
         dims = {arr.shape[1] for arr in rows.values()}
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent prototype dimensions {sorted(dims)}")
         self._dim = dims.pop() if dims else 0
         self._packed = pack(rows, self._dim)
         matrix, spans = self._packed[0], self._packed[3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(matrix.sum())  # one pass, no temporary
+        if not finite:  # a NaN or ±inf, or finite rows whose sum overflows
+            for c, arr in rows.items():
+                _checked_rows(c, arr)
         self._count = len(matrix)
         self.per_class = MappingProxyType({c: matrix[s] for c, s in spans.items()})
         # ``base`` reads None as the set itself, without a reference cycle
@@ -406,11 +415,13 @@ class PrototypeSet:
         rows.setflags(write=False)
         # built without __post_init__: nothing but the new rows needs checking
         new = object.__new__(PrototypeSet)
-        new.per_class = MappingProxyType({**self.per_class, class_id: rows})
+        per_class, replaced = self.per_class.copy(), self._replaced.copy()
+        per_class[class_id] = replaced[class_id] = rows
+        new.per_class = MappingProxyType(per_class)
         new.selector_tag = self.selector_tag
         new.params_echo = dict(self.params_echo)
         new._base = self.base
-        new._replaced = MappingProxyType({**self._replaced, class_id: rows})
+        new._replaced = MappingProxyType(replaced)
         new._dim = rows.shape[1]
         new._count = self._count - len(self.per_class.get(class_id, ())) + len(rows)
         return new

@@ -1,0 +1,44 @@
+"""Brute-force ranking oracle for the retrieval and acceptance tests.
+
+``rank_query`` ranks one query against every prototype of a set with exact
+distances and a stable sort; ``evaluate``, the package's one ranking path,
+must agree with it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gcproto.errors import DimensionMismatchError, EmptyPrototypeSetError
+from gcproto.retrieval import _exact_dists
+from gcproto.store import EmbeddingRecord, PrototypeSet
+
+
+@dataclass(frozen=True)
+class Ranking:
+    query_id: str
+    entries: tuple[tuple[int, int, float], ...]  # (class_id, prototype_index, distance)
+    tie_rule_applied: bool
+
+
+def rank_query(query: EmbeddingRecord, prototypes: PrototypeSet) -> Ranking:
+    """Full ascending ranking of one query against every prototype.
+
+    ``flattened()`` rows are in (class, prototype index) order, so a stable
+    sort on distance applies the tie rule.
+    """
+    if prototypes.total_count() == 0:
+        raise EmptyPrototypeSetError("cannot rank against an empty prototype set")
+    mat, class_arr, proto_arr = prototypes.flattened()
+    if mat.shape[1] != query.vector.shape[0]:
+        raise DimensionMismatchError(
+            f"query dimension {query.vector.shape[0]} vs prototypes {mat.shape[1]}"
+        )
+    dists = _exact_dists(mat, query.vector)
+    order = np.argsort(dists, kind="stable")
+    sorted_d = dists[order]
+    tie = bool(np.any(sorted_d[1:] == sorted_d[:-1])) if len(sorted_d) > 1 else False
+    entries = tuple(
+        (int(class_arr[i]), int(proto_arr[i]), float(dists[i])) for i in order
+    )
+    return Ranking(query_id=query.id, entries=entries, tie_rule_applied=tie)

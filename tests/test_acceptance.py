@@ -33,7 +33,7 @@ from gcproto.model import (
     select_gcp,
     train,
 )
-from gcproto.retrieval import evaluate, rank_query
+from gcproto.retrieval import evaluate
 from gcproto.seeding import substream
 from gcproto.selectors import (
     SelectorConfig,
@@ -48,6 +48,8 @@ from gcproto.synthetic import (
     tradeoff_spec,
     tradeoff_training,
 )
+
+from ranking_oracle import rank_query
 
 
 def _finish(num, name, ok, detail, elapsed, budget=None):

@@ -5,12 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gcproto.errors import ConfigError, DataFormatError
 from gcproto.harness import (
     PROTO_FORMAT,
     PROTO_VERSION,
     ExperimentConfig,
+    _regen_class,
     build_protocol_prototypes,
     experiment_config_from_json_dict,
     group_evaluate,
@@ -430,6 +432,27 @@ class TestCameraFilter:
             else:
                 want = base.per_class[c]
             assert np.array_equal(mapping[rec.id].per_class[c], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        labels=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=12),
+        camera=st.integers(0, 3),
+    )
+    @example(labels=[(1, 0), (0, 1), (1, 1), (0, 1)], camera=1)
+    def test_kept_rows_equal_the_set_based_selection(self, labels, camera):
+        # rows in any class order, so a class's rows need not be adjacent;
+        # a class seen only by ``camera`` falls back to all of its rows
+        classes, cameras = zip(*labels)
+        vecs = np.arange(len(labels) * 2, dtype=float).reshape(-1, 2)
+        gallery = build_set(vecs, classes, cameras)
+        instance = SelectorConfig(method="instance")
+        for c in gallery.class_ids:
+            dropped = set(gallery.camera_index.get((c, camera), ()))
+            kept = [i for i in gallery.class_index[c] if i not in dropped]
+            want = gallery.features[kept] if kept else gallery.class_matrix(c)
+            rows, fell_back = _regen_class(instance, gallery, None, c, camera)
+            assert fell_back == (not kept)
+            np.testing.assert_array_equal(rows, want)
 
     def test_gcp_rebuild_drops_the_camera_or_falls_back(self):
         cfg = cfg_for("gcp", gcp=TINY_GCP, protocol="camera-filter")

@@ -25,7 +25,6 @@ from gcproto.retrieval import (
     AP_MODES,
     evaluate,
     parse_buckets,
-    rank_query,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -33,6 +32,8 @@ from gcproto.retrieval import (
 from gcproto.selectors import SelectorConfig, run_selector
 from gcproto.store import EmbeddingSet, PrototypeSet, build_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic
+
+from ranking_oracle import rank_query
 
 
 # -- oracle --------------------------------------------------------------

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcproto.errors import ConfigError
 from gcproto.selectors import (
     SelectorConfig,
+    _dists,
     alpha_fps_points,
     kmeans,
     maximin_selection,
@@ -159,6 +160,122 @@ class TestMaximin:
         es = build_set(np.arange(6, dtype=float).reshape(3, 2), [0, 0, 0], [0, 0, 0])
         pset = run_selector(es, SelectorConfig(method="fps", n_prototypes=10))
         assert pset.per_class[0].shape == (3, 2)
+
+
+# The selectors as written before they moved their distances into reused
+# buffers, kept verbatim as the oracle the buffered ones must match bit for
+# bit.
+
+
+def _min_dists(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(points - anchor[None, :], axis=1)
+
+
+def maximin_selection_oracle(points: np.ndarray, n: int, start_index: int) -> list[int]:
+    """Greedy farthest-point ordering over `points`, seeded at `start_index`.
+
+    Each pick maximizes the minimum distance to the already-selected points;
+    ties resolve to the lowest index. Returns n point indices.
+    """
+    n = min(n, points.shape[0])
+    chosen = [start_index]
+    min_d = _min_dists(points, points[start_index])
+    while len(chosen) < n:
+        nxt = int(np.argmax(min_d))
+        chosen.append(nxt)
+        np.minimum(min_d, _min_dists(points, points[nxt]), out=min_d)
+    return chosen
+
+
+def alpha_fps_points_oracle(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """Interpolated farthest-point sampling of one class.
+
+    Starts from the centroid, then n times: take the remaining point farthest
+    from the selected prototypes, pull it a fraction alpha of the way toward
+    its nearest prototype, and add it. Output row 0 is the centroid, later
+    rows follow iteration order; fewer rows when the class runs out of points.
+    """
+    if points.shape[0] < 2:
+        return points.mean(axis=0, keepdims=True)
+    remaining = list(range(points.shape[0]))
+    protos = [points.mean(axis=0)]
+    # min distance from each remaining point to the prototype set, plus the
+    # index (within protos) of the nearest prototype, kept incrementally
+    d_near = _min_dists(points, protos[0])
+    near_idx = np.zeros(points.shape[0], dtype=np.int64)
+    for _ in range(n):
+        if not remaining:
+            break
+        rem = np.array(remaining)
+        far_pos = int(np.argmax(d_near[rem]))
+        pick = int(rem[far_pos])
+        remaining.remove(pick)
+        p = protos[near_idx[pick]]
+        # convex-combination form so alpha=0 yields the raw point and alpha=1
+        # duplicates the nearest prototype, both bit-exactly
+        x = alpha * p + (1.0 - alpha) * points[pick]
+        protos.append(x)
+        d_new = _min_dists(points, x)
+        closer = d_new < d_near
+        near_idx[closer] = len(protos) - 1
+        d_near = np.minimum(d_near, d_new)
+    return np.vstack(protos)
+
+
+@st.composite
+def point_sets(draw):
+    """1-10 points on a small integer grid, which gives duplicate points and
+    exact distance ties, or spread over the reals; the dimensions include
+    some past numpy's 8- and 128-term summation blocks."""
+    shape = (draw(st.integers(1, 10)), draw(st.sampled_from([1, 2, 3, 4, 9, 17, 130])))
+    elements = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    ]))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+DUPLICATES = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0], [3.0, 0.0], [1.0, 2.0]])
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+class TestBufferedSelectorsMatchOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(pts=point_sets(), row=st.integers(0, 9), reuse=st.booleans())
+    def test_distances_are_linalg_norm(self, pts, row, reuse):
+        anchor = pts[row % len(pts)] * 0.5
+        buffers = (np.empty(pts.shape), np.empty(len(pts))) if reuse else ()
+        want = np.linalg.norm(pts - anchor[None, :], axis=1)
+        assert _same_bits(_dists(pts, anchor, *buffers), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=point_sets(),
+        n=st.integers(1, 12),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+    )
+    @example(pts=np.array([[7.0, -1.0]]), n=3, alpha=0.5)
+    @example(pts=np.array([[0.0], [4.0]]), n=1, alpha=0.0)
+    @example(pts=np.array([[0.0], [4.0]]), n=5, alpha=1.0)
+    @example(pts=DUPLICATES, n=4, alpha=0.0)
+    @example(pts=DUPLICATES, n=9, alpha=1.0)
+    @example(pts=SQUARE, n=3, alpha=0.5)
+    def test_alpha_fps_points(self, pts, n, alpha):
+        assert _same_bits(alpha_fps_points(pts, n, alpha), alpha_fps_points_oracle(pts, n, alpha))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=point_sets(), n=st.integers(1, 12), start=st.integers(0, 9))
+    @example(pts=np.array([[7.0, -1.0]]), n=2, start=0)
+    @example(pts=np.array([[0.0], [4.0]]), n=3, start=1)
+    @example(pts=DUPLICATES, n=5, start=0)
+    @example(pts=SQUARE, n=4, start=0)
+    def test_maximin_selection(self, pts, n, start):
+        start %= len(pts)
+        assert maximin_selection(pts, n, start) == maximin_selection_oracle(pts, n, start)
 
 
 class TestKmeans:

@@ -1,11 +1,18 @@
 """Embedding set construction, indices, and file round trips."""
 
+import functools
+import re
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcproto.errors import (
     DataFormatError,
+    GcprotoError,
     DimensionMismatchError,
     DuplicateIdError,
     EmptyFileError,
@@ -13,6 +20,10 @@ from gcproto.errors import (
     NonFiniteValueError,
     UnknownClassError,
 )
+from gcproto.harness import load_prototypes, save_prototypes
+from gcproto.model import GcpConfig, GcpModel, init_params, load_model, save_model
+from gcproto.seeding import substream
+from gcproto.selectors import SelectorConfig, run_selector
 from gcproto.store import (
     EmbeddingRecord,
     EmbeddingSet,
@@ -549,12 +560,19 @@ class TestPrototypeSet:
         with pytest.raises(NonFiniteValueError):
             PrototypeSet({0: np.array([[np.inf, 0.0]])}, "fps")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_class_is_named_and_huge_finite_rows_pass(self, bad):
+        huge = np.full((2, 2), 1.5e308)  # every sum over them overflows
+        with pytest.raises(NonFiniteValueError, match="class 3: non-finite prototype"):
+            PrototypeSet({0: huge, 3: np.array([[np.inf, bad]]), 5: huge}, "fps")
+        assert PrototypeSet({0: huge, 5: huge}, "fps").total_count() == 4
+
 
 # How the classes' arrays relate to one owner matrix.  "tiled" cuts them as
 # consecutive row ranges, in class order, of a read-only owner, and
 # "straddling" as consecutive stretches of its memory that cross its rows;
 # every other layout breaks one condition of sharing.
-SHARED_LAYOUTS = ("tiled", "straddling")
+SHARED_LAYOUTS = ("tiled", "straddling", "whole_owner")
 LAYOUTS = SHARED_LAYOUTS + (
     "gap", "reordered", "writable_owner", "writable_part", "strided", "copied_part",
 )
@@ -568,6 +586,8 @@ def class_arrays(draw):
     lengths = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
     if layout == "strided":  # one class, its rows every other row of the owner
         lengths = [max(lengths[0], 2)] + [0] * (len(lengths) - 1)
+    elif layout == "whole_owner":  # one class, its array the owner itself
+        lengths = [max(lengths[0], 1)] + [0] * (len(lengths) - 1)
     elif layout not in SHARED_LAYOUTS:  # two non-empty classes, so the layout breaks sharing
         lengths[0], lengths[-1] = max(lengths[0], 1), max(lengths[-1], 1)
     lead, tail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
@@ -586,6 +606,8 @@ def class_arrays(draw):
         else:
             parts.append(rows[start : start + k])
         start += k + (gap if i == 0 else 0)
+    if layout == "whole_owner":
+        owner = parts[0] = parts[0].copy()
     if layout == "copied_part":
         parts[-1] = parts[-1].copy()
         parts[-1].setflags(write=False)
@@ -632,3 +654,92 @@ class TestPacking:
             pset = PrototypeSet({c: eset.class_matrix(c) for c in eset.class_ids}, "instance")
             assert np.shares_memory(pset.flattened()[0], eset.features) == shared
             assert not pset.flattened()[0].flags.writeable
+
+
+# -- reader robustness ----------------------------------------------------
+
+# Numbers in a text file, and what a mutation writes over one: NaN, infinite,
+# out-of-range and over-long tokens; binary files get the same as raw bytes.
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+TEXT_TOKENS = (b"nan", b"NaN", b"inf", b"-Infinity", b"1e999", b"-1e400", b"9" * 30)
+RAW_TOKENS = tuple(struct.pack("<d", v) for v in (np.nan, np.inf, -np.inf, 1.7e308)) + (
+    b"\xff\xff\xff\xff",
+)
+READERS = {
+    "set.gcpe": load_embedding_set,
+    "set.csv": load_embedding_set,
+    "prototypes.json": load_prototypes,
+    "model.gcpm": load_model,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reader_seed(name: str) -> bytes:
+    """A valid file of each kind, as written by its writer."""
+    eset = small_set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        if name == "prototypes.json":
+            save_prototypes(run_selector(eset, SelectorConfig(method="fps", n_prototypes=2)), path)
+        elif name == "model.gcpm":
+            cfg = GcpConfig(
+                dim=2, n_blocks=1, n_heads=1, ffn_dim=4, n_prototypes=2, n_cameras=3,
+                batch_classes=2, instances_per_class=2, epochs=1,
+            )
+            save_model(GcpModel(config=cfg, params=init_params(cfg, substream(0, "init"))), path)
+        else:
+            save_embedding_set(eset, path)
+        return path.read_bytes()
+
+
+def mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, at, arg in edits:
+        pos = at % (len(out) + 1)
+        if kind == "flip" and pos < len(out):
+            out[pos] ^= arg
+        elif kind == "truncate":
+            del out[pos:]
+        elif kind == "insert":
+            out[pos:pos] = arg
+        elif kind == "raw":
+            out[pos : pos + len(arg)] = arg
+        elif kind == "token":
+            numbers = list(NUMBER.finditer(bytes(out)))
+            if numbers:
+                m = numbers[at % len(numbers)]
+                out[m.start() : m.end()] = arg
+    return bytes(out)
+
+
+EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 4096), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, 4096), st.none()),
+        st.tuples(st.just("insert"), st.integers(0, 4096), st.binary(min_size=1, max_size=8)),
+        st.tuples(st.just("raw"), st.integers(0, 4096), st.sampled_from(RAW_TOKENS)),
+        st.tuples(st.just("token"), st.integers(0, 4096), st.sampled_from(TEXT_TOKENS)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestReaderMutations:
+    """A mutated file either loads or raises a ``GcprotoError``; nothing else
+    escapes any of the four readers."""
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @settings(max_examples=75, deadline=None)
+    @given(edits=EDITS)
+    # a class id beyond int64 once escaped the prototype reader as OverflowError
+    @example(edits=[("token", 0, b"9" * 30)])
+    def test_every_failure_is_a_gcproto_error(self, name, edits):
+        data = mutate(reader_seed(name), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_bytes(data)
+            try:
+                READERS[name](path)
+            except GcprotoError:
+                pass
