@@ -92,43 +92,28 @@ def cmd_train(args) -> int:
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
-    raw = {}  # the config file as written, to tell which seeds it left out
     if args.config is not None:
-        raw = read_json_object(args.config)
-        base = experiment_config_from_json_dict(raw).to_json_dict()
+        data = read_json_object(args.config)
+        experiment_config_from_json_dict(data)  # the file must be valid as written
     else:
         if args.data is None or args.queries is None or args.method is None:
             raise ConfigError("without --config, provide --data, --queries and --method")
-        base = {
-            "version": 1,
-            "data": {},
-            "selector": {"method": args.method},
-        }
+        data = {"version": 1, "selector": {"method": args.method}}
+    # each flag is set in the JSON object, so a nested section that left
+    # out its seed takes --seed through the schema's seed inheritance
     if args.data is not None:
-        base["data"] = {"path": args.data}
+        data["data"] = {"path": args.data}
     if args.queries is not None:
-        base["queries"] = {"path": args.queries}
-    if args.method is not None:
-        base.setdefault("selector", {})["method"] = args.method
-    if args.n is not None:
-        base["selector"]["n"] = args.n
-    if args.alpha is not None:
-        base["selector"]["alpha"] = args.alpha
-    if args.protocol is not None:
-        base["protocol"] = args.protocol
-    if args.seed is not None:
-        base["seed"] = args.seed
-        # the flag seed fills only the sub-seeds the config file left out
-        for resolved, given in (
-            (base["selector"], raw.get("selector")),
-            (base.get("gcp"), raw.get("gcp")),
-            ((base["data"] or {}).get("synthetic"), (raw.get("data") or {}).get("synthetic")),
-        ):
-            if resolved is not None and "seed" not in (given or {}):
-                resolved.pop("seed", None)
-    if args.checkpoint is not None:
-        base["checkpoint"] = args.checkpoint
-    return experiment_config_from_json_dict(base)
+        data["queries"] = {"path": args.queries}
+    for key, value in (("method", args.method), ("n", args.n), ("alpha", args.alpha)):
+        if value is not None:
+            data["selector"][key] = value
+    for key, value in (
+        ("protocol", args.protocol), ("seed", args.seed), ("checkpoint", args.checkpoint)
+    ):
+        if value is not None:
+            data[key] = value
+    return experiment_config_from_json_dict(data)
 
 
 def cmd_eval(args) -> int:

@@ -45,9 +45,10 @@ the class's gallery rows under a mask of the rows from other cameras, or
 ``build_memory`` without the camera plus ``generate_prototypes`` for the
 learned generator.  Groups whose every class record comes from the query
 camera fall back to the unfiltered class and are flagged in the report.
-Each group's set is ``base.replace_class``: it copies two small mappings
-and validates only the rebuilt rows, and the evaluator ranks it against
-the base's packed matrix plus those rows.
+Each group's set is ``base.replace_class``: it copies the class mapping
+and validates and copies only the rebuilt rows, and the evaluator ranks
+the group's queries against the base's packed matrix with those rows in
+place of the base's rows of the class.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def _regen_class(
         excluded = None if fell_back else camera
         memory = build_memory(gallery, model, class_id, excluded_camera=excluded)
         n_c = min(selector.n_prototypes, memory.tokens.shape[0])
-        return np.vstack(generate_prototypes(model, memory, n_c)), fell_back
+        return generate_prototypes(model, memory, n_c), fell_back
     points = gallery.class_matrix(class_id)
     protos, _ = class_prototypes(points if fell_back else points[kept], class_id, selector)
     return protos, fell_back

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -168,27 +169,19 @@ def init_params(cfg: GcpConfig, rng: np.random.Generator) -> dict[str, np.ndarra
 class GcpModel:
     """A generator's config and parameter arrays.
 
-    Construction wraps each parameter array, without a copy, in a constant
-    ``Tensor`` that every ``generate_prototypes`` call reuses, so in-place
-    edits of the arrays are seen by generation.
+    ``params`` is a read-only mapping over a copy of the given dict; the
+    arrays are not copied.  Construction wraps each array, without a copy,
+    in a constant ``Tensor`` that every ``generate_prototypes`` call reuses
+    (``const_params``), so in-place edits of the arrays are seen by
+    generation.
     """
 
     config: GcpConfig
-    params: dict[str, np.ndarray]
+    params: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        self._const_params = _wrap_params(self.params, requires_grad=False)
-
-    @property
-    def const_params(self) -> dict[str, Tensor]:
-        """``params`` as constant nodes; wrapped again only when the dict no
-        longer holds the arrays they wrap."""
-        consts = self._const_params
-        if consts.keys() != self.params.keys() or any(
-            consts[k].data is not v for k, v in self.params.items()
-        ):
-            self._const_params = consts = _wrap_params(self.params, requires_grad=False)
-        return consts
+        self.params = MappingProxyType(dict(self.params))
+        self.const_params = _wrap_params(self.params, requires_grad=False)
 
 
 @dataclass(frozen=True)
@@ -350,8 +343,9 @@ def _wrap_params(params: Mapping[str, np.ndarray], requires_grad: bool) -> dict[
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
 
 
-def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> list[np.ndarray]:
-    """Generate n prototypes for one class memory, dropout off, deterministic."""
+def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> np.ndarray:
+    """Generate n prototypes for one class memory, dropout off, deterministic:
+    an (n, D) array."""
     if n < 1:
         raise ConfigError("n must be positive")
     if memory.tokens.ndim != 2 or memory.tokens.shape[1] != model.config.dim:
@@ -360,7 +354,7 @@ def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> list[np.ndar
             f"model dim is {model.config.dim}"
         )
     rows = _generate_rows(model.const_params, model.config, Tensor(memory.tokens[None]), n)
-    return [r.copy() for r in rows.data[0]]
+    return rows.data[0]
 
 
 def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> PrototypeSet:
@@ -388,8 +382,7 @@ def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> Pro
         n_c = min(n, memory.tokens.shape[0])
         if n_c < n:
             reduced[str(c)] = n_c
-        protos = generate_prototypes(model, memory, n_c)
-        per_class[c] = np.vstack(protos)
+        per_class[c] = generate_prototypes(model, memory, n_c)
     echo = {
         "method": "gcp",
         "n_requested": n,

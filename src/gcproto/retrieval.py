@@ -12,11 +12,14 @@ ranking.  It takes queries in blocks of ``QUERY_BLOCK`` and gets squared
 distances to the packed prototypes from one GEMM per block
 (‖q‖² + ‖p‖² − 2qpᵀ, the decomposition used by exact L2 search in
 FAISS); each block's query rows and distances go into two buffers that
-every block reuses.  A set made by ``PrototypeSet.replace_class`` is
-ranked against its base's packed matrix; the rows it holds in place of
-the base's get squared distances from one ``cdist`` call per set, so the
-camera-filter protocol costs one GEMM plus a few rows per (class, camera)
-group.  The squared norms these distances need are computed here too;
+every block reuses.  A set made by ``PrototypeSet.replace_class``
+rebuilds one class, as the camera-filter protocol rebuilds the query's
+own: a query of that class is ranked against its base's packed matrix
+with the base's rows of the class left out, and the rebuilt rows get
+squared distances to the set's queries of the class from one ``cdist``
+call per set, so the protocol costs one GEMM plus a few rows per (class,
+camera) group.  A query of another class ranks against the set packed
+anew.  The squared norms these distances need are computed here too;
 the store keeps none.  Each own-class item is ranked by counting the
 prototypes certainly nearer than it, given a certified rounding margin on
 these approximate distances; a prototype inside the margin is re-checked
@@ -39,7 +42,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
-from .store import EmbeddingSet, PrototypeSet, pack
+from .store import EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
 # Queries per GEMM in ``evaluate``; bounds the block's (queries, P)
@@ -109,14 +112,14 @@ def _sq_norms(mat: np.ndarray) -> np.ndarray:
 
 
 class _Splice:
-    """The rows a set made by ``replace_class`` holds in place of its
-    base's, packed, with their squared distances to the set's queries from
-    one ``cdist`` call."""
+    """The rows a set made by ``replace_class`` holds for its one rebuilt
+    class, with their squared distances to the set's queries of that class
+    from one ``cdist`` call."""
 
-    def __init__(self, qmat: np.ndarray, pset: PrototypeSet):
-        self.rows, self.classes, _, self.spans = pack(pset.replaced, pset.dim)
-        self.max_sq_norm = float(_sq_norms(self.rows).max(initial=0.0))
-        self.approx = cdist(qmat, self.rows, "sqeuclidean")
+    def __init__(self, qmat: np.ndarray, rows: np.ndarray):
+        self.rows = rows
+        self.max_sq_norm = float(_sq_norms(rows).max(initial=0.0))
+        self.approx = cdist(qmat, rows, "sqeuclidean")
 
 
 # Rounding margin of the approximate distances.  Let n = dim, u = 2**-53,
@@ -173,8 +176,8 @@ def _certified(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 class _RankKernel:
-    """Exact own-class ranks of queries against one packed prototype set
-    and the sets made from it by ``replace_class``.
+    """Exact own-class ranks of queries against one packed prototype set,
+    whose own class may come from a ``_Splice`` instead.
 
     Every query block is gathered into one buffer of
     ``min(QUERY_BLOCK, n_queries)`` rows and its GEMM distances go into
@@ -217,56 +220,37 @@ class _RankKernel:
     ) -> np.ndarray:
         """Ascending 1-based ranks of the own-class prototypes of a query
         of ``class_id`` under the (distance, class, index) order; empty when
-        its class has none.  ``approx`` is the query's GEMM row; a query of
-        a derived set also gets its ``splice`` and row of its distances,
-        ``spliced``.  Both rows are overwritten."""
-        replaced = splice.spans if splice is not None else {}
-        if class_id in replaced:
-            own, own_approx = splice.rows[replaced[class_id]], spliced[replaced[class_id]]
-        else:
-            span = self.spans.get(class_id, slice(0, 0))
+        its class has none.  ``approx`` is the query's GEMM row, and is
+        overwritten.  A query of a derived set's rebuilt class also gets its
+        ``splice`` and row of distances to the rebuilt rows, ``spliced``;
+        those rows stand in for the packed rows of its class."""
+        span = self.spans.get(class_id, slice(0, 0))
+        if splice is None:
             own, own_approx = self.mat[span], approx[span]
+        else:
+            own, own_approx = splice.rows, spliced
         k = len(own)
         if k == 0:
             return np.empty(0, dtype=np.int64)
         # the order among own rows does not change which ranks they take
         a_own = np.sort(own_approx)
-        # (values, rows, classes, spans that are not other-class rows of the
-        # query's set): the packed rows, then the spliced ones
-        sources = [
-            (approx, self.mat, self.classes,
-             [self.spans[c] for c in (class_id, *replaced) if c in self.spans]),
-        ]
-        if splice is not None:
-            own_span = [replaced[class_id]] if class_id in replaced else []
-            sources.append((spliced, splice.rows, splice.classes, own_span))
-        scale = q_sq + max(self.max_sq_norm, splice.max_sq_norm if splice else 0.0)
-        certify = bool(np.isfinite(4.0 * scale))
-        m = _margin(self.mat.shape[1], scale) if certify else None
-        before = np.zeros(k, dtype=np.int64)
-        unsure = []  # (rows, classes, window lo, window hi) to re-check exactly
-        for values, rows, classes, skip in sources:
-            if certify:
-                for span in skip:
-                    values[span] = np.inf
-                b, cols, w_lo, w_hi = _certified(values, a_own - m, a_own + m)
-                before += b
-                w_lo, w_hi = w_lo[:, None], w_hi[:, None]
-            else:  # squared distances may overflow: re-check every row
-                keep = np.ones(len(values), dtype=bool)
-                for span in skip:
-                    keep[span] = False
-                cols, w_lo, w_hi = np.flatnonzero(keep), 0, k
-            if len(cols):
-                unsure.append((rows[cols], classes[cols][:, None], w_lo, w_hi))
         j = np.arange(k)
-        if unsure:
-            d_own = np.sort(_exact_dists(own, q))
-            for rows, classes, w_lo, w_hi in unsure:
-                d = _exact_dists(rows, q)[:, None]
-                nearer = (d < d_own) | ((d == d_own) & (classes < class_id))
-                before += np.count_nonzero(nearer & (w_lo <= j) & (j < w_hi), axis=0)
-        return 1 + j + before
+        scale = q_sq + max(self.max_sq_norm, splice.max_sq_norm if splice else 0.0)
+        if np.isfinite(4.0 * scale):
+            m = _margin(self.mat.shape[1], scale)
+            approx[span] = np.inf  # the packed own rows are no rivals
+            before, cols, w_lo, w_hi = _certified(approx, a_own - m, a_own + m)
+            if not len(cols):
+                return 1 + j + before
+            w_lo, w_hi = w_lo[:, None], w_hi[:, None]
+        else:  # squared distances may overflow: re-check every other row
+            keep = np.ones(len(approx), dtype=bool)
+            keep[span] = False
+            before, cols, w_lo, w_hi = 0, np.flatnonzero(keep), 0, k
+        d_own = np.sort(_exact_dists(own, q))
+        d = _exact_dists(self.mat[cols], q)[:, None]
+        nearer = (d < d_own) | ((d == d_own) & (self.classes[cols][:, None] < class_id))
+        return 1 + j + before + np.count_nonzero(nearer & (w_lo <= j) & (j < w_hi), axis=0)
 
 
 def evaluate(
@@ -297,8 +281,11 @@ def evaluate(
     if n == 0:
         raise ConfigError("no queries to evaluate")
     groups = _as_pset_groups(queries, prototypes_per_query)
-    # queries of every group with one base share its GEMM; the rows a
-    # derived set holds in place of its base's get one cdist call per group
+    classes = queries.row_classes.tolist()
+    # queries of every group with one base share its GEMM; a derived set's
+    # queries of its rebuilt class get one cdist call per set, and its other
+    # queries rank against the set packed anew.  A derived set itself is
+    # never a key: its flattened() packs again on every call.
     by_base: dict[PrototypeSet, list[tuple]] = {}
     for pset, rows in groups:
         if pset.total_count() == 0:
@@ -307,14 +294,21 @@ def evaluate(
             raise DimensionMismatchError(
                 f"query dimension {queries.dim} vs prototypes {pset.dim}"
             )
-        items = by_base.setdefault(pset.base, [])
-        if pset.replaced:
-            splice = _Splice(queries.features[rows], pset)
-            items.extend((qi, splice, row) for qi, row in zip(rows, splice.approx))
-        else:
-            items.extend((qi, None, None) for qi in rows)
+        if not pset.replaced:
+            by_base.setdefault(pset, []).extend((qi, None, None) for qi in rows)
+            continue
+        ((class_id, rebuilt),) = pset.replaced.items()
+        own = [qi for qi in rows if classes[qi] == class_id]
+        other = [qi for qi in rows if classes[qi] != class_id]
+        if own:
+            splice = _Splice(queries.features[own], rebuilt)
+            by_base.setdefault(pset.base, []).extend(
+                (qi, splice, row) for qi, row in zip(own, splice.approx)
+            )
+        if other:
+            packed = PrototypeSet(pset.per_class, pset.selector_tag)
+            by_base[packed] = [(qi, None, None) for qi in other]
     ranks_of: list[np.ndarray] = [None] * n
-    classes = queries.row_classes.tolist()
     for base, items in by_base.items():
         kernel = _RankKernel(base, len(items))
         for start in range(0, len(items), QUERY_BLOCK):

@@ -25,13 +25,15 @@ and safe for concurrent reads.
 ``PrototypeSet`` packs its classes into one read-only matrix with the one
 packer, :func:`pack`, which takes a view instead of a copy when the classes
 already lie in order in one read-only matrix.  The camera-filter protocol's
-per-group sets are made by ``replace_class``: each shares a packed ``base``
-and records only the classes it ``replaced``, which is all the evaluator
-needs to rank against the base's matrix plus a few spliced rows.
+per-group sets are made by ``replace_class`` on a packed set: each shares
+that set as its ``base`` and holds the one class it ``replaced``, which is
+all the evaluator needs to rank the query's own class from the rebuilt rows
+and every other class from the base's matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,7 +135,6 @@ class EmbeddingSet:
         self._class_names = dict(class_names) if class_names else None
         self._camera_names = dict(camera_names) if camera_names else None
         self._class_index = _group_rows(row_classes)
-        self._camera_index = _group_rows(row_classes, row_cameras)
 
     # -- basic accessors -------------------------------------------------
 
@@ -175,10 +176,11 @@ class EmbeddingSet:
         """Read-only class id -> record indices."""
         return self._class_index
 
-    @property
+    @functools.cached_property
     def camera_index(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
-        """Read-only (class id, camera id) -> record indices."""
-        return self._camera_index
+        """Read-only (class id, camera id) -> record indices, built on first
+        access."""
+        return _group_rows(self._row_classes, self._row_cameras)
 
     @property
     def class_names(self) -> dict[int, str] | None:
@@ -265,8 +267,6 @@ def _shared_block(parts: list[np.ndarray], dim: int) -> np.ndarray | None:
         and owner.flags.c_contiguous and not owner.flags.writeable
     ):
         return None
-    if len(parts) == 1 and owner is parts[0] and owner.shape[1:] == (dim,):
-        return owner  # a part that owns its rows is already the block
     start = end = parts[0].ctypes.data
     for p in parts:
         if (
@@ -287,10 +287,9 @@ def pack(per_class: Mapping[int, np.ndarray], dim: int):
     The matrix is a view, sharing storage, when the classes' arrays lie end
     to end, in ascending class order, in one read-only, C-contiguous float64
     owner (consecutive row ranges of it, as ``EmbeddingSet.class_matrix``
-    gives them for a class-sorted set), and is that owner itself when it is
-    the one class's array (as ``replace_class`` stores each new class);
-    otherwise, or when the owner or a part is writable, the rows are
-    copied.  Either way the matrix holds the bits the concatenation would."""
+    gives them for a class-sorted set); otherwise, or when the owner or a
+    part is writable, the rows are copied.  Either way the matrix holds the
+    bits the concatenation would."""
     ids = sorted(per_class)
     parts = [per_class[c] for c in ids]
     counts = np.array([len(p) for p in parts], dtype=np.int64)
@@ -320,10 +319,10 @@ class PrototypeSet:
     classes' arrays when they tile one read-only owner in that order, as an
     instance selection over a class-sorted ``EmbeddingSet`` does; otherwise
     every class is copied.  Such a packed set is its own ``base`` and has
-    no ``replaced`` classes.  ``replace_class`` makes a derived set that shares its base's
-    storage: ``base`` is that packed set and ``replaced`` maps each class
-    id to the rows the derived set holds in place of the base's, so a chain
-    of replacements is flat.  Sets compare by identity.
+    no ``replaced`` class.  ``replace_class`` on a packed set makes a
+    derived set that shares its storage: ``base`` is that packed set and
+    ``replaced`` maps the one rebuilt class id to its new rows.  Sets
+    compare by identity.
     """
 
     per_class: Mapping[int, np.ndarray]
@@ -367,7 +366,7 @@ class PrototypeSet:
     @property
     def replaced(self) -> Mapping[int, np.ndarray]:
         """Read-only class id -> the rows this set holds in place of
-        ``base``'s; empty for a packed set."""
+        ``base``'s: one class for a derived set, none for a packed set."""
         return self._replaced
 
     def total_count(self) -> int:
@@ -400,13 +399,15 @@ class PrototypeSet:
     def replace_class(self, class_id: int, protos: np.ndarray) -> "PrototypeSet":
         """A set with ``class_id``'s prototypes replaced by ``protos``.
 
-        Only ``protos`` is validated and copied.  The result shares this
-        set's ``base`` and keeps its other ``replaced`` classes, so a chain
-        of calls stays one step from the packed set.
+        On a packed, non-empty set only ``protos`` is validated and copied,
+        and the result shares this set as its ``base``.  A derived or empty
+        set instead packs the new mapping into a new set, which checks
+        every row.
         """
+        if self._base is not None or not self.per_class:
+            rows = {**self.per_class, class_id: protos}
+            return PrototypeSet(rows, self.selector_tag, dict(self.params_echo))
         rows = _checked_rows(class_id, protos)
-        if not self.per_class:  # nothing to share
-            return PrototypeSet({class_id: rows}, self.selector_tag, dict(self.params_echo))
         if rows.shape[1] != self._dim:
             raise DimensionMismatchError(
                 f"class {class_id}: prototype dimension {rows.shape[1]}, expected {self._dim}"
@@ -415,14 +416,12 @@ class PrototypeSet:
         rows.setflags(write=False)
         # built without __post_init__: nothing but the new rows needs checking
         new = object.__new__(PrototypeSet)
-        per_class, replaced = self.per_class.copy(), self._replaced.copy()
-        per_class[class_id] = replaced[class_id] = rows
-        new.per_class = MappingProxyType(per_class)
+        new.per_class = MappingProxyType({**self.per_class, class_id: rows})
         new.selector_tag = self.selector_tag
         new.params_echo = dict(self.params_echo)
-        new._base = self.base
-        new._replaced = MappingProxyType(replaced)
-        new._dim = rows.shape[1]
+        new._base = self
+        new._replaced = MappingProxyType({class_id: rows})
+        new._dim = self._dim
         new._count = self._count - len(self.per_class.get(class_id, ())) + len(rows)
         return new
 

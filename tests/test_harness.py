@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gcproto import retrieval
 from gcproto.errors import ConfigError, DataFormatError
 from gcproto.harness import (
     PROTO_FORMAT,
@@ -34,7 +35,7 @@ from gcproto.model import (
 from gcproto.retrieval import report_from_json, report_to_json
 from gcproto.seeding import substream
 from gcproto.selectors import SelectorConfig, run_selector
-from gcproto.store import EmbeddingSet, build_set, save_embedding_set
+from gcproto.store import EmbeddingSet, PrototypeSet, build_set, save_embedding_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
 
 SMALL = SyntheticSpec(
@@ -477,6 +478,26 @@ class TestCameraFilter:
             np.testing.assert_array_equal(rows, want)
             if cam in gallery.cameras_of_class(c):
                 assert not np.array_equal(rows, base.per_class[c])
+
+    def test_each_query_takes_one_rank_scan_and_evaluate_one_packing(self, monkeypatch):
+        # a query of a rebuilt class ranks against its base's rows and the
+        # rebuilt rows in one scan; only the base set is ever flattened
+        calls = {"certified": 0, "flattened": 0}
+        real_certified, real_flattened = retrieval._certified, PrototypeSet.flattened
+
+        def certified(*args):
+            calls["certified"] += 1
+            return real_certified(*args)
+
+        def flattened(self):
+            calls["flattened"] += 1
+            return real_flattened(self)
+
+        monkeypatch.setattr(retrieval, "_certified", certified)
+        monkeypatch.setattr(PrototypeSet, "flattened", flattened)
+        result = run_experiment(cfg_for("alphafps", protocol="camera-filter", n_prototypes=2))
+        assert result.camera_groups and not result.report.missing_class_query_ids
+        assert calls == {"certified": result.report.n_queries, "flattened": 1}
 
     def test_group_descriptors_cover_distinct_groups(self):
         cfg = cfg_for(protocol="camera-filter")

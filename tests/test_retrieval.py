@@ -395,7 +395,9 @@ class TestGemmKernel:
         monkeypatch.setattr(retrieval, "cdist", spy)
         mapping = dict(zip(["q0", "q1", "q2", "q3", "q4"], [first, first, second, second, pset]))
         rep = evaluate(queries, mapping, max_rank=3, include_per_query_ap=True)
-        assert shapes == [(2, 1), (2, 3)]  # the packed set needs none
+        # one call per derived set, over its queries of the rebuilt class;
+        # q3 ranks against the set packed anew and the packed set needs none
+        assert shapes == [(2, 1), (1, 3)]
         # ties at 0 and √3 put class 0 before 1 before 2
         assert [ap for _, ap in rep.per_query_ap] == [
             1.0, 1.0, (1 / 3 + 2 / 4 + 3 / 5) / 3, (1 / 6 + 2 / 7) / 2, (1 / 3 + 2 / 4) / 2

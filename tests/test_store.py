@@ -535,18 +535,41 @@ class TestPrototypeSet:
         assert pset == pset and pset != twin
         assert len({pset, twin, pset.replace_class(0, np.ones((1, 2)))}) == 3
 
-    def test_replacement_chain_is_flat_and_last_rows_win(self):
-        pset = PrototypeSet({0: np.zeros((1, 2)), 1: np.ones((2, 2))}, "centroid")
-        first = pset.replace_class(0, np.full((2, 2), 3.0))
-        second = first.replace_class(1, np.full((1, 2), 4.0))
-        third = second.replace_class(0, np.full((1, 2), 5.0))
-        assert third.base is pset and second.base is pset
-        assert sorted(third.replaced) == [0, 1]
-        np.testing.assert_array_equal(third.replaced[0], [[5.0, 5.0]])
-        np.testing.assert_array_equal(third.replaced[1], [[4.0, 4.0]])
-        np.testing.assert_array_equal(third.flattened()[0], [[5.0, 5.0], [4.0, 4.0]])
-        assert third.total_count() == 2
-        assert list(first.replaced) == [0] and first.replaced[0].shape == (2, 2)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_replacement_sequence_equals_the_packed_final_mapping(self, data):
+        dim = data.draw(st.integers(1, 3))
+        value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+        def rows():
+            k = data.draw(st.integers(0, 3))
+            return np.array(data.draw(st.lists(value, min_size=k * dim, max_size=k * dim)),
+                            dtype=np.float64).reshape(k, dim)
+
+        mapping = {c: rows() for c in data.draw(st.lists(st.integers(0, 4), max_size=3))}
+        pset = PrototypeSet(mapping, "fps")
+        for _ in range(data.draw(st.integers(1, 4))):
+            c, new_rows = data.draw(st.integers(0, 5)), rows()
+            parent, pset = pset, pset.replace_class(c, new_rows)
+            mapping[c] = new_rows
+            if parent.base is parent and parent.per_class:
+                assert pset.base is parent and list(pset.replaced) == [c]
+                assert pset.replaced[c] is pset.per_class[c]
+            else:
+                assert pset.base is pset and pset.replaced == {}
+        want = PrototypeSet(mapping, "fps")
+        assert sorted(pset.per_class) == sorted(want.per_class)
+        for c, arr in want.per_class.items():
+            assert pset.per_class[c].shape == arr.shape
+            np.testing.assert_array_equal(pset.per_class[c].view(np.uint64), arr.view(np.uint64))
+        got_mat, got_cls, got_idx = pset.flattened()
+        want_mat, want_cls, want_idx = want.flattened()
+        np.testing.assert_array_equal(got_mat.view(np.uint64), want_mat.view(np.uint64))
+        np.testing.assert_array_equal(got_cls, want_cls)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        assert pset.class_spans == want.class_spans
+        assert pset.total_count() == want.total_count()
+        assert pset.dim == want.dim
 
     def test_bad_tag(self):
         with pytest.raises(DataFormatError):
