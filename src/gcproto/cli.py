@@ -15,7 +15,6 @@ machine-parsable token (see gcproto.errors).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +29,7 @@ from .harness import (
     sweep,
 )
 from .model import GcpConfig, load_model, save_model, select_gcp, train
-from .schema import from_json, read_json_object, to_json
+from .schema import from_json, read_json_object, to_json, write_json
 from .selectors import METHODS, SelectorConfig, run_selector
 from .store import load_embedding_set, save_embedding_set
 from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
@@ -49,9 +48,7 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_embedding_set(gallery, out / "gallery.csv")
     save_embedding_set(queries, out / "queries.csv")
-    (out / "synthetic_spec.json").write_text(
-        json.dumps(to_json(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out / "synthetic_spec.json", to_json(spec))
     print(f"wrote {len(gallery)} gallery and {len(queries)} query records to {out}")
     return 0
 

@@ -53,9 +53,8 @@ place of the base's rows of the class.
 
 from __future__ import annotations
 
-import json
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -76,12 +75,12 @@ from .retrieval import (
     DEFAULT_MAX_RANK,
     AP_MODES,
     EvalReport,
+    check_max_rank,
     evaluate,
     parse_buckets,
     report_to_csv,
-    report_to_json,
 )
-from .schema import check_field_types, from_json, read_json_object, to_json
+from .schema import check_field_types, from_json, read_json_object, to_json, write_json
 from .selectors import SelectorConfig, class_prototypes, run_selector
 from .store import EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
 from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
@@ -133,8 +132,7 @@ class ExperimentConfig:
             _selectors_at(self.selector, self.sweep_axis, self.sweep_values)
         if self.group_buckets is not None:
             parse_buckets(self.group_buckets)
-        if self.max_rank < 1:
-            raise ConfigError("max_rank must be positive")
+        check_max_rank(self.max_rank)
         if self.ap_mode not in AP_MODES:
             raise ConfigError(f"unknown ap_mode {self.ap_mode!r}")
         if self.selector.method == "gcp" and self.gcp is None and self.checkpoint is None:
@@ -161,6 +159,11 @@ PROTO_VERSION = 1
 
 
 def save_prototypes(pset: PrototypeSet, path) -> None:
+    """Write ``pset`` as JSON; raises before writing when a class has no
+    rows, which the reader could not load back as a 2-D array."""
+    empty = [c for c in pset.class_ids if not len(pset.per_class[c])]
+    if empty:
+        raise DataFormatError(f"class {empty[0]} has no prototypes; cannot write it")
     data = {
         "format": PROTO_FORMAT,
         "version": PROTO_VERSION,
@@ -168,9 +171,7 @@ def save_prototypes(pset: PrototypeSet, path) -> None:
         "params_echo": pset.params_echo,
         "classes": {str(c): pset.per_class[c].tolist() for c in pset.class_ids},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, data)
 
 
 def load_prototypes(path) -> PrototypeSet:
@@ -190,6 +191,10 @@ def load_prototypes(path) -> PrototypeSet:
         }
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad class id or prototype rows ({exc})") from None
+    # one spelling per id, else "1" and "01" would both load as class 1
+    bad = [c for c in data["classes"] if str(int(c)) != c]
+    if bad:
+        raise DataFormatError(f"{path}: class id {bad[0]!r} is not a canonical integer")
     if any(not -(2**63) <= c < 2**63 for c in per_class):
         raise DataFormatError(f"{path}: a class id does not fit a 64-bit integer")
     return PrototypeSet(per_class, data["selector"], data.get("params_echo", {}))
@@ -353,27 +358,18 @@ def _write_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, str] = {}
 
-    def write_text(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        artifacts[name] = str(path)
+    def written(name: str) -> Path:
+        artifacts[name] = str(out / name)
+        return out / name
 
-    write_text("report.json", report_to_json(result.report) + "\n")
-    write_text("report.csv", report_to_csv(result.report))
-    save_prototypes(result.prototypes, out / "prototypes.json")
-    artifacts["prototypes.json"] = str(out / "prototypes.json")
-    write_text(
-        "resolved_config.json",
-        json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    write_json(written("report.json"), asdict(result.report))
+    written("report.csv").write_text(report_to_csv(result.report), encoding="utf-8")
+    save_prototypes(result.prototypes, written("prototypes.json"))
+    write_json(written("resolved_config.json"), cfg.to_json_dict())
     if result.camera_groups:
-        write_text(
-            "camera_filter_groups.json",
-            json.dumps(result.camera_groups, sort_keys=True, indent=2) + "\n",
-        )
+        write_json(written("camera_filter_groups.json"), result.camera_groups)
     if result.model is not None and trained_here:
-        save_model(result.model, out / "model.gcpm")
-        artifacts["model.gcpm"] = str(out / "model.gcpm")
+        save_model(result.model, written("model.gcpm"))
     return artifacts
 
 

@@ -27,21 +27,24 @@ with exact distances, ``np.linalg.norm(rows - q)``, under the tie rule.
 Every rank therefore equals the brute-force rank: the report does not
 depend on the block, the BLAS library or its thread count.
 
-Final metric averaging is done with sequential scalar arithmetic in a
-fixed order, so an independently coded brute-force implementation that
-follows the same definitions produces bit-identical mAP and CMC values.
+Each query is scored where it is ranked: its AP and first own-class hit
+are kept, nothing else.  A CMC value is an integer count of first hits
+divided by the number of queries n; the mAP and the per-bucket means are
+sequential scalar sums in query order divided by their count.  An
+independently coded brute-force implementation that follows the same
+definitions therefore produces bit-identical mAP and CMC values.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
+from .errors import ConfigError, DataFormatError, DimensionMismatchError, EmptyPrototypeSetError
+from .schema import json_text, parse_json_object
 from .store import EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
@@ -50,6 +53,12 @@ DEFAULT_MAX_RANK = 25
 QUERY_BLOCK = 128
 
 AP_MODES = ("per_prototype", "per_identity")
+
+
+def check_max_rank(max_rank: int) -> None:
+    """Raise ConfigError unless ``max_rank`` is positive and fits int64."""
+    if not 1 <= max_rank < 2**63:
+        raise ConfigError(f"max_rank must be positive and below 2**63, got {max_rank}")
 
 
 def _exact_dists(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -72,19 +81,26 @@ class EvalReport:
 
 
 def _ap_from_relevance_ranks(ranks: Sequence[int], mode: str) -> float:
-    """AP given the 1-based ranks of the relevant items, best first.
+    """AP given the 1-based ranks of one or more relevant items, best first.
 
     Scalar accumulation in rank order keeps the value reproducible by any
     implementation that follows the same summation order.
     """
-    if len(ranks) == 0:
-        return 0.0
     if mode == "per_identity":
         return 1.0 / int(ranks[0])
     total = 0.0
     for i, r in enumerate(ranks, start=1):
         total += i / int(r)
     return total / len(ranks)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean by sequential scalar sums in order; the builtin ``sum``
+    compensates its rounding on Python 3.12 and later."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def _as_pset_groups(
@@ -273,8 +289,7 @@ def evaluate(
     class id -> gallery record count) adds a per-bucket mAP breakdown keyed
     on the query class's gallery size.
     """
-    if max_rank < 1:
-        raise ConfigError("max_rank must be positive")
+    check_max_rank(max_rank)
     if ap_mode not in AP_MODES:
         raise ConfigError(f"unknown ap_mode {ap_mode!r} (choose from {AP_MODES})")
     n = len(queries)
@@ -308,7 +323,8 @@ def evaluate(
         if other:
             packed = PrototypeSet(pset.per_class, pset.selector_tag)
             by_base[packed] = [(qi, None, None) for qi in other]
-    ranks_of: list[np.ndarray] = [None] * n
+    aps = [0.0] * n
+    first_hit = [0] * n  # 0: no own-class prototype
     for base, items in by_base.items():
         kernel = _RankKernel(base, len(items))
         for start in range(0, len(items), QUERY_BLOCK):
@@ -317,59 +333,34 @@ def evaluate(
                 queries.features, [qi for qi, _, _ in block]
             )
             for (qi, splice, spliced), q, q_sq_i, row in zip(block, qmat, q_sq, approx):
-                ranks_of[qi] = kernel.own_ranks(q, classes[qi], q_sq_i, row, splice, spliced)
-    ap_by_query = np.zeros(n)
-    first_hit = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    missing: list[str] = []
-    for _, rows in groups:
-        for qi in rows:
-            ranks = ranks_of[qi]
-            if len(ranks) == 0:
-                missing.append(queries.ids[qi])
-                continue
-            ap_by_query[qi] = _ap_from_relevance_ranks(ranks, ap_mode)
-            first_hit[qi] = int(ranks[0])
-    # CMC: fraction of queries whose first own-class hit lands within rank k
-    cmc = []
-    for k in range(1, max_rank + 1):
-        cmc.append(int(np.sum(first_hit <= k)) / n)
-    map_total = 0.0
-    for qi in range(n):
-        map_total += float(ap_by_query[qi])
-    mean_ap = map_total / n
+                ranks = kernel.own_ranks(q, classes[qi], q_sq_i, row, splice, spliced)
+                if len(ranks):
+                    aps[qi] = _ap_from_relevance_ranks(ranks, ap_mode)
+                    first_hit[qi] = int(ranks[0])
+    missing = [queries.ids[qi] for _, rows in groups for qi in rows if not first_hit[qi]]
+    # CMC: fraction of queries whose first own-class hit lands within rank k;
+    # a first hit past max_rank is counted in the dropped last bin
+    counts = np.bincount(np.minimum(first_hit, max_rank + 1), minlength=max_rank + 1)
+    cmc = (np.cumsum(counts[1 : max_rank + 1]) / n).tolist()
     per_group: dict[str, dict] = {}
     if group_buckets is not None:
         if gallery_sizes is None:
             raise ConfigError("group_buckets requires gallery_sizes")
-        bounds = parse_buckets(group_buckets)
-        for label, (lo, hi) in zip(group_buckets, bounds):
-            members = [
-                qi
-                for qi, class_id in enumerate(classes)
-                if lo <= gallery_sizes.get(class_id, 0) <= hi
-            ]
-            if not members:
-                per_group[label] = {"count": 0, "map": None}
-                continue
-            total = 0.0
-            for qi in members:
-                total += float(ap_by_query[qi])
-            per_group[label] = {"count": len(members), "map": total / len(members)}
-    report = EvalReport(
+        for label, (lo, hi) in zip(group_buckets, parse_buckets(group_buckets)):
+            members = [ap for ap, c in zip(aps, classes) if lo <= gallery_sizes.get(c, 0) <= hi]
+            per_group[label] = {"count": len(members), "map": _mean(members) if members else None}
+    return EvalReport(
         cmc=cmc,
         top1=cmc[0],
-        map=mean_ap,
+        map=_mean(aps),
         per_group=per_group,
         config_echo=dict(config_echo) if config_echo else {},
         per_query_ap=(
-            [[queries.ids[qi], float(ap_by_query[qi])] for qi in range(n)]
-            if include_per_query_ap
-            else None
+            [[qid, ap] for qid, ap in zip(queries.ids, aps)] if include_per_query_ap else None
         ),
         missing_class_query_ids=missing,
         n_queries=n,
     )
-    return report
 
 
 def parse_buckets(labels: Sequence[str]) -> list[tuple[int, float]]:
@@ -409,36 +400,20 @@ def parse_buckets(labels: Sequence[str]) -> list[tuple[int, float]]:
     return bounds
 
 
-def report_to_json_dict(report: EvalReport) -> dict:
-    return {
-        "cmc": report.cmc,
-        "top1": report.top1,
-        "map": report.map,
-        "per_group": report.per_group,
-        "config_echo": report.config_echo,
-        "per_query_ap": report.per_query_ap,
-        "missing_class_query_ids": report.missing_class_query_ids,
-        "n_queries": report.n_queries,
-    }
-
-
 def report_to_json(report: EvalReport) -> str:
-    """Stable-key JSON; reloading reproduces every float bit-exactly."""
-    return json.dumps(report_to_json_dict(report), sort_keys=True, indent=2)
+    """The report in the written form of every JSON artifact (``json_text``);
+    reloading reproduces every float bit-exactly."""
+    return json_text(asdict(report))
 
 
 def report_from_json(text: str) -> EvalReport:
-    data = json.loads(text)
-    return EvalReport(
-        cmc=data["cmc"],
-        top1=data["top1"],
-        map=data["map"],
-        per_group=data["per_group"],
-        config_echo=data["config_echo"],
-        per_query_ap=data["per_query_ap"],
-        missing_class_query_ids=data["missing_class_query_ids"],
-        n_queries=data["n_queries"],
-    )
+    """The report ``report_to_json`` wrote; DataFormatError unless ``text``
+    is a JSON object with exactly the report's keys."""
+    data = parse_json_object(text, "report")
+    keys = {f.name for f in fields(EvalReport)}
+    if data.keys() != keys:
+        raise DataFormatError(f"report: keys {sorted(data)}, expected {sorted(keys)}")
+    return EvalReport(**data)
 
 
 def report_to_csv(report: EvalReport) -> str:

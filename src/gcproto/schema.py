@@ -19,6 +19,11 @@ that prefix, written without null members, or as null when all are null;
 ``{"required": True}`` makes a key mandatory in JSON; ``{"spellings": {...}}``
 maps extra JSON spellings to the stored value.  A class attribute
 ``JSON_VERSION`` adds a ``"version"`` key that must hold that value.
+
+Every JSON artifact the package writes goes through :func:`write_json`, in
+the one form of :func:`json_text`: sorted keys, two-space indent, a trailing
+newline, UTF-8.  Its readers raise ``DataFormatError`` unless a file or text
+holds one JSON object.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 import numbers
 import types
 import typing
+from pathlib import Path
 
 from .errors import ConfigError, DataFormatError
 
@@ -205,13 +211,28 @@ def to_json(obj) -> dict:
     return out
 
 
+def json_text(data) -> str:
+    """``data`` as JSON: sorted keys, two-space indent, a trailing newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` to ``path`` as UTF-8 ``json_text``."""
+    Path(path).write_text(json_text(data), encoding="utf-8")
+
+
+def parse_json_object(text: str | bytes, where) -> dict:
+    """Decode ``text`` (bytes as UTF-8), which must hold one JSON object;
+    errors name ``where``."""
+    try:
+        data = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{where}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{where}: expected a JSON object")
+    return data
+
+
 def read_json_object(path) -> dict:
     """Decode the file at ``path``, which must hold one JSON object."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    return data
+    return parse_json_object(Path(path).read_bytes(), path)

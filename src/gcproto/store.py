@@ -475,8 +475,11 @@ def _load_csv(path: Path) -> EmbeddingSet:
 
 
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
-    """Write the set as CSV; raises before writing when an id or label holds
-    a comma or line break, which the reader could not split back."""
+    """Write the set as CSV; raises before writing when the set has no
+    feature columns or an id or label holds a comma or line break, which the
+    reader could not read back."""
+    if eset.dim == 0:
+        raise DataFormatError("a set of zero-width vectors cannot be written to CSV")
     class_names = eset.class_names or {}
     camera_names = eset.camera_names or {}
     heads = []
@@ -538,6 +541,11 @@ def _load_binary(path: Path) -> EmbeddingSet:
 
 
 def _save_binary(eset: EmbeddingSet, path: Path) -> None:
+    wide = np.flatnonzero((eset.row_classes >= 2**32) | (eset.row_cameras >= 2**32))
+    if len(wide):  # the format stores labels as 32-bit fields
+        raise DataFormatError(
+            f"record {eset.ids[wide[0]]!r}: a label of 2**32 or more cannot be written to .gcpe"
+        )
     parts = [BINARY_MAGIC, struct.pack("<III", BINARY_VERSION, len(eset), eset.dim)]
     for rec_id, cls, cam, vec in zip(eset.ids, eset.row_classes, eset.row_cameras, eset.features):
         rec_id = rec_id.encode("utf-8")

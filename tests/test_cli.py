@@ -202,9 +202,11 @@ class TestEval:
             lambda c: c.update(per_query_ap="no"),
             lambda c: c.update(selector={"method": "gcp"}, gcp=[]),
             lambda c: c.update(sweep={"values": [1, 2]}),
+            lambda c: c.update(max_rank=2**63),
         ],
         ids=["selector-n", "sweep-values", "synthetic-n-classes", "gcp-dim",
-             "per-query-ap-string", "gcp-empty-list", "sweep-without-axis"],
+             "per-query-ap-string", "gcp-empty-list", "sweep-without-axis",
+             "max-rank-past-int64"],
     )
     def test_wrong_typed_field_prints_one_error_line(self, datadir, capsys, edit):
         cfg = {

@@ -111,6 +111,8 @@ class TestConfigValidation:
     def test_misc_field_validation(self):
         with pytest.raises(ConfigError):
             cfg_for(max_rank=0)
+        with pytest.raises(ConfigError, match="2\\*\\*63"):
+            cfg_for(max_rank=2**63)
         with pytest.raises(ConfigError):
             cfg_for(ap_mode="harmonic")
         with pytest.raises(ConfigError):
@@ -259,6 +261,53 @@ class TestPrototypeFiles:
         assert loaded.class_ids == pset.class_ids
         for c in pset.class_ids:
             np.testing.assert_array_equal(loaded.per_class[c], pset.per_class[c])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(0, 3),
+            min_size=1,
+            max_size=4,
+        ),
+        dim=st.integers(1, 3),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=12),
+        tag=st.sampled_from(["instance", "fps", "gcp"]),
+        echo=st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=2),
+    )
+    def test_every_accepted_set_reloads(self, tmp_path_factory, rows, dim, values, tag, echo):
+        # classes with zero rows are real inputs, and those the writer refuses
+        per_class = {
+            c: np.array(values[: k * dim], dtype=np.float64).reshape(k, dim)
+            for c, k in rows.items()
+        }
+        pset = PrototypeSet(per_class, tag, echo)
+        path = tmp_path_factory.mktemp("protos") / "protos.json"
+        if not all(rows.values()):
+            with pytest.raises(DataFormatError, match="no prototypes"):
+                save_prototypes(pset, path)
+            assert not path.exists()
+            return
+        save_prototypes(pset, path)
+        loaded = load_prototypes(path)
+        assert (loaded.selector_tag, loaded.params_echo) == (tag, echo)
+        assert loaded.class_ids == pset.class_ids
+        for c in pset.class_ids:
+            np.testing.assert_array_equal(
+                loaded.per_class[c].view(np.uint64), pset.per_class[c].view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("ids", [["1", "01"], ["01"], [" 2"], ["+3"], ["4_0"], ["-0"]])
+    def test_non_canonical_class_id_rejected(self, tmp_path, ids):
+        # "1" and "01" would both read as class 1, and one set of rows be lost
+        doc = {
+            "format": PROTO_FORMAT, "version": PROTO_VERSION, "selector": "centroid",
+            "classes": {c: [[float(i)]] for i, c in enumerate(ids)},
+        }
+        path = tmp_path / "protos.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="canonical"):
+            load_prototypes(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "protos.json"

@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gcproto.errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
+from gcproto.errors import (
+    ConfigError,
+    DataFormatError,
+    DimensionMismatchError,
+    EmptyPrototypeSetError,
+)
 from gcproto import retrieval
 from gcproto.retrieval import (
     AP_MODES,
@@ -260,6 +265,8 @@ class TestEvaluate:
         queries, pset = self.line_setup()
         with pytest.raises(ConfigError):
             evaluate(queries, pset, max_rank=0)
+        with pytest.raises(ConfigError, match="2\\*\\*63"):
+            evaluate(queries, pset, max_rank=2**63)
         with pytest.raises(ConfigError):
             evaluate(queries, pset, ap_mode="sideways")
         with pytest.raises(EmptyPrototypeSetError):
@@ -340,11 +347,17 @@ class TestGemmKernel:
         case=tie_heavy_cases(),
         ap_mode=st.sampled_from(AP_MODES),
         block=st.sampled_from([1, 2, retrieval.QUERY_BLOCK]),
+        data=st.data(),
     )
-    def test_evaluate_equals_brute_force(self, case, ap_mode, block):
+    def test_evaluate_equals_brute_force(self, case, ap_mode, block, data):
         queries, arg = case
+        # CMC tails past the prototype count P are checked too
+        n_protos = max(pset_of(arg, rec).total_count() for rec in queries.records)
+        max_rank = data.draw(st.integers(1, n_protos + 3), label="max_rank")
         with mock.patch.object(retrieval, "QUERY_BLOCK", block):
-            rep = evaluate(queries, arg, max_rank=8, ap_mode=ap_mode, include_per_query_ap=True)
+            rep = evaluate(
+                queries, arg, max_rank=max_rank, ap_mode=ap_mode, include_per_query_ap=True
+            )
         want_ap, hits, missing = [], [], []
         for rec in queries.records:
             _, cls, _, order = numpy_brute_force(rec.vector, pset_of(arg, rec))
@@ -364,7 +377,7 @@ class TestGemmKernel:
             want_ap.append([rec.id, ap])
         n = len(queries)
         assert rep.per_query_ap == want_ap
-        assert rep.cmc == [sum(1 for h in hits if h <= k) / n for k in range(1, 9)]
+        assert rep.cmc == [sum(1 for h in hits if h <= k) / n for k in range(1, max_rank + 1)]
         assert sorted(rep.missing_class_query_ids) == missing
         total = 0.0
         for _, ap in want_ap:
@@ -556,6 +569,23 @@ class TestReportIo:
         assert back.map == rep.map
         assert back.cmc == rep.cmc
         assert back.per_query_ap == rep.per_query_ap
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[:-3],
+            lambda text: "[" + text + "]",
+            lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "n_queries"}
+            ),
+            lambda text: json.dumps({**json.loads(text), "extra": 1}),
+        ],
+        ids=["not-json", "list", "missing-key", "extra-key"],
+    )
+    def test_malformed_json_rejected(self, edit):
+        text = edit(report_to_json(self.build_report()))
+        with pytest.raises(DataFormatError):
+            report_from_json(text)
 
     def test_json_keys_sorted(self):
         text = report_to_json(self.build_report())

@@ -329,6 +329,13 @@ class TestCsvIo:
             save_embedding_set(es, path)
         assert not path.exists()
 
+    def test_zero_width_set_refused_before_writing(self, tmp_path):
+        # a header with no feature columns is one the reader refuses
+        path = tmp_path / "x.csv"
+        with pytest.raises(DataFormatError, match="zero-width"):
+            save_embedding_set(build_set(np.ones((2, 0)), [0, 1], [0, 0]), path)
+        assert not path.exists()
+
     @settings(max_examples=25, deadline=None)
     @given(
         coords=st.lists(
@@ -425,6 +432,20 @@ class TestBinaryIo:
         assert [(r.id, r.class_id, r.camera_id) for r in back.records] == [
             (r.id, r.class_id, r.camera_id) for r in es.records
         ]
+
+    @pytest.mark.parametrize("column", ["class", "camera"])
+    def test_label_past_32_bits_refused_before_writing(self, tmp_path, column):
+        labels = {"class": [0, 0], "camera": [0, 0]}
+        labels[column][1] = 2**32
+        es = build_set(np.ones((2, 3)), labels["class"], labels["camera"])
+        path = tmp_path / "x.gcpe"
+        with pytest.raises(DataFormatError, match="record 'r1'"):
+            save_embedding_set(es, path)
+        assert not path.exists()
+        labels[column][1] = 2**32 - 1  # the largest label the format holds
+        es = build_set(np.ones((2, 3)), labels["class"], labels["camera"])
+        save_embedding_set(es, path)
+        assert load_embedding_set(path).row_classes.tolist() == labels["class"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gcpe"
