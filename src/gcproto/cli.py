@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError, GcprotoError
 from .harness import (
+    PROTOCOL_CHOICES,
     ExperimentConfig,
     experiment_config_from_json_dict,
     group_evaluate,
@@ -155,9 +156,7 @@ def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHODS, help="prototype selector")
     p.add_argument("--n", type=int, help="prototypes per class")
     p.add_argument("--alpha", type=float, help="interpolation factor for alphafps")
-    p.add_argument(
-        "--protocol", choices=("plain", "camera-filter"), help="inference protocol"
-    )
+    p.add_argument("--protocol", choices=PROTOCOL_CHOICES, help="inference protocol")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--checkpoint", help="trained model checkpoint for --method gcp")
     p.add_argument("--config", help="experiment config JSON")

@@ -83,7 +83,7 @@ from .retrieval import (
 from .schema import check_field_types, from_json, read_json_object, to_json, write_json
 from .selectors import SelectorConfig, class_prototypes, run_selector
 from .store import EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
-from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
+from .synthetic import PRESETS, SyntheticSpec, generate_synthetic, preset_spec
 
 PROTOCOL_CHOICES = ("plain", "camera-filter")
 
@@ -96,18 +96,20 @@ class ExperimentConfig:
     data_path: str | None = field(default=None, metadata={"json": "data.path"})
     queries_path: str | None = field(default=None, metadata={"json": "queries.path"})
     synthetic: SyntheticSpec | None = field(default=None, metadata={"json": "data.synthetic"})
-    preset: str | None = field(default=None, metadata={"json": "data.preset"})
+    preset: str | None = field(
+        default=None, metadata={"json": "data.preset", "choices": tuple(PRESETS)}
+    )
     gcp: GcpConfig | None = None
     checkpoint: str | None = None
-    protocol: str = "plain"
+    protocol: str = field(default="plain", metadata={"choices": PROTOCOL_CHOICES})
     sweep_axis: str | None = field(default=None, metadata={"json": "sweep.axis"})
     sweep_values: list[int | float] | None = field(default=None, metadata={"json": "sweep.values"})
     group_buckets: list[str] | None = None
     max_rank: int = DEFAULT_MAX_RANK
-    ap_mode: str = "per_prototype"
+    ap_mode: str = field(default="per_prototype", metadata={"choices": AP_MODES})
     per_query_ap: bool = False
     out_dir: str | None = None
-    seed: int = 0
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_field_types(self)
@@ -121,20 +123,12 @@ class ExperimentConfig:
                 "exactly one data source required: data path, synthetic spec, or preset"
             )
         if self.data_path is not None and self.queries_path is None:
-            raise ConfigError("a file data source needs a queries file")
-        if self.preset is not None:
-            preset_spec(self.preset)
-        if self.protocol not in PROTOCOL_CHOICES:
-            raise ConfigError(
-                f"unknown protocol {self.protocol!r} (choose from {PROTOCOL_CHOICES})"
-            )
+            raise ConfigError("a file data source (data_path) needs a queries file (queries_path)")
         if self.sweep_axis is not None or self.sweep_values is not None:
             _selectors_at(self.selector, self.sweep_axis, self.sweep_values)
         if self.group_buckets is not None:
             parse_buckets(self.group_buckets)
         check_max_rank(self.max_rank)
-        if self.ap_mode not in AP_MODES:
-            raise ConfigError(f"unknown ap_mode {self.ap_mode!r}")
         if self.selector.method == "gcp" and self.gcp is None and self.checkpoint is None:
             raise ConfigError(
                 "selector 'gcp' needs a gcp training config or a checkpoint"

@@ -23,6 +23,7 @@ the test suite.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -62,59 +63,29 @@ class GcpConfig:
     ffn_dim 512) cost numpy arithmetic rather than per-class Python work.
     """
 
-    dim: int = 32
-    n_blocks: int = 2
-    n_heads: int = 4
-    ffn_dim: int = 64
-    dropout_rate: float = 0.2
-    n_prototypes: int = 3
-    margin: float = 1.2
-    lam: float = 1.0
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    batch_classes: int = 16
-    instances_per_class: int = 8
-    epochs: int = 30
-    n_cameras: int = 4
-    seed: int = 0
+    dim: int = field(default=32, metadata={"ge": 1})
+    n_blocks: int = field(default=2, metadata={"ge": 1})
+    n_heads: int = field(default=4, metadata={"ge": 1})
+    ffn_dim: int = field(default=64, metadata={"ge": 1})
+    dropout_rate: float = field(default=0.2, metadata={"ge": 0.0, "lt": 1.0})
+    n_prototypes: int = field(default=3, metadata={"ge": 1})
+    margin: float = field(default=1.2, metadata={"gt": 0.0})
+    lam: float = field(default=1.0, metadata={"ge": 0.0})
+    lr: float = field(default=0.01, metadata={"ge": 0.0})
+    momentum: float = field(default=0.9, metadata={"ge": 0.0, "lt": 1.0})
+    weight_decay: float = field(default=5e-4, metadata={"ge": 0.0})
+    batch_classes: int = field(default=16, metadata={"ge": 1})
+    instances_per_class: int = field(default=8, metadata={"ge": 1})
+    epochs: int = field(default=30, metadata={"ge": 1})
+    n_cameras: int = field(default=4, metadata={"ge": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_field_types(self)
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
-        if self.n_heads < 1 or self.dim % self.n_heads != 0:
+        if self.dim % self.n_heads != 0:
             raise ConfigError(
                 f"dim ({self.dim}) must be divisible by n_heads ({self.n_heads})"
             )
-        if self.n_blocks < 1:
-            raise ConfigError("n_blocks must be positive")
-        if self.ffn_dim < 1:
-            raise ConfigError("ffn_dim must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.n_prototypes < 1:
-            raise ConfigError("n_prototypes must be positive")
-        if self.margin <= 0.0:
-            raise ConfigError("margin must be positive")
-        if self.lam < 0.0:
-            raise ConfigError("lam must be non-negative")
-        if self.lr < 0.0:
-            raise ConfigError("lr must be non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be non-negative")
-        if self.batch_classes < 1:
-            raise ConfigError("batch_classes must be positive")
-        if self.instances_per_class < 1:
-            raise ConfigError("instances_per_class must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be positive")
-        if self.n_cameras < 1:
-            raise ConfigError("n_cameras must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
 
 def _param_shapes(cfg: GcpConfig) -> dict[str, tuple[int, ...]]:
@@ -604,17 +575,30 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
     return GcpModel(config=cfg, params=params), trace
 
 
+def _layout(cfg: GcpConfig) -> tuple[list[dict], int]:
+    """The checkpoint manifest of ``cfg``'s parameters and the size of their
+    blob: one ``{name, shape, offset}`` entry per parameter in name order,
+    each stored as little-endian float64 right after the previous one."""
+    manifest, offset = [], 0
+    for name, shape in sorted(_param_shapes(cfg).items()):
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return manifest, offset
+
+
 def save_model(model: GcpModel, path) -> None:
-    """Write a checkpoint: magic, version, config JSON, manifest, f64 blob."""
+    """Write a checkpoint: magic, version, config JSON, manifest, f64 blob.
+
+    The manifest and blob layout are a function of the config (``_layout``);
+    raises DimensionMismatchError, before writing, when a parameter is
+    missing, unexpected or not of the shape the config gives it."""
+    shapes = _param_shapes(model.config)
+    given = {name: np.shape(arr) for name, arr in model.params.items()}
+    if given != shapes:
+        wrong = sorted(k for k in shapes.keys() | given.keys() if shapes.get(k) != given.get(k))
+        raise DimensionMismatchError(f"parameters {wrong} do not fit the model's config")
+    manifest, _ = _layout(model.config)
     cfg_json = json.dumps(to_json(model.config), sort_keys=True).encode("utf-8")
-    manifest = []
-    blob_parts = []
-    offset = 0
-    for name in sorted(model.params):
-        arr = np.ascontiguousarray(model.params[name], dtype="<f8")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob_parts.append(arr.tobytes())
-        offset += arr.nbytes
     man_json = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -623,26 +607,14 @@ def save_model(model: GcpModel, path) -> None:
         fh.write(cfg_json)
         fh.write(struct.pack("<I", len(man_json)))
         fh.write(man_json)
-        for part in blob_parts:
-            fh.write(part)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_manifest_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and set(entry) == {"name", "shape", "offset"}
-        and isinstance(entry["name"], str)
-        and isinstance(entry["shape"], list)
-        and all(_is_int(k) and k >= 0 for k in entry["shape"])
-        and _is_int(entry["offset"])
-    )
+        for entry in manifest:
+            fh.write(np.ascontiguousarray(model.params[entry["name"]], dtype="<f8").tobytes())
 
 
 def load_model(path) -> GcpModel:
+    """Read a checkpoint ``save_model`` wrote.  Its manifest must be the
+    layout of its config (``_layout``) and the blob exactly that layout's
+    size; anything else is a DataFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != MODEL_MAGIC:
@@ -673,45 +645,23 @@ def load_model(path) -> GcpModel:
     if not isinstance(cfg_dict, dict) or set(cfg_dict) != set(GcpConfig.__dataclass_fields__):
         raise DataFormatError(f"{path}: config block must hold exactly the GcpConfig keys")
     cfg = from_json(GcpConfig, cfg_dict)
-    if not isinstance(manifest, list) or not all(_is_manifest_entry(e) for e in manifest):
+    layout, size = _layout(cfg)
+    if json.dumps(manifest, sort_keys=True) != json.dumps(layout, sort_keys=True):
         raise DataFormatError(
-            f"{path}: manifest must be a list of {{name, shape, offset}} objects "
-            "with a string name, a list of non-negative integer sizes and an "
-            "integer offset"
-        )
-    expected = _param_shapes(cfg)
-    seen = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
-    if len(seen) != len(manifest) or seen != {k: tuple(v) for k, v in expected.items()}:
-        missing = sorted(set(expected) - set(seen))
-        extra = sorted(set(seen) - set(expected))
-        wrong = sorted(
-            k for k in set(seen) & set(expected) if seen[k] != tuple(expected[k])
-        )
-        raise DataFormatError(
-            f"{path}: manifest does not match config (missing={missing}, "
-            f"unexpected={extra}, wrong shape={wrong}, entries={len(manifest)})"
+            f"{path}: manifest is not the parameter layout of the checkpoint's config"
         )
     blob = raw[pos:]
-    params: dict[str, np.ndarray] = {}
-    end = 0
-    for entry in sorted(manifest, key=lambda e: e["offset"]):
-        name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if start < end or start % 8:
-            raise DataFormatError(
-                f"{path}: parameter {name!r} has offset {start}, which is negative, "
-                "not a multiple of 8 or overlaps the previous parameter"
-            )
-        count = int(np.prod(shape)) if shape else 1
-        end = start + 8 * count
-        if end > len(blob):
-            raise DataFormatError(f"{path}: parameter {name!r} extends past end of file")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-        params[name] = arr.astype(np.float64).reshape(shape)
-    if end != len(blob):
+    if len(blob) < size:
+        raise DataFormatError(f"{path}: truncated inside the parameters")
+    if len(blob) > size:
         raise DataFormatError(
-            f"{path}: {len(blob) - end} extra bytes after the last parameter"
+            f"{path}: {len(blob) - size} extra bytes after the last parameter"
         )
-    for name, arr in params.items():
+    params: dict[str, np.ndarray] = {}
+    for entry in layout:
+        name, shape = entry["name"], entry["shape"]
+        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=entry["offset"])
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValueError(f"{path}: parameter {name!r} has non-finite values")
+        params[name] = arr.astype(np.float64).reshape(shape)
     return GcpModel(config=cfg, params=params)

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataFormatError, DimensionMismatchError, EmptyPrototypeSetError
-from .schema import json_text, parse_json_object
+from .schema import check_field_types, json_text, parse_json_object
 from .store import EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
@@ -56,9 +56,11 @@ AP_MODES = ("per_prototype", "per_identity")
 
 
 def check_max_rank(max_rank: int) -> None:
-    """Raise ConfigError unless ``max_rank`` is positive and fits int64."""
-    if not 1 <= max_rank < 2**63:
-        raise ConfigError(f"max_rank must be positive and below 2**63, got {max_rank}")
+    """Raise ConfigError unless ``1 <= max_rank <= 2**20``: a CMC of 2**20
+    float64 values is 8 MB, far past the largest gallery ranked here (5,000
+    prototypes), and a deeper one may not fit in memory."""
+    if not 1 <= max_rank <= 2**20:
+        raise ConfigError(f"max_rank must lie in [1, 2**20], got {max_rank}")
 
 
 def _exact_dists(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -77,7 +79,7 @@ class EvalReport:
     config_echo: dict = field(default_factory=dict)
     per_query_ap: list | None = None  # [query_id, ap] pairs in query order
     missing_class_query_ids: list[str] = field(default_factory=list)
-    n_queries: int = 0
+    n_queries: int = field(default=0, metadata={"ge": 0})
 
 
 def _ap_from_relevance_ranks(ranks: Sequence[int], mode: str) -> float:
@@ -408,12 +410,18 @@ def report_to_json(report: EvalReport) -> str:
 
 def report_from_json(text: str) -> EvalReport:
     """The report ``report_to_json`` wrote; DataFormatError unless ``text``
-    is a JSON object with exactly the report's keys."""
+    is a JSON object with exactly the report's keys, each holding a value
+    of its field's type (``schema.check_field_types``)."""
     data = parse_json_object(text, "report")
     keys = {f.name for f in fields(EvalReport)}
     if data.keys() != keys:
         raise DataFormatError(f"report: keys {sorted(data)}, expected {sorted(keys)}")
-    return EvalReport(**data)
+    report = EvalReport(**data)
+    try:
+        check_field_types(report)
+    except ConfigError as exc:
+        raise DataFormatError(f"report: {exc}") from None
+    return report
 
 
 def report_to_csv(report: EvalReport) -> str:

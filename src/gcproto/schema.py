@@ -20,6 +20,14 @@ that prefix, written without null members, or as null when all are null;
 maps extra JSON spellings to the stored value.  A class attribute
 ``JSON_VERSION`` adds a ``"version"`` key that must hold that value.
 
+A field's single-value rules are metadata too, checked by
+:func:`check_field_types` after the type: ``{"ge": 1}``, ``"gt"``, ``"le"``
+and ``"lt"`` bound the value (``n_blocks must be >= 1, got 0``), or each
+member of a tuple value, and ``{"choices": (...)}`` lists the values
+allowed (``unknown protocol 'x' (choose from (...))``).  A field that holds
+``None`` is not checked against either.  Rules that relate two fields, or
+two members of one value, stay in the class's ``__post_init__``.
+
 Every JSON artifact the package writes goes through :func:`write_json`, in
 the one form of :func:`json_text`: sorted keys, two-space indent, a trailing
 newline, UTF-8.  Its readers raise ``DataFormatError`` unless a file or text
@@ -33,6 +41,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import types
 import typing
 from pathlib import Path
@@ -45,6 +54,13 @@ _NONE = type(None)
 _EXACT = {int: (int,), float: (float, int), str: (str,), bool: (bool,), _NONE: (_NONE,)}
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}  # for Python callers
 _NO = object()  # a JSON value that does not read as the annotated type
+# bound keys of field metadata: (key, test(value, limit) that must hold, symbol)
+_BOUNDS = (
+    ("ge", operator.ge, ">="),
+    ("gt", operator.gt, ">"),
+    ("le", operator.le, "<="),
+    ("lt", operator.lt, "<"),
+)
 
 
 def _alternatives(tp) -> tuple:
@@ -55,9 +71,10 @@ def _alternatives(tp) -> tuple:
 
 @functools.cache
 def _schema(cls) -> tuple[list, dict]:
-    """One row ``(field, group, key, alternatives, exact types)`` per field,
-    nested configs last so that they can inherit the seed, and the JSON keys
-    of each group ("" is the top level)."""
+    """One row ``(field, group, key, alternatives, exact types, bounds,
+    choices)`` per field, nested configs last so that they can inherit the
+    seed, and the JSON keys of each group ("" is the top level).  ``bounds``
+    holds one ``(test, symbol, limit)`` per bound the field declares."""
     hints = typing.get_type_hints(cls)
     rows, groups = [], {"": {"version"} if hasattr(cls, "JSON_VERSION") else set()}
     for f in dataclasses.fields(cls):
@@ -67,7 +84,8 @@ def _schema(cls) -> tuple[list, dict]:
         kinds = _alternatives(hints[f.name])
         exact = {t for k in kinds for t in _EXACT.get(k, ())}
         exact.update(k for k in kinds if dataclasses.is_dataclass(k))
-        rows.append((f, group, key, kinds, frozenset(exact)))
+        bounds = tuple((op, sym, f.metadata[k]) for k, op, sym in _BOUNDS if k in f.metadata)
+        rows.append((f, group, key, kinds, frozenset(exact), bounds, f.metadata.get("choices")))
     rows.sort(key=lambda r: any(dataclasses.is_dataclass(k) for k in r[3]))
     return rows, groups
 
@@ -87,6 +105,10 @@ def _matches(value, tp) -> bool:
         )
     if origin is list:
         return isinstance(value, list) and all(_matches(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _matches(k, args[0]) and _matches(v, args[1]) for k, v in value.items()
+        )
     return isinstance(value, tp)
 
 
@@ -103,14 +125,23 @@ def _finite(value) -> bool:
 
 def check_field_types(obj) -> None:
     """Raise ConfigError when a field of the dataclass ``obj`` holds a value
-    of none of its annotated types (numpy scalars count as numbers), or a
-    NaN or infinity, alone or in a tuple or list."""
-    for f, _, _, kinds, exact in _schema(type(obj))[0]:
+    of none of its annotated types (numpy scalars count as numbers), a NaN
+    or infinity, alone or in a tuple or list, or a value its declared
+    bounds or choices refuse."""
+    for f, _, _, kinds, exact, bounds, choices in _schema(type(obj))[0]:
         value = getattr(obj, f.name)
         if type(value) not in exact and not any(_matches(value, k) for k in kinds):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not _finite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if value is None:
+            continue
+        if choices is not None and value not in choices:
+            raise ConfigError(f"unknown {f.name} {value!r} (choose from {choices})")
+        for test, sym, limit in bounds:
+            for v in value if type(value) is tuple else (value,):
+                if not test(v, limit):
+                    raise ConfigError(f"{f.name} must be {sym} {limit}, got {v!r}")
 
 
 def _read_value(value, tp, inherited: dict, where: str):
@@ -165,7 +196,7 @@ def _read(cls, data, defaults: dict, where: str):
     if version is not None and (type(version) is not int or version != cls.JSON_VERSION):
         raise ConfigError(f"unsupported config version {version!r}")
     kwargs = {}
-    for f, group, key, kinds, _ in rows:
+    for f, group, key, kinds, *_ in rows:
         section, qual = sections[group], ".".join(p for p in (where, group, key) if p)
         if key not in section:
             kwargs[f.name] = defaults.get(f.name, f.default)
@@ -200,7 +231,7 @@ def to_json(obj) -> dict:
     """The JSON object of the config dataclass ``obj``."""
     rows, groups = _schema(type(obj))
     out = {"version": obj.JSON_VERSION} if hasattr(obj, "JSON_VERSION") else {}
-    for f, group, key, _, _ in rows:
+    for f, group, key, *_ in rows:
         value = _write_value(getattr(obj, f.name))
         if not group:
             out[key] = value

@@ -43,26 +43,16 @@ class SelectorConfig:
     # JSON must name the method; "alpha_fps" is the store tag's spelling
     method: str = field(
         default="centroid",
-        metadata={"required": True, "spellings": {"alpha_fps": "alphafps"}},
+        metadata={"required": True, "spellings": {"alpha_fps": "alphafps"}, "choices": METHODS},
     )
-    n_prototypes: int = field(default=3, metadata={"json": "n"})
-    alpha: float = 0.5
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-9
-    seed: int = 0
+    n_prototypes: int = field(default=3, metadata={"json": "n", "ge": 1})
+    alpha: float = field(default=0.5, metadata={"ge": 0.0, "le": 1.0})
+    kmeans_max_iters: int = field(default=100, metadata={"ge": 1})
+    kmeans_tol: float = field(default=1e-9, metadata={"gt": 0.0})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_field_types(self)
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown selector method {self.method!r}")
-        if self.n_prototypes < 1:
-            raise ConfigError("n_prototypes must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
-        if self.kmeans_max_iters < 1:
-            raise ConfigError("kmeans_max_iters must be >= 1")
-        if self.kmeans_tol <= 0:
-            raise ConfigError("kmeans_tol must be positive")
 
 
 def _dists(points: np.ndarray, anchor: np.ndarray, diff=None, out=None) -> np.ndarray:

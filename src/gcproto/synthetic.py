@@ -45,7 +45,7 @@ is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,68 +58,35 @@ from .store import EmbeddingSet
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_classes: int = 200
-    instances_per_class: int | tuple[int, int] = 8  # fixed, or (lo, hi) sizes
-    dim: int = 32
-    n_cameras: int = 4
-    class_center_scale: float = 10.0
-    within_class_noise: float = 1.0
-    camera_offset_scale: float = 0.5
-    elongation_scale: float | tuple[float, float] = 0.0  # fixed, or (lo, hi) per class
-    elongation_floor: float = 0.0  # slide magnitude drawn from [floor, 1]
-    tail_fraction: float = 0.0  # > 0: only this fraction slides, one-sided
-    tail_angle_deg: float = 0.0  # tilt of the slide axis off the shared one
-    chain_spacing: float = 0.0  # > 0: centers step along one shared axis
-    ring_spacing: float = 0.0  # > 0: centers on a circle, this far apart
-    queries_per_class: int = 2
-    seed: int = 0
+    n_classes: int = field(default=200, metadata={"ge": 1})
+    # fixed, or (lo, hi) sizes
+    instances_per_class: int | tuple[int, int] = field(default=8, metadata={"ge": 1})
+    dim: int = field(default=32, metadata={"ge": 1})
+    n_cameras: int = field(default=4, metadata={"ge": 1})
+    class_center_scale: float = field(default=10.0, metadata={"gt": 0.0})
+    within_class_noise: float = field(default=1.0, metadata={"ge": 0.0})
+    camera_offset_scale: float = field(default=0.5, metadata={"ge": 0.0})
+    elongation_scale: float | tuple[float, float] = field(default=0.0, metadata={"ge": 0.0})
+    elongation_floor: float = field(default=0.0, metadata={"ge": 0.0, "lt": 1.0})
+    tail_fraction: float = field(default=0.0, metadata={"ge": 0.0, "lt": 1.0})
+    tail_angle_deg: float = field(default=0.0, metadata={"ge": 0.0, "le": 90.0})
+    chain_spacing: float = field(default=0.0, metadata={"ge": 0.0})
+    ring_spacing: float = field(default=0.0, metadata={"ge": 0.0})
+    queries_per_class: int = field(default=2, metadata={"ge": 0})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_classes < 1:
-            raise ConfigError("n_classes must be positive")
-        if isinstance(self.instances_per_class, tuple):
-            lo, hi = self.instances_per_class
-            if lo < 1 or hi < lo:
-                raise ConfigError("instances_per_class range must satisfy 1 <= lo <= hi")
-        elif self.instances_per_class < 1:
-            raise ConfigError("instances_per_class must be positive")
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
-        if self.n_cameras < 1:
-            raise ConfigError("n_cameras must be positive")
-        if self.class_center_scale <= 0:
-            raise ConfigError("class_center_scale must be positive")
-        if self.within_class_noise < 0:
-            raise ConfigError("within_class_noise must be non-negative")
-        if self.camera_offset_scale < 0:
-            raise ConfigError("camera_offset_scale must be non-negative")
-        if isinstance(self.elongation_scale, tuple):
-            lo, hi = self.elongation_scale
-            if lo < 0 or hi < lo:
-                raise ConfigError("elongation_scale range must satisfy 0 <= lo <= hi")
-        elif self.elongation_scale < 0:
-            raise ConfigError("elongation_scale must be non-negative")
-        if not 0.0 <= self.elongation_floor < 1.0:
-            raise ConfigError("elongation_floor must lie in [0, 1)")
-        if not 0.0 <= self.tail_fraction < 1.0:
-            raise ConfigError("tail_fraction must lie in [0, 1)")
-        if not 0.0 <= self.tail_angle_deg <= 90.0:
-            raise ConfigError("tail_angle_deg must lie in [0, 90]")
-        if self.chain_spacing < 0:
-            raise ConfigError("chain_spacing must be non-negative")
-        if self.ring_spacing < 0:
-            raise ConfigError("ring_spacing must be non-negative")
+        for name in ("instances_per_class", "elongation_scale"):
+            value = getattr(self, name)
+            if isinstance(value, tuple) and value[1] < value[0]:
+                raise ConfigError(f"{name} range (lo, hi) must have lo <= hi, got {value}")
         if self.chain_spacing > 0 and self.ring_spacing > 0:
             raise ConfigError("chain_spacing and ring_spacing are mutually exclusive")
         if self.ring_spacing > 0 and self.dim < 2:
             raise ConfigError("ring_spacing needs dim >= 2")
         if self.tail_angle_deg > 0 and self.dim < 2:
             raise ConfigError("tail_angle_deg needs dim >= 2")
-        if self.queries_per_class < 0:
-            raise ConfigError("queries_per_class must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
     @property
     def max_elongation(self) -> float:

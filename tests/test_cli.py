@@ -203,10 +203,11 @@ class TestEval:
             lambda c: c.update(selector={"method": "gcp"}, gcp=[]),
             lambda c: c.update(sweep={"values": [1, 2]}),
             lambda c: c.update(max_rank=2**63),
+            lambda c: c.update(max_rank=2**62),
         ],
         ids=["selector-n", "sweep-values", "synthetic-n-classes", "gcp-dim",
              "per-query-ap-string", "gcp-empty-list", "sweep-without-axis",
-             "max-rank-past-int64"],
+             "max-rank-past-int64", "max-rank-past-cmc"],
     )
     def test_wrong_typed_field_prints_one_error_line(self, datadir, capsys, edit):
         cfg = {

@@ -111,7 +111,7 @@ class TestConfigValidation:
     def test_misc_field_validation(self):
         with pytest.raises(ConfigError):
             cfg_for(max_rank=0)
-        with pytest.raises(ConfigError, match="2\\*\\*63"):
+        with pytest.raises(ConfigError, match="2\\*\\*20"):
             cfg_for(max_rank=2**63)
         with pytest.raises(ConfigError):
             cfg_for(ap_mode="harmonic")

@@ -875,6 +875,26 @@ class TestCheckpoint:
         with pytest.raises(error):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit_manifest,tail",
+        [(lambda m: m[::-1], b""), (shift_last_offset(8), bytes(8))],
+        ids=["reversed", "gap-before-last"],
+    )
+    def test_manifest_other_than_the_config_layout_rejected(self, tmp_path, edit_manifest, tail):
+        # both would be readable offset by offset; no writer produces them
+        _, path = self.trained(tmp_path)
+        rewrite_checkpoint(path, edit_manifest=edit_manifest, tail=tail)
+        with pytest.raises(DataFormatError, match="layout"):
+            load_model(path)
+
+    def test_save_refuses_parameter_of_wrong_shape(self, tmp_path):
+        model = tiny_model()
+        params = {**model.params, "head.b": np.zeros(TINY.dim + 1)}
+        path = tmp_path / "model.gcpm"
+        with pytest.raises(DimensionMismatchError, match="head.b"):
+            save_model(GcpModel(config=TINY, params=params), path)
+        assert not path.exists()
+
     def test_rewrite_helper_round_trips(self, tmp_path):
         model, path = self.trained(tmp_path)
         rewrite_checkpoint(path)

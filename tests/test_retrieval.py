@@ -265,7 +265,7 @@ class TestEvaluate:
         queries, pset = self.line_setup()
         with pytest.raises(ConfigError):
             evaluate(queries, pset, max_rank=0)
-        with pytest.raises(ConfigError, match="2\\*\\*63"):
+        with pytest.raises(ConfigError, match="2\\*\\*20"):
             evaluate(queries, pset, max_rank=2**63)
         with pytest.raises(ConfigError):
             evaluate(queries, pset, ap_mode="sideways")
@@ -549,6 +549,11 @@ class TestBuckets:
 # -- serialization -------------------------------------------------------
 
 
+def with_values(**values):
+    """A report edit that sets the given keys."""
+    return lambda text: json.dumps({**json.loads(text), **values})
+
+
 class TestReportIo:
     def build_report(self):
         rng = np.random.default_rng(43)
@@ -579,8 +584,20 @@ class TestReportIo:
                 {k: v for k, v in json.loads(text).items() if k != "n_queries"}
             ),
             lambda text: json.dumps({**json.loads(text), "extra": 1}),
+            with_values(cmc="abc", map=[1], per_group=3, n_queries=-2),
+            with_values(cmc="abc"),
+            with_values(top1="1"),
+            with_values(map=[1]),
+            with_values(per_group=3),
+            with_values(per_group={"1+": 3}),
+            with_values(config_echo=[]),
+            with_values(per_query_ap={}),
+            with_values(missing_class_query_ids=[1]),
+            with_values(n_queries=-2),
         ],
-        ids=["not-json", "list", "missing-key", "extra-key"],
+        ids=["not-json", "list", "missing-key", "extra-key", "wrong-types", "cmc-string",
+             "top1-string", "map-list", "per-group-int", "per-group-entry-int",
+             "config-echo-list", "per-query-ap-object", "missing-id-int", "negative-n-queries"],
     )
     def test_malformed_json_rejected(self, edit):
         text = edit(report_to_json(self.build_report()))

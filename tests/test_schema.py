@@ -337,6 +337,176 @@ class TestEchoes:
         assert same_files(tmp_path / "a", tmp_path / "b", ["report.json", "resolved_config.json"])
 
 
+# -- declared rules ------------------------------------------------------
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def above(x):
+    return math.nextafter(x, math.inf)
+
+
+# Every single-field rule: (class, field, value just outside, value just inside).
+SINGLE_FIELD_RULES = [
+    (GcpConfig, "dim", 0, 1),
+    (GcpConfig, "n_blocks", 0, 1),
+    (GcpConfig, "n_heads", 0, 1),
+    (GcpConfig, "ffn_dim", 0, 1),
+    (GcpConfig, "dropout_rate", below(0.0), 0.0),
+    (GcpConfig, "dropout_rate", 1.0, below(1.0)),
+    (GcpConfig, "n_prototypes", 0, 1),
+    (GcpConfig, "margin", 0.0, above(0.0)),
+    (GcpConfig, "lam", below(0.0), 0.0),
+    (GcpConfig, "lr", below(0.0), 0.0),
+    (GcpConfig, "momentum", below(0.0), 0.0),
+    (GcpConfig, "momentum", 1.0, below(1.0)),
+    (GcpConfig, "weight_decay", below(0.0), 0.0),
+    (GcpConfig, "batch_classes", 0, 1),
+    (GcpConfig, "instances_per_class", 0, 1),
+    (GcpConfig, "epochs", 0, 1),
+    (GcpConfig, "n_cameras", 0, 1),
+    (GcpConfig, "seed", -1, 0),
+    (SelectorConfig, "method", "nope", "fps"),
+    (SelectorConfig, "n_prototypes", 0, 1),
+    (SelectorConfig, "alpha", below(0.0), 0.0),
+    (SelectorConfig, "alpha", above(1.0), 1.0),
+    (SelectorConfig, "kmeans_max_iters", 0, 1),
+    (SelectorConfig, "kmeans_tol", 0.0, above(0.0)),
+    (SelectorConfig, "seed", -1, 0),
+    (SyntheticSpec, "n_classes", 0, 1),
+    (SyntheticSpec, "instances_per_class", 0, 1),
+    (SyntheticSpec, "instances_per_class", (0, 3), (1, 3)),
+    (SyntheticSpec, "dim", 0, 1),
+    (SyntheticSpec, "n_cameras", 0, 1),
+    (SyntheticSpec, "class_center_scale", 0.0, above(0.0)),
+    (SyntheticSpec, "within_class_noise", below(0.0), 0.0),
+    (SyntheticSpec, "camera_offset_scale", below(0.0), 0.0),
+    (SyntheticSpec, "elongation_scale", below(0.0), 0.0),
+    (SyntheticSpec, "elongation_scale", (below(0.0), 1.0), (0.0, 1.0)),
+    (SyntheticSpec, "elongation_floor", below(0.0), 0.0),
+    (SyntheticSpec, "elongation_floor", 1.0, below(1.0)),
+    (SyntheticSpec, "tail_fraction", below(0.0), 0.0),
+    (SyntheticSpec, "tail_fraction", 1.0, below(1.0)),
+    (SyntheticSpec, "tail_angle_deg", below(0.0), 0.0),
+    (SyntheticSpec, "tail_angle_deg", above(90.0), 90.0),
+    (SyntheticSpec, "chain_spacing", below(0.0), 0.0),
+    (SyntheticSpec, "ring_spacing", below(0.0), 0.0),
+    (SyntheticSpec, "queries_per_class", -1, 0),
+    (SyntheticSpec, "seed", -1, 0),
+    (ExperimentConfig, "preset", "nope", "tradeoff"),
+    (ExperimentConfig, "protocol", "sideways", "camera-filter"),
+    (ExperimentConfig, "ap_mode", "harmonic", "per_identity"),
+    (ExperimentConfig, "seed", -1, 0),
+]
+# Rules over several fields or values: (class, other fields, field, value
+# just outside, value just inside, error pattern).
+MULTI_FIELD_RULES = [
+    (GcpConfig, {"n_heads": 4}, "dim", 6, 8, "dim"),
+    (SyntheticSpec, {}, "instances_per_class", (3, 2), (2, 2), "instances_per_class"),
+    (SyntheticSpec, {}, "elongation_scale", (2.0, 1.0), (1.0, 1.0), "elongation_scale"),
+    (SyntheticSpec, {"chain_spacing": 1.0}, "ring_spacing", 1.0, 0.0, "ring_spacing"),
+    (SyntheticSpec, {"ring_spacing": 1.0}, "dim", 1, 2, "dim"),
+    (SyntheticSpec, {"tail_angle_deg": 10.0}, "dim", 1, 2, "dim"),
+    (ExperimentConfig, {}, "synthetic", SMALL, None, "data source"),
+    (ExperimentConfig, {"preset": None}, "synthetic", None, SMALL, "data source"),
+    (ExperimentConfig, {"data_path": "g.csv", "preset": None}, "queries_path", None, "q.csv",
+     "queries_path"),
+    (ExperimentConfig, {"sweep_axis": "n"}, "sweep_values", [0], [1], "sweep"),
+    (ExperimentConfig, {}, "group_buckets", ["2+"], ["1+"], "bucket"),
+    (ExperimentConfig, {}, "max_rank", 0, 1, "max_rank"),
+    (ExperimentConfig, {}, "max_rank", 2**20 + 1, 2**20, "max_rank"),
+    (ExperimentConfig, {"selector": SelectorConfig(method="gcp")}, "checkpoint", None,
+     "m.gcpm", "checkpoint"),
+]
+# fields every row's class needs besides the ones under test
+BASE = {
+    GcpConfig: {"n_heads": 1},
+    SelectorConfig: {},
+    SyntheticSpec: {},
+    ExperimentConfig: {"selector": SelectorConfig(), "preset": "tradeoff"},
+}
+BOUND_KEYS = {"ge", "gt", "le", "lt"}
+
+
+def json_with(cls, cfg, name, value):
+    """``to_json(cfg)`` with field ``name`` set to ``value`` under its JSON key."""
+    doc = to_json(cfg)
+    *group, key = next(f for f in dataclasses.fields(cls) if f.name == name).metadata.get(
+        "json", name
+    ).split(".")
+    target = doc
+    for g in group:
+        if target.get(g) is None:
+            target[g] = {}
+        target = target[g]
+    if dataclasses.is_dataclass(value):
+        value = to_json(value)
+    target[key] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def check_rule(cls, others, name, outside, inside, match):
+    kwargs = {**BASE[cls], **others}
+    cfg = cls(**{**kwargs, name: inside})
+    assert getattr(cfg, name) == inside
+    assert from_json(cls, to_json(cfg)) == cfg
+    with pytest.raises(ConfigError, match=match):
+        cls(**{**kwargs, name: outside})
+    with pytest.raises(ConfigError, match=match):
+        from_json(cls, json_with(cls, cfg, name, outside))
+
+
+def holds_numbers(tp) -> bool:
+    """Whether ``tp`` is int or float, or a union or tuple holding one."""
+    if tp in (int, float):
+        return True
+    return typing.get_origin(tp) is not list and any(map(holds_numbers, typing.get_args(tp)))
+
+
+class TestDeclaredRules:
+    @pytest.mark.parametrize(
+        "cls,name,outside,inside", SINGLE_FIELD_RULES,
+        ids=[f"{c.__name__}.{n}={o!r}" for c, n, o, _ in SINGLE_FIELD_RULES],
+    )
+    def test_single_field_rule(self, cls, name, outside, inside):
+        check_rule(cls, {}, name, outside, inside, rf"\b{name}\b")
+
+    @pytest.mark.parametrize(
+        "cls,others,name,outside,inside,match", MULTI_FIELD_RULES,
+        ids=[f"{r[0].__name__}.{r[2]}-{i}" for i, r in enumerate(MULTI_FIELD_RULES)],
+    )
+    def test_multi_field_rule(self, cls, others, name, outside, inside, match):
+        check_rule(cls, others, name, outside, inside, match)
+
+    def test_message_forms(self):
+        with pytest.raises(ConfigError, match=r"^n_blocks must be >= 1, got 0$"):
+            GcpConfig(n_blocks=0)
+        with pytest.raises(ConfigError, match=r"^unknown protocol 'x' \(choose from \("):
+            ExperimentConfig(selector=SelectorConfig(), preset="tradeoff", protocol="x")
+
+    @pytest.mark.parametrize("cls", list(BASE), ids=lambda c: c.__name__)
+    def test_every_number_field_declares_a_bound(self, cls):
+        # max_rank's bounds live in retrieval.check_max_rank, which evaluate shares
+        hints = typing.get_type_hints(cls)
+        unbounded = [
+            f.name for f in dataclasses.fields(cls)
+            if holds_numbers(hints[f.name]) and not BOUND_KEYS & set(f.metadata)
+        ]
+        assert unbounded == (["max_rank"] if cls is ExperimentConfig else [])
+
+    @pytest.mark.parametrize("command", ["select", "eval"])
+    def test_negative_seed_flag_prints_one_config_line(self, tmp_path, command):
+        gallery, queries = generate_synthetic(SMALL)
+        save_embedding_set(gallery, tmp_path / "gallery.csv")
+        save_embedding_set(queries, tmp_path / "queries.csv")
+        argv = [command, "--data", tmp_path / "gallery.csv", "--method", "kcentroid",
+                "--seed", -1, "--out", tmp_path / "out"]
+        if command == "eval":
+            argv += ["--queries", tmp_path / "queries.csv"]
+        assert cli(argv) == (1, "error:config: seed must be >= 0, got -1\n")
+
+
 # -- fuzzing ---------------------------------------------------------------
 
 json_values = st.recursive(
