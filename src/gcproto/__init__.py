@@ -11,7 +11,6 @@ from .errors import GcprotoError
 from .model import (
     GcpConfig,
     GcpModel,
-    Memory,
     build_memory,
     generate_prototypes,
     load_model,
@@ -45,7 +44,6 @@ __all__ = [
     "GcpConfig",
     "GcpModel",
     "GcprotoError",
-    "Memory",
     "PrototypeSet",
     "SelectorConfig",
     "SyntheticSpec",

@@ -44,10 +44,6 @@ class UnknownCameraError(GcprotoError):
     category = "unknown-camera"
 
 
-class EmptyMemoryError(GcprotoError):
-    category = "empty-memory"
-
-
 class EmptyPrototypeSetError(GcprotoError):
     category = "empty-prototypes"
 

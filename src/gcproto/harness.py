@@ -38,13 +38,13 @@ load by building the selector config it sets; that an alpha sweep needs
 selector ``alphafps`` is checked when :func:`sweep` runs.
 
 Under the camera-filter protocol the query class's prototypes are rebuilt
-per distinct (class, camera) query group with that camera's records
-excluded; other classes keep their full-gallery prototypes.  The rebuild
-takes the base run's own per-class path: ``selectors.class_prototypes`` on
-the class's gallery rows under a mask of the rows from other cameras, or
-``build_memory`` without the camera plus ``generate_prototypes`` for the
-learned generator.  Groups whose every class record comes from the query
-camera fall back to the unfiltered class and are flagged in the report.
+once per distinct (class, camera) query group, in order of first
+appearance; other classes keep their full-gallery prototypes.  A rebuild
+starts from the class's gallery rows without the query's camera, or from
+all of them when every row comes from that camera (the group is then
+flagged as a fallback); a camera the class lacks excludes nothing.  Both
+selector families build from those same rows: ``selectors.class_prototypes``
+on their features, or ``generate_prototypes`` on their ``build_memory``.
 Each group's set is ``base.replace_class``: it copies the class mapping
 and validates and copies only the rebuilt rows, and the evaluator ranks
 the group's queries against the base's packed matrix with those rows in
@@ -234,20 +234,19 @@ def _regen_class(
     class_id: int,
     camera: int,
 ) -> tuple[np.ndarray, bool]:
-    """Rebuild one class's prototypes with one camera excluded.
+    """Rebuild one class's prototypes from its gallery rows off ``camera``.
 
-    Returns (prototype rows, fell_back).  Falls back to the unfiltered class
-    when every record of the class comes from that camera.
+    Returns (prototype rows, fell_back).  Falls back to all of the class's
+    rows when every one of them comes from that camera.
     """
-    kept = gallery.row_cameras[list(gallery.class_index[class_id])] != camera
-    fell_back = not kept.any()
+    rows = np.array(gallery.class_index[class_id])
+    kept = rows[gallery.row_cameras[rows] != camera]
+    fell_back = not len(kept)
+    rows = rows if fell_back else kept
     if selector.method == "gcp":
-        excluded = None if fell_back else camera
-        memory = build_memory(gallery, model, class_id, excluded_camera=excluded)
-        n_c = min(selector.n_prototypes, memory.tokens.shape[0])
-        return generate_prototypes(model, memory, n_c), fell_back
-    points = gallery.class_matrix(class_id)
-    protos, _ = class_prototypes(points if fell_back else points[kept], class_id, selector)
+        memory = build_memory(gallery, model, rows)
+        return generate_prototypes(model, memory, min(selector.n_prototypes, len(rows))), fell_back
+    protos, _ = class_prototypes(gallery.features[rows], class_id, selector)
     return protos, fell_back
 
 
@@ -264,32 +263,29 @@ def build_protocol_prototypes(
     camera-filter group descriptors).  Under the plain protocol the second
     element is the base set itself; under camera-filter it maps each query
     id to a set whose own class was rebuilt without the query's camera.
-    Per-(class, camera) results are cached and shared between queries.
-    The selector config for ``n`` is built once and serves every group.
+    Each (class, camera) group is built once, in order of first appearance,
+    and its set is shared by the group's queries.  The selector config for
+    ``n`` is built once and serves every group.
     """
     selector = replace(cfg.selector, n_prototypes=n)
     base = _select_base(selector, gallery, model)
     if cfg.protocol == "plain":
         return base, base, []
+    keys = list(zip(queries.row_classes.tolist(), queries.row_cameras.tolist()))
     group_psets: dict[tuple[int, int], PrototypeSet] = {}
     group_info: list[dict] = []
-    mapping: dict[str, PrototypeSet] = {}
     class_index = gallery.class_index
-    keys = zip(queries.row_classes.tolist(), queries.row_cameras.tolist())
-    for query_id, key in zip(queries.ids, keys):
-        if key not in group_psets:
-            class_id, camera = key
-            if class_id not in class_index:
-                # no gallery evidence at all; evaluation will flag the query
-                group_psets[key] = base
-                group_info.append(
-                    {"class": class_id, "camera": camera, "fallback": False, "absent": True}
-                )
-            else:
-                protos, fell_back = _regen_class(selector, gallery, model, class_id, camera)
-                group_psets[key] = base.replace_class(class_id, protos)
-                group_info.append({"class": class_id, "camera": camera, "fallback": fell_back})
-        mapping[query_id] = group_psets[key]
+    for class_id, camera in dict.fromkeys(keys):
+        info = {"class": class_id, "camera": camera, "fallback": False}
+        if class_id not in class_index:
+            # no gallery evidence at all; evaluation will flag the query
+            group_psets[class_id, camera] = base
+            info["absent"] = True
+        else:
+            protos, info["fallback"] = _regen_class(selector, gallery, model, class_id, camera)
+            group_psets[class_id, camera] = base.replace_class(class_id, protos)
+        group_info.append(info)
+    mapping = {query_id: group_psets[key] for query_id, key in zip(queries.ids, keys)}
     return base, mapping, group_info
 
 

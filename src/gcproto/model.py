@@ -38,11 +38,9 @@ from .errors import (
     ConfigError,
     DataFormatError,
     DimensionMismatchError,
-    EmptyMemoryError,
     NonFiniteValueError,
     TrainingDivergedError,
     UnknownCameraError,
-    UnknownClassError,
 )
 from .schema import check_field_types, from_json, to_json
 from .seeding import counter_stream, substream
@@ -74,8 +72,9 @@ class GcpConfig:
     lr: float = field(default=0.01, metadata={"ge": 0.0})
     momentum: float = field(default=0.9, metadata={"ge": 0.0, "lt": 1.0})
     weight_decay: float = field(default=5e-4, metadata={"ge": 0.0})
-    batch_classes: int = field(default=16, metadata={"ge": 1})
-    instances_per_class: int = field(default=8, metadata={"ge": 1})
+    # negative mining needs two classes, and a memory two rows
+    batch_classes: int = field(default=16, metadata={"ge": 2})
+    instances_per_class: int = field(default=8, metadata={"ge": 2})
     epochs: int = field(default=30, metadata={"ge": 1})
     n_cameras: int = field(default=4, metadata={"ge": 1})
     seed: int = field(default=0, metadata={"ge": 0})
@@ -155,54 +154,22 @@ class GcpModel:
         self.const_params = _wrap_params(self.params, requires_grad=False)
 
 
-@dataclass(frozen=True)
-class Memory:
-    """Cross-attention input for one class: feature rows plus camera embeddings."""
-
-    tokens: np.ndarray  # (s, D), already includes the camera embedding rows
-    class_id: int
-    source_record_ids: tuple[str, ...]
-
-
-def build_memory(
-    eset: EmbeddingSet,
-    model: GcpModel,
-    class_id: int,
-    excluded_camera: int | None = None,
-) -> Memory:
-    """Assemble a class memory, optionally dropping one camera's records.
-
-    Rows follow gallery record order.  Raises when the exclusion empties the
-    class; the caller decides whether to fall back to the unfiltered memory.
-    """
-    cfg = model.config
-    if class_id not in eset.class_index:
-        raise UnknownClassError(f"class {class_id} not present in the set")
-    if excluded_camera is not None and not 0 <= excluded_camera < cfg.n_cameras:
-        raise UnknownCameraError(
-            f"camera {excluded_camera} outside [0, {cfg.n_cameras})"
-        )
-    rows = np.array(eset.class_index[class_id])
+def build_memory(eset: EmbeddingSet, model: GcpModel, rows) -> np.ndarray:
+    """The cross-attention input over the records ``rows`` of ``eset``: each
+    row's features plus its camera's learned embedding, an (s, D) array in
+    the order of ``rows``.  The caller picks the rows (a class, or a class
+    without one camera); a row whose camera the model has no embedding for
+    is an UnknownCameraError."""
+    rows = np.asarray(rows)
     cams = eset.row_cameras[rows]
-    outside = np.flatnonzero(cams >= cfg.n_cameras)
+    n_cameras = model.config.n_cameras
+    outside = np.flatnonzero(cams >= n_cameras)
     if len(outside):
         raise UnknownCameraError(
             f"record {eset.ids[rows[outside[0]]]!r} has camera {cams[outside[0]]} "
-            f"outside [0, {cfg.n_cameras})"
+            f"outside [0, {n_cameras})"
         )
-    if excluded_camera is not None:
-        kept = cams != excluded_camera
-        rows, cams = rows[kept], cams[kept]
-        if not len(rows):
-            raise EmptyMemoryError(
-                f"class {class_id} has no records outside camera {excluded_camera}"
-            )
-    tokens = eset.features[rows] + model.params["camera_embeddings"][cams]
-    return Memory(
-        tokens=tokens,
-        class_id=class_id,
-        source_record_ids=tuple(eset.ids[i] for i in rows.tolist()),
-    )
+    return eset.features[rows] + model.params["camera_embeddings"][cams]
 
 
 def _attend(
@@ -314,26 +281,27 @@ def _wrap_params(params: Mapping[str, np.ndarray], requires_grad: bool) -> dict[
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
 
 
-def generate_prototypes(model: GcpModel, memory: Memory, n: int) -> np.ndarray:
-    """Generate n prototypes for one class memory, dropout off, deterministic:
-    an (n, D) array."""
+def generate_prototypes(model: GcpModel, memory: np.ndarray, n: int) -> np.ndarray:
+    """Generate n prototypes from one (s, D) memory (``build_memory``),
+    dropout off, deterministic: an (n, D) array."""
     if n < 1:
         raise ConfigError("n must be positive")
-    if memory.tokens.ndim != 2 or memory.tokens.shape[1] != model.config.dim:
+    if memory.ndim != 2 or memory.shape[1] != model.config.dim:
         raise DimensionMismatchError(
-            f"memory tokens have width {memory.tokens.shape[-1]}, "
-            f"model dim is {model.config.dim}"
+            f"memory tokens have width {memory.shape[-1]}, model dim is {model.config.dim}"
         )
-    rows = _generate_rows(model.const_params, model.config, Tensor(memory.tokens[None]), n)
+    rows = _generate_rows(model.const_params, model.config, Tensor(memory[None]), n)
     return rows.data[0]
 
 
 def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> PrototypeSet:
-    """Generate prototypes for every class with the trained model.
+    """Generate prototypes for every class with the trained model, each from
+    the memory of all of the class's gallery rows.
 
-    The per-class count is min(n, memory rows); classes given fewer than n
-    are listed in params_echo.  The camera-filter protocol rebuilds single
-    classes in gcproto.harness; the echo keeps its empty
+    The per-class count is min(n, class rows); classes given fewer than n
+    are listed in params_echo, and an n below 1 is refused by
+    ``generate_prototypes``.  The camera-filter protocol picks the rows of
+    its rebuilds in gcproto.harness; the echo keeps its empty
     ``camera_filtered_classes``/``fallback_unfiltered_classes`` fields so
     prototype files keep one schema.
     """
@@ -344,16 +312,13 @@ def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> Pro
         )
     if n is None:
         n = cfg.n_prototypes
-    if n < 1:
-        raise ConfigError("n must be positive")
     per_class: dict[int, np.ndarray] = {}
     reduced: dict[str, int] = {}
-    for c in eset.class_ids:
-        memory = build_memory(eset, model, c)
-        n_c = min(n, memory.tokens.shape[0])
+    for c, rows in sorted(eset.class_index.items()):
+        n_c = min(n, len(rows))
         if n_c < n:
             reduced[str(c)] = n_c
-        per_class[c] = generate_prototypes(model, memory, n_c)
+        per_class[c] = generate_prototypes(model, build_memory(eset, model, rows), n_c)
     echo = {
         "method": "gcp",
         "n_requested": n,
@@ -530,10 +495,6 @@ def train(eset: EmbeddingSet, cfg: GcpConfig) -> tuple[GcpModel, TrainingTrace]:
         )
     if len(eset.class_ids) < 2:
         raise ConfigError("training needs at least two classes")
-    if cfg.batch_classes < 2:
-        raise ConfigError("batch_classes must be at least 2 to mine negatives")
-    if cfg.instances_per_class < 2:
-        raise ConfigError("instances_per_class must be at least 2 (memory needs >= 2 rows)")
     max_cam = int(eset.row_cameras.max())
     if max_cam >= cfg.n_cameras:
         raise UnknownCameraError(

@@ -33,7 +33,6 @@ and every other class from the base's matrix.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,12 +175,6 @@ class EmbeddingSet:
         """Read-only class id -> record indices."""
         return self._class_index
 
-    @functools.cached_property
-    def camera_index(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
-        """Read-only (class id, camera id) -> record indices, built on first
-        access."""
-        return _group_rows(self._row_classes, self._row_cameras)
-
     @property
     def class_names(self) -> dict[int, str] | None:
         """Original labels when loaded from CSV with non-dense labels."""
@@ -196,9 +189,6 @@ class EmbeddingSet:
 
     def class_size(self, class_id: int) -> int:
         return len(self._class_indices(class_id))
-
-    def cameras_of_class(self, class_id: int) -> list[int]:
-        return np.unique(self._row_cameras[list(self._class_indices(class_id))]).tolist()
 
     # -- views -----------------------------------------------------------
 
@@ -227,14 +217,14 @@ def _label_column(labels) -> np.ndarray:
     )
 
 
-def _group_rows(*columns: np.ndarray) -> Mapping:
-    """Read-only map from each row's key (its values in ``columns``, a tuple when
-    there are several) to the ascending rows holding it, in first-appearance order."""
-    order = np.lexsort(columns[::-1])  # stable: each group's rows ascend
-    keys = np.stack(columns, axis=1)[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+def _group_rows(column: np.ndarray) -> Mapping:
+    """Read-only map from each value of ``column`` to the ascending rows
+    holding it, in first-appearance order."""
+    order = np.lexsort((column,))  # stable: each group's rows ascend
+    keys = column[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     bounds, rows = np.r_[starts, len(order)].tolist(), order.tolist()
-    keys = [tuple(k) if len(k) > 1 else k[0] for k in keys[starts].tolist()]
+    keys = keys[starts].tolist()
     by_first_row = sorted(range(len(keys)), key=lambda g: rows[bounds[g]])
     return MappingProxyType({keys[g]: tuple(rows[bounds[g] : bounds[g + 1]]) for g in by_first_row})
 
@@ -371,9 +361,6 @@ class PrototypeSet:
 
     def total_count(self) -> int:
         return self._count
-
-    def counts_by_class(self) -> dict[int, int]:
-        return {c: arr.shape[0] for c, arr in self.per_class.items()}
 
     def _packing(self):
         if self._base is None:

@@ -25,7 +25,6 @@ from gcproto.model import (
     ClassBatch,
     GcpConfig,
     GcpModel,
-    Memory,
     generate_prototypes,
     init_params,
     loss_and_grads,
@@ -104,7 +103,7 @@ def test_criterion_01_two_class_layout_goldens():
     two_proto = run_selector(
         lean, SelectorConfig(method="alphafps", n_prototypes=1, alpha=0.25)
     )
-    assert all(v == 2 for v in two_proto.counts_by_class().values())
+    assert all(len(rows) == 2 for rows in two_proto.per_class.values())
     p1_two = _precision_at(LEAN_QUERY, two_proto, 1, 0)
 
     ok = p5 == 0.6 and p1 == 1.0 and p1_mean == 0.0 and p1_two == 1.0
@@ -263,8 +262,7 @@ def _kink_clearance(model, batches):
         tokens = cb.memory_features + model.params["camera_embeddings"][
             cb.memory_cameras
         ]
-        mem = Memory(tokens=tokens, class_id=cb.class_id, source_record_ids=())
-        P = np.vstack(generate_prototypes(model, mem, cb.n_prototypes))
+        P = np.vstack(generate_prototypes(model, tokens, cb.n_prototypes))
         d = np.sort(cdist(cb.anchors, P), axis=1)
         if d.shape[1] > 1:
             clearance = min(clearance, float((d[:, 1] - d[:, 0]).min()))
@@ -336,14 +334,12 @@ def test_criterion_06_decoder_permutation_and_prefix_invariants():
         feats = rng.normal(size=(7, cfg.dim))
         cams = rng.integers(cfg.n_cameras, size=7)
         tokens = feats + model.params["camera_embeddings"][cams]
-        mem = Memory(tokens=tokens, class_id=0, source_record_ids=())
         perm = rng.permutation(7)
-        shuffled = Memory(tokens=tokens[perm], class_id=0, source_record_ids=())
-        a = np.vstack(generate_prototypes(model, mem, 4))
-        b = np.vstack(generate_prototypes(model, shuffled, 4))
+        a = np.vstack(generate_prototypes(model, tokens, 4))
+        b = np.vstack(generate_prototypes(model, tokens[perm], 4))
         worst_drift = max(worst_drift, float(np.abs(a - b).max()))
         assert np.abs(a - b).max() <= 1e-9
-        short = np.vstack(generate_prototypes(model, mem, 2))
+        short = np.vstack(generate_prototypes(model, tokens, 2))
         np.testing.assert_array_equal(short, a[:2])
     _finish(
         6, "decoder permutation and prefix invariants", True,

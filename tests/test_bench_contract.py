@@ -2,11 +2,15 @@
 
 ``bench/spans.py`` replaces ``owner.__dict__[attr]`` for every target, so a
 renamed or deleted function breaks only the benchmark unless this checks it.
+A name wrapped in a calling module (``harness``, ``model``) must also still
+be called there by that name, or its span would count nothing.
 The counts it takes must also mean what they say: every autodiff node goes
 through ``Tensor.__init__``.  And the benchmark's own tests must pass.
 """
 
+import ast
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -17,12 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gcproto.harness
+import gcproto.model
 from gcproto.autodiff import Tensor
 from gcproto.model import (
     ClassBatch,
     GcpConfig,
     GcpModel,
-    Memory,
     generate_prototypes,
     init_params,
     loss_and_grads,
@@ -53,6 +58,26 @@ def test_traced_name_is_defined_on_its_owner(owner, attr):
     assert attr in owner.__dict__
 
 
+def called_names(module) -> set[str]:
+    """The bare names called anywhere in ``module``'s source: ``f(...)``,
+    not ``obj.f(...)``."""
+    tree = ast.parse(inspect.getsource(module))
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [(owner, attr) for owner, attr, _ in SPANS.SPAN_TARGETS if owner in (gcproto.harness, gcproto.model)],
+    ids=lambda x: x if isinstance(x, str) else x.__name__,
+)
+def test_module_wrapped_name_is_called_in_its_module(owner, attr):
+    assert attr in called_names(owner)
+
+
 def count_node_constructions() -> list[dict[str, int]]:
     """``Tensor.__new__`` and ``Tensor.__init__`` calls during one small
     ``generate_prototypes`` call and one ``loss_and_grads`` step.
@@ -76,7 +101,7 @@ def count_node_constructions() -> list[dict[str, int]]:
     cfg = GcpConfig(dim=8, n_blocks=2, n_heads=2, ffn_dim=8, n_cameras=2, dropout_rate=0.2)
     rng = np.random.default_rng(0)
     model = GcpModel(cfg, init_params(cfg, rng))
-    memory = Memory(rng.normal(size=(5, cfg.dim)), 0, tuple("abcde"))
+    memory = rng.normal(size=(5, cfg.dim))
     feats = [rng.normal(size=(4, cfg.dim)) for _ in range(2)]
     batches = [
         ClassBatch(c, f, neg, f[:3], np.array([0, 1, 1]), cfg.n_prototypes)

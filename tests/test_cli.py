@@ -85,7 +85,7 @@ class TestSelect:
         ])
         assert rc == 0
         pset = load_prototypes(out)
-        assert pset.counts_by_class() == {c: 1 for c in range(4)}
+        assert {c: len(rows) for c, rows in pset.per_class.items()} == {c: 1 for c in range(4)}
 
     def test_omitted_flags_keep_selector_config_defaults(self, datadir):
         out = datadir / "protos.json"
@@ -136,7 +136,7 @@ class TestTrainAndGcpFlow:
                    "--out", str(datadir / "gp.json")])
         assert rc == 0
         pset = load_prototypes(datadir / "gp.json")
-        assert all(v == 2 for v in pset.counts_by_class().values())
+        assert all(len(rows) == 2 for rows in pset.per_class.values())
 
         rc = main(["eval", "--data", gallery, "--queries", queries,
                    "--method", "gcp", "--checkpoint", ckpt,
@@ -147,6 +147,50 @@ class TestTrainAndGcpFlow:
         assert "top1=" in out and "map=" in out
         report = json.loads((datadir / "run" / "report.json").read_text())
         assert report["n_queries"] == 12
+
+
+class TestUnseenQueryCamera:
+    """A query camera the gallery lacks excludes nothing under camera-filter,
+    for the learned generator as for the heuristic selectors."""
+
+    def relabelled(self, datadir) -> str:
+        # the first query's camera becomes a label no gallery record carries;
+        # aligned to the gallery it is camera 3, past the model's 3 cameras
+        path = datadir / "data" / "queries.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        qid, cls, _, coords = first.split(",", 3)
+        out = datadir / "queries_cam9.csv"
+        out.write_text("\n".join([header, f"{qid},{cls},9,{coords}", *rest]) + "\n", "utf-8")
+        return str(out)
+
+    def run_eval(self, datadir, capsys, queries, *flags):
+        rc = main(["eval", "--data", str(datadir / "data" / "gallery.csv"), "--queries", queries,
+                   "--protocol", "camera-filter", *flags])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        return captured.out
+
+    def test_gcp_and_centroid_run(self, datadir, capsys):
+        queries = self.relabelled(datadir)
+        gcp_cfg = datadir / "gcp.json"
+        gcp_cfg.write_text(json.dumps(TINY_GCP), encoding="utf-8")
+        ckpt = str(datadir / "model.gcpm")
+        assert main(["train", "--data", str(datadir / "data" / "gallery.csv"),
+                     "--config", str(gcp_cfg), "--out", ckpt]) == 0
+        capsys.readouterr()
+        self.run_eval(datadir, capsys, queries, "--method", "gcp", "--checkpoint", ckpt,
+                      "--out", str(datadir / "run"))
+        # the report the centroid run printed before the camera rule moved
+        out = self.run_eval(datadir, capsys, queries, "--method", "centroid",
+                            "--out", str(datadir / "run_c"))
+        assert out == "queries=12 top1=1.0 map=1.0\n"
+        # one exclusion rule: both families form and flag the same groups
+        groups, centroid_groups = (
+            json.loads((datadir / run / "camera_filter_groups.json").read_text())
+            for run in ("run", "run_c")
+        )
+        assert groups[0] == {"class": 0, "camera": 3, "fallback": False}
+        assert groups == centroid_groups
 
 
 class TestEval:

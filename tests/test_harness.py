@@ -497,8 +497,7 @@ class TestCameraFilter:
         gallery = build_set(vecs, classes, cameras)
         instance = SelectorConfig(method="instance")
         for c in gallery.class_ids:
-            dropped = set(gallery.camera_index.get((c, camera), ()))
-            kept = [i for i in gallery.class_index[c] if i not in dropped]
+            kept = [i for i in gallery.class_index[c] if gallery.row_cameras[i] != camera]
             want = gallery.features[kept] if kept else gallery.class_matrix(c)
             rows, fell_back = _regen_class(instance, gallery, None, c, camera)
             assert fell_back == (not kept)
@@ -519,13 +518,12 @@ class TestCameraFilter:
             if flags[(c, cam)]:
                 np.testing.assert_array_equal(rows, base.per_class[c])
                 continue
-            memory = build_memory(gallery, model, c, excluded_camera=cam)
-            assert memory.source_record_ids == tuple(
-                r.id for r in gallery.records if r.class_id == c and r.camera_id != cam
-            )
-            want = np.vstack(generate_prototypes(model, memory, 2))
+            kept = [
+                i for i, r in enumerate(gallery.records) if r.class_id == c and r.camera_id != cam
+            ]
+            want = generate_prototypes(model, build_memory(gallery, model, kept), 2)
             np.testing.assert_array_equal(rows, want)
-            if cam in gallery.cameras_of_class(c):
+            if cam in gallery.row_cameras[gallery.row_classes == c]:
                 assert not np.array_equal(rows, base.per_class[c])
 
     def test_each_query_takes_one_rank_scan_and_evaluate_one_packing(self, monkeypatch):

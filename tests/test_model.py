@@ -23,18 +23,15 @@ from gcproto.errors import (
     ConfigError,
     DataFormatError,
     DimensionMismatchError,
-    EmptyMemoryError,
     NonFiniteValueError,
     TrainingDivergedError,
     UnknownCameraError,
-    UnknownClassError,
 )
 from gcproto.harness import ExperimentConfig, build_protocol_prototypes
 from gcproto.model import (
     ClassBatch,
     GcpConfig,
     GcpModel,
-    Memory,
     build_memory,
     generate_prototypes,
     _generate_rows,
@@ -72,6 +69,11 @@ def toy_set(rng, n_classes=3, per_class=5, dim=4, n_cameras=2, spread=8.0):
             cls.append(c)
             cams.append(int(rng.integers(n_cameras)))
     return build_set(np.vstack(vecs), cls, cams)
+
+
+def counts(pset) -> dict[int, int]:
+    """Prototypes per class of ``pset``."""
+    return {c: len(rows) for c, rows in pset.per_class.items()}
 
 
 def loss(anchors, positives, negatives, prototypes_by_class, cfg) -> float:
@@ -210,49 +212,30 @@ class TestConfig:
 class TestMemory:
     def test_tokens_are_features_plus_camera_embedding(self):
         model = tiny_model()
-        vecs = np.arange(8, dtype=float).reshape(2, 4)
-        es = build_set(vecs, [0, 0], [1, 0])
-        mem = build_memory(es, model, 0)
+        vecs = np.arange(16, dtype=float).reshape(4, 4)
+        es = build_set(vecs, [0, 1, 0, 0], [1, 0, 0, 1])
         psi = model.params["camera_embeddings"]
-        np.testing.assert_array_equal(mem.tokens[0], vecs[0] + psi[1])
-        np.testing.assert_array_equal(mem.tokens[1], vecs[1] + psi[0])
-        assert mem.source_record_ids == ("r0", "r1")
-
-    def test_camera_exclusion(self):
-        model = tiny_model()
-        vecs = np.ones((3, 4))
-        es = build_set(vecs, [0, 0, 0], [0, 1, 0])
-        mem = build_memory(es, model, 0, excluded_camera=0)
-        assert mem.tokens.shape == (1, 4)
-        assert mem.source_record_ids == ("r1",)
-
-    def test_exclusion_emptying_class_raises(self):
-        model = tiny_model()
-        es = build_set(np.ones((2, 4)), [0, 0], [1, 1])
-        with pytest.raises(EmptyMemoryError):
-            build_memory(es, model, 0, excluded_camera=1)
-
-    def test_unknown_class_and_camera(self):
-        model = tiny_model()
-        es = build_set(np.ones((2, 4)), [0, 0], [0, 0])
-        with pytest.raises(UnknownClassError):
-            build_memory(es, model, 5)
-        with pytest.raises(UnknownCameraError):
-            build_memory(es, model, 0, excluded_camera=7)
+        for rows in ([0, 2, 3], [3, 0], np.array([2, 1, 0])):
+            tokens = build_memory(es, model, rows)
+            want = np.array([vecs[i] + psi[es.row_cameras[i]] for i in rows])
+            assert tokens.tobytes() == want.tobytes()
+        # a class's rows as the store indexes them, a tuple
+        np.testing.assert_array_equal(build_memory(es, model, es.class_index[0]),
+                                      build_memory(es, model, [0, 2, 3]))
 
     def test_record_camera_outside_model_range(self):
         model = tiny_model()  # n_cameras=2
         es = build_set(np.ones((2, 4)), [0, 0], [0, 3])
-        with pytest.raises(UnknownCameraError):
-            build_memory(es, model, 0)
+        with pytest.raises(UnknownCameraError, match="'r1' has camera 3"):
+            build_memory(es, model, [0, 1])
+        assert build_memory(es, model, [0]).shape == (1, 4)
 
 
 class TestGeneration:
     def mem(self, model, rng, rows=5):
         feats = rng.normal(size=(rows, model.config.dim))
         cams = rng.integers(model.config.n_cameras, size=rows)
-        tokens = feats + model.params["camera_embeddings"][cams]
-        return Memory(tokens=tokens, class_id=0, source_record_ids=())
+        return feats + model.params["camera_embeddings"][cams]
 
     def test_deterministic(self):
         model = tiny_model(3)
@@ -279,9 +262,7 @@ class TestGeneration:
             rng = np.random.default_rng(200 + seed)
             mem = self.mem(model, rng, rows=7)
             perm = rng.permutation(7)
-            shuffled = Memory(
-                tokens=mem.tokens[perm], class_id=0, source_record_ids=()
-            )
+            shuffled = mem[perm]
             a = generate_prototypes(model, mem, 3)
             b = generate_prototypes(model, shuffled, 3)
             for x, y in zip(a, b):
@@ -307,9 +288,8 @@ class TestGeneration:
 
     def test_dim_mismatch(self):
         model = tiny_model()
-        bad = Memory(tokens=np.ones((3, 7)), class_id=0, source_record_ids=())
         with pytest.raises(DimensionMismatchError):
-            generate_prototypes(model, bad, 2)
+            generate_prototypes(model, np.ones((3, 7)), 2)
 
     def test_n_must_be_positive(self):
         model = tiny_model()
@@ -450,8 +430,7 @@ class TestTrainingLossGraph:
             tokens = cb.memory_features + model.params["camera_embeddings"][
                 cb.memory_cameras
             ]
-            mem = Memory(tokens=tokens, class_id=cb.class_id, source_record_ids=())
-            P = np.vstack(generate_prototypes(model, mem, cb.n_prototypes))
+            P = np.vstack(generate_prototypes(model, tokens, cb.n_prototypes))
             d_pos = cdist(cb.anchors, P).min(axis=1)
             hinges.append(
                 np.maximum(0.0, d_pos - cb.negative_distances + cfg.margin)
@@ -572,8 +551,7 @@ class TestTrainingLossGraph:
             tokens = cb.memory_features + model.params["camera_embeddings"][
                 cb.memory_cameras
             ]
-            mem = Memory(tokens=tokens, class_id=cb.class_id, source_record_ids=())
-            P = np.vstack(generate_prototypes(model, mem, cb.n_prototypes))
+            P = np.vstack(generate_prototypes(model, tokens, cb.n_prototypes))
             d = np.sort(cdist(cb.anchors, P), axis=1)
             if d.shape[1] > 1:
                 clearance = min(clearance, float((d[:, 1] - d[:, 0]).min()))
@@ -926,14 +904,14 @@ class TestSelectGcp:
     def test_counts_and_tag(self):
         es, model = self.fixture()
         pset = select_gcp(es, model, n=2)
-        assert pset.counts_by_class() == {0: 2, 1: 2, 2: 2}
+        assert counts(pset) == {0: 2, 1: 2, 2: 2}
         assert pset.selector_tag == "gcp"
         assert pset.params_echo["n_requested"] == 2
 
     def test_default_n_comes_from_config(self):
         es, model = self.fixture()
         pset = select_gcp(es, model)
-        assert pset.counts_by_class()[0] == model.config.n_prototypes
+        assert len(pset.per_class[0]) == model.config.n_prototypes
 
     def camera_filtered(self, es, model, queries, n):
         # the camera-filter protocol rebuilds a query's own class without its
@@ -956,6 +934,15 @@ class TestSelectGcp:
         np.testing.assert_array_equal(filt.per_class[1], plain.per_class[1])
         np.testing.assert_array_equal(base.per_class[0], plain.per_class[0])
 
+    def test_camera_outside_the_model_range_excludes_nothing(self):
+        # no record of class 0 carries camera 5 (the model embeds 0 and 1),
+        # so the group keeps every row and rebuilds the base's prototypes
+        es, model = self.fixture()
+        queries = build_set(np.zeros((2, 4)), [0, 1], [5, 1], id_prefix="q")
+        base, mapping, groups = self.camera_filtered(es, model, queries, 2)
+        assert groups[0] == {"class": 0, "camera": 5, "fallback": False}
+        assert mapping["q0"].per_class[0].tobytes() == base.per_class[0].tobytes()
+
     def test_fallback_when_exclusion_would_empty_class(self):
         model = tiny_model()
         es = build_set(np.random.default_rng(1).normal(size=(4, 4)),
@@ -964,7 +951,7 @@ class TestSelectGcp:
         base, mapping, groups = self.camera_filtered(es, model, queries, 1)
         assert groups == [{"class": 0, "camera": 1, "fallback": True}]
         pset = mapping["q0"]
-        assert pset.counts_by_class() == {0: 1, 1: 1}
+        assert counts(pset) == {0: 1, 1: 1}
         np.testing.assert_array_equal(pset.per_class[0], base.per_class[0])
 
     def test_count_clipped_to_memory_rows(self):
@@ -972,7 +959,7 @@ class TestSelectGcp:
         es = build_set(np.random.default_rng(2).normal(size=(3, 4)),
                        [0, 0, 1], [0, 1, 0])
         pset = select_gcp(es, model, n=5)
-        assert pset.counts_by_class() == {0: 2, 1: 1}
+        assert counts(pset) == {0: 2, 1: 1}
         assert pset.params_echo["reduced_count_classes"] == {"0": 2, "1": 1}
 
     def test_dim_mismatch(self):

@@ -567,6 +567,9 @@ class TestReportIo:
 
     def test_json_round_trip_bit_exact(self):
         rep = self.build_report()
+        # an empty and a filled bucket, and one AP pair per query
+        assert rep.per_group["1-15"] == {"count": 0, "map": None}
+        assert rep.per_group["16+"]["count"] == rep.n_queries == len(rep.per_query_ap)
         text = report_to_json(rep)
         again = report_to_json(report_from_json(text))
         assert text == again
@@ -594,10 +597,22 @@ class TestReportIo:
             with_values(per_query_ap={}),
             with_values(missing_class_query_ids=[1]),
             with_values(n_queries=-2),
+            with_values(per_group={"1+": {"count": "abc", "map": "zz"}}),
+            with_values(per_group={"1+": {"count": -1, "map": None}}),
+            with_values(per_group={"1+": {"count": 1, "map": 0.5, "extra": 0}}),
+            with_values(per_query_ap=[[1, "x"]]),
+            with_values(per_query_ap=[["q0", 0.5, 1.0]]),
+            with_values(cmc=[2.0, -1.0], top1=2.0),
+            with_values(cmc=[0.5, 0.25], top1=0.5),
+            with_values(cmc=[], top1=0.0),
+            with_values(top1=5.0),
         ],
         ids=["not-json", "list", "missing-key", "extra-key", "wrong-types", "cmc-string",
              "top1-string", "map-list", "per-group-int", "per-group-entry-int",
-             "config-echo-list", "per-query-ap-object", "missing-id-int", "negative-n-queries"],
+             "config-echo-list", "per-query-ap-object", "missing-id-int", "negative-n-queries",
+             "bucket-entry-strings", "bucket-count-negative", "bucket-extra-key",
+             "ap-pair-types", "ap-pair-length", "cmc-out-of-range", "cmc-decreasing",
+             "cmc-empty", "top1-not-cmc0"],
     )
     def test_malformed_json_rejected(self, edit):
         text = edit(report_to_json(self.build_report()))

@@ -76,8 +76,8 @@ def gcp_configs(draw):
         lr=draw(nonneg),
         momentum=draw(unit_open),
         weight_decay=draw(nonneg),
-        batch_classes=draw(st.integers(1, 64)),
-        instances_per_class=draw(st.integers(1, 64)),
+        batch_classes=draw(st.integers(2, 64)),
+        instances_per_class=draw(st.integers(2, 64)),
         epochs=draw(st.integers(1, 500)),
         n_cameras=draw(st.integers(1, 8)),
         seed=draw(seeds),
@@ -362,8 +362,8 @@ SINGLE_FIELD_RULES = [
     (GcpConfig, "momentum", below(0.0), 0.0),
     (GcpConfig, "momentum", 1.0, below(1.0)),
     (GcpConfig, "weight_decay", below(0.0), 0.0),
-    (GcpConfig, "batch_classes", 0, 1),
-    (GcpConfig, "instances_per_class", 0, 1),
+    (GcpConfig, "batch_classes", 1, 2),
+    (GcpConfig, "instances_per_class", 1, 2),
     (GcpConfig, "epochs", 0, 1),
     (GcpConfig, "n_cameras", 0, 1),
     (GcpConfig, "seed", -1, 0),

@@ -115,7 +115,7 @@ class TestAlphaFps:
     def test_selector_adds_one_to_n(self):
         es = build_set(np.random.default_rng(0).normal(size=(12, 3)), [0] * 6 + [1] * 6, [0] * 12)
         pset = run_selector(es, SelectorConfig(method="alphafps", n_prototypes=3))
-        assert pset.counts_by_class() == {0: 4, 1: 4}
+        assert {c: len(rows) for c, rows in pset.per_class.items()} == {0: 4, 1: 4}
         assert pset.selector_tag == "alpha_fps"
         assert pset.params_echo["alpha"] == 0.5
 

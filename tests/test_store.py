@@ -49,7 +49,7 @@ class TestEmbeddingSet:
         assert len(es) == 5
         assert es.class_ids == [0, 1]
         assert es.class_size(0) == 3
-        assert es.cameras_of_class(0) == [0, 1]
+        assert es.row_cameras[list(es.class_index[0])].tolist() == [0, 1, 0]
         np.testing.assert_array_equal(
             es.class_matrix(1), np.array([[5.0, 5.0], [6.0, 5.0]])
         )
@@ -57,7 +57,8 @@ class TestEmbeddingSet:
     def test_indices_are_read_only_and_not_copied(self):
         es = small_set()
         assert es.class_index is es.class_index
-        assert es.camera_index[(0, 0)] == (0, 2)
+        assert es.row_cameras.tolist() == [0, 1, 0, 0, 2]
+        assert not es.row_cameras.flags.writeable
         with pytest.raises(TypeError):
             es.class_index[0] = (1,)
 
@@ -196,21 +197,18 @@ class TestColumnarEquivalence:
         ]
         # the indices as a per-record loop builds them: keys in order of
         # first appearance, rows ascending
-        class_index, camera_index = {}, {}
+        class_index = {}
         for i, rec in enumerate(records):
             class_index.setdefault(rec.class_id, []).append(i)
-            camera_index.setdefault((rec.class_id, rec.camera_id), []).append(i)
         for es in (EmbeddingSet(records), build_set(vectors, classes, cameras)):
             assert es.features.tobytes() == vectors.tobytes()
             assert list(es.class_index.items()) == [
                 (c, tuple(ix)) for c, ix in class_index.items()
             ]
-            assert list(es.camera_index.items()) == [
-                (key, tuple(ix)) for key, ix in camera_index.items()
-            ]
+            assert es.row_cameras.tolist() == list(cameras)
             assert all(type(c) is int for c in es.class_index)
             for c, ix in class_index.items():
-                assert es.cameras_of_class(c) == sorted({cameras[i] for i in ix})
+                assert es.row_classes[ix].tolist() == [c] * len(ix)
                 assert es.class_matrix(c).tobytes() == vectors[ix].tobytes()
             assert [
                 (r.id, type(r.class_id), r.class_id, r.camera_id, r.vector.tobytes())
@@ -547,7 +545,7 @@ class TestPrototypeSet:
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype and not got.flags.writeable
         assert derived.total_count() == packed.total_count() == 5
-        assert derived.counts_by_class() == packed.counts_by_class()
+        assert {c: len(r) for c, r in derived.per_class.items()} == {0: 1, 1: 1, 2: 3}
         assert derived.class_ids == packed.class_ids and derived.dim == packed.dim
 
     def test_sets_compare_by_identity(self):
