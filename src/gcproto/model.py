@@ -30,7 +30,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -347,7 +346,14 @@ class ClassBatch:
 
 
 def mine_negative_distances(features_by_class: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per anchor, the distance to the nearest feature of any other class."""
+    """Per anchor, the distance to the nearest feature of any other class.
+
+    The distances are scipy's ``cdist``, imported here on first use: their
+    bits feed the triplet loss and so every trained parameter, while
+    generating from a loaded model never loads scipy.
+    """
+    from scipy.spatial.distance import cdist
+
     if len(features_by_class) < 2:
         raise ConfigError("negative mining needs at least two classes in the batch")
     stacked = np.vstack(features_by_class)

@@ -16,11 +16,11 @@ every block reuses.  A set made by ``PrototypeSet.replace_class``
 rebuilds one class, as the camera-filter protocol rebuilds the query's
 own: a query of that class is ranked against its base's packed matrix
 with the base's rows of the class left out, and the rebuilt rows get
-squared distances to the set's queries of the class from one ``cdist``
-call per set, so the protocol costs one GEMM plus a few rows per (class,
-camera) group.  A query of another class ranks against the set packed
-anew.  The squared norms these distances need are computed here too;
-the store keeps none.  Each own-class item is ranked by counting the
+squared distances to the set's queries of the class from one call per set
+of this module's numpy :func:`cdist`, so ranking never loads scipy and the
+protocol costs one GEMM plus a few rows per (class, camera) group.  A
+query of another class ranks against the set packed anew.  The squared
+norms these distances need are computed here too; the store keeps none.  Each own-class item is ranked by counting the
 prototypes certainly nearer than it, given a certified rounding margin on
 these approximate distances; a prototype inside the margin is re-checked
 with exact distances, ``np.linalg.norm(rows - q)``, under the tie rule.
@@ -42,7 +42,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataFormatError, DimensionMismatchError, EmptyPrototypeSetError
 from .schema import check_field_types, json_text, parse_json_object
@@ -130,6 +129,16 @@ def _sq_norms(mat: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", mat, mat)
 
 
+def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (len(xa), len(xb)): the rounded
+    differences squared in place and summed over the dimensions; a square
+    or sum too large for float64 is inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = xa[:, None, :] - xb
+        np.square(diff, out=diff)
+        return np.add.reduce(diff, axis=2)
+
+
 class _Splice:
     """The rows a set made by ``replace_class`` holds for its one rebuilt
     class, with their squared distances to the set's queries of that class
@@ -138,7 +147,7 @@ class _Splice:
     def __init__(self, qmat: np.ndarray, rows: np.ndarray):
         self.rows = rows
         self.max_sq_norm = float(_sq_norms(rows).max(initial=0.0))
-        self.approx = cdist(qmat, rows, "sqeuclidean")
+        self.approx = cdist(qmat, rows)
 
 
 # Rounding margin of the approximate distances.  Let n = dim, u = 2**-53,
@@ -152,8 +161,8 @@ class _Splice:
 #     themselves, qᵀp by ≤ γ_n·(‖q‖² + ‖p‖²)/2, and a = (−2·qᵀp + ‖p‖²) + ‖q‖²
 #     adds two roundings of terms below 2(‖q‖² + ‖p‖²)(1 + γ_n), so
 #     |a − t| ≤ (2γ_n + 4u(1 + γ_n))·S;
-#   * ``cdist`` "sqeuclidean" sums rounded squares of rounded differences:
-#     |a − t| ≤ γ_{n+2}·t ≤ 2γ_{n+2}·S;
+#   * ``cdist`` sums rounded squares of rounded differences, in whatever
+#     order ``np.add.reduce`` takes: |a − t| ≤ γ_{n+2}·t ≤ 2γ_{n+2}·S;
 #   * the exact path d = √Σ(p_i − q_i)² (``np.linalg.norm``) rounds each
 #     difference, its square, the sum and the root: |d² − t| ≤ γ_{n+4}·t.
 # Every approximation a thus lies within E + D of its row's d², with
@@ -254,7 +263,8 @@ class _RankKernel:
         # the order among own rows does not change which ranks they take
         a_own = np.sort(own_approx)
         j = np.arange(k)
-        scale = q_sq + max(self.max_sq_norm, splice.max_sq_norm if splice else 0.0)
+        # Python floats: a sum past float64's range is inf, without a warning
+        scale = float(q_sq) + max(self.max_sq_norm, splice.max_sq_norm if splice else 0.0)
         if np.isfinite(4.0 * scale):
             m = _margin(self.mat.shape[1], scale)
             approx[span] = np.inf  # the packed own rows are no rivals

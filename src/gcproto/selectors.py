@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .schema import check_field_types
@@ -125,7 +124,13 @@ def kmeans(
     (sum of squared distances to assigned centroids) is recorded after every
     assignment step. Empty clusters are repaired by moving their centroid to
     the point farthest from its assigned centroid.
+
+    The assignment distances are scipy's ``cdist``, imported here on first
+    use: its bits decide the labels and so the ``kcentroid`` prototypes,
+    and no other selector loads scipy.
     """
+    from scipy.spatial.distance import cdist
+
     n = points.shape[0]
     k = min(k, n)
     start = int(rng.integers(n))

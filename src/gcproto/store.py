@@ -28,12 +28,15 @@ already lie in order in one read-only matrix.  The camera-filter protocol's
 per-group sets are made by ``replace_class`` on a packed set: each shares
 that set as its ``base`` and holds the one class it ``replaced``, which is
 all the evaluator needs to rank the query's own class from the rebuilt rows
-and every other class from the base's matrix.
+and every other class from the base's matrix.  Its ``per_class`` is a
+read-only overlay of the rebuilt class on the base's mapping, so a derived
+set copies neither the base's rows nor its class mapping.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import ChainMap
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -403,7 +406,8 @@ class PrototypeSet:
         rows.setflags(write=False)
         # built without __post_init__: nothing but the new rows needs checking
         new = object.__new__(PrototypeSet)
-        new.per_class = MappingProxyType({**self.per_class, class_id: rows})
+        # an overlay, not a copy: the base's classes, then a new class last
+        new.per_class = MappingProxyType(ChainMap({class_id: rows}, self.per_class))
         new.selector_tag = self.selector_tag
         new.params_echo = dict(self.params_echo)
         new._base = self

@@ -3,7 +3,8 @@
 ``bench/spans.py`` replaces ``owner.__dict__[attr]`` for every target, so a
 renamed or deleted function breaks only the benchmark unless this checks it.
 A name wrapped in a calling module (``harness``, ``model``) must also still
-be called there by that name, or its span would count nothing.
+be called there by that name, or its span would count nothing; so must
+``retrieval.cdist``, whose calls count the camera-filter groups ranked.
 The counts it takes must also mean what they say: every autodiff node goes
 through ``Tensor.__init__``.  And the benchmark's own tests must pass.
 """
@@ -23,6 +24,7 @@ import pytest
 
 import gcproto.harness
 import gcproto.model
+import gcproto.retrieval
 from gcproto.autodiff import Tensor
 from gcproto.model import (
     ClassBatch,
@@ -71,7 +73,11 @@ def called_names(module) -> set[str]:
 
 @pytest.mark.parametrize(
     "owner, attr",
-    [(owner, attr) for owner, attr, _ in SPANS.SPAN_TARGETS if owner in (gcproto.harness, gcproto.model)],
+    [
+        (owner, attr)
+        for owner, attr, _ in SPANS.SPAN_TARGETS
+        if owner in (gcproto.harness, gcproto.model) or (owner, attr) == (gcproto.retrieval, "cdist")
+    ],
     ids=lambda x: x if isinstance(x, str) else x.__name__,
 )
 def test_module_wrapped_name_is_called_in_its_module(owner, attr):

@@ -1,7 +1,13 @@
 """Experiment harness: config parsing and validation, artifact round trips,
-the camera-filter protocol, sweeps, and grouped evaluation."""
+the camera-filter protocol, sweeps, grouped evaluation, and where scipy is
+loaded."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,3 +695,60 @@ class TestGroupEvaluate:
         lines = (tmp_path / "group_eval.csv").read_text().strip().splitlines()
         assert lines[0] == "bucket,count,map"
         assert lines[2].startswith("100+,0,")
+
+
+class TestImportBoundary:
+    # run in a child interpreter: the test modules import scipy themselves
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+        import tempfile
+        from pathlib import Path
+
+        import gcproto.cli
+        from gcproto.harness import ExperimentConfig, run_experiment
+        from gcproto.model import GcpConfig, GcpModel, init_params, save_model, train
+        from gcproto.seeding import substream
+        from gcproto.selectors import SelectorConfig
+        from gcproto.synthetic import SyntheticSpec, generate_synthetic
+
+        spec = SyntheticSpec(
+            n_classes=4, instances_per_class=6, dim=6, n_cameras=3, queries_per_class=3, seed=9
+        )
+        gcp = GcpConfig(
+            dim=6, n_blocks=1, n_heads=2, ffn_dim=8, n_prototypes=2, n_cameras=3,
+            batch_classes=4, instances_per_class=4, epochs=1,
+        )
+
+        def run(method, protocol="plain", **kw):
+            cfg = ExperimentConfig(
+                selector=SelectorConfig(method=method), synthetic=spec, protocol=protocol, **kw
+            )
+            return run_experiment(cfg)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            checkpoint = str(Path(tmp) / "model.gcpm")
+            save_model(GcpModel(config=gcp, params=init_params(gcp, substream(0, "init"))), checkpoint)
+            for protocol in ("plain", "camera-filter"):
+                for method in ("instance", "centroid", "fps", "alphafps"):
+                    run(method, protocol)
+                run("gcp", protocol, checkpoint=checkpoint)
+        assert "scipy.spatial" not in sys.modules, "loaded by ranking or generation"
+        if sys.argv[1] == "kcentroid":
+            run("kcentroid")
+        else:  # four classes in batches of four: one step
+            train(generate_synthetic(spec)[0], gcp)
+        assert "scipy.spatial" in sys.modules, "not loaded by " + sys.argv[1]
+        """
+    )
+
+    @pytest.mark.parametrize("loader", ["kcentroid", "train"])
+    def test_scipy_loads_only_for_kmeans_and_training(self, loader):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, loader], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

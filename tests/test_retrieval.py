@@ -12,6 +12,8 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -443,6 +445,74 @@ class TestGemmKernel:
         rep = evaluate(queries, pset, max_rank=3, include_per_query_ap=True)
         assert rep.per_query_ap == [["q0", 1.0 / 3.0], ["q1", 1.0]]
         assert [c for c, _, _ in rank_query(queries.records[0], pset).entries] == [0, 0, 1]
+
+    def test_overflowing_rebuilt_rows_rank_as_brute_force_without_warnings(self):
+        # the rebuilt rows' squared distances overflow in cdist, and their
+        # exact distances too, so the (class, index) rule orders them
+        big = 1e200
+        pset = PrototypeSet(
+            {0: np.array([[big, 0.0], [1.0, 0.0]]), 2: np.array([[-big, 0.0]])}, "instance"
+        )
+        derived = pset.replace_class(1, np.array([[0.0, big], [0.0, -big], [2.0, 0.0]]))
+        # q2 is of another class, so it ranks against the set packed anew
+        queries = build_set(
+            np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0]]), [1, 1, 0], [0] * 3, id_prefix="q"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate(
+                queries, {rec.id: derived for rec in queries.records}, max_rank=6,
+                include_per_query_ap=True,
+            )
+        want = []
+        for rec in queries.records:
+            entries = rank_query(rec, derived).entries
+            ranks = [r for r, (c, _, _) in enumerate(entries, start=1) if c == rec.class_id]
+            ap = 0.0
+            for i, r in enumerate(ranks, start=1):
+                ap += i / r
+            want.append([rec.id, ap / len(ranks)])
+        assert want[0] == ["q0", (1 / 2 + 2 / 4 + 3 / 5) / 3]
+        assert rep.per_query_ap == want
+
+    def test_overflowing_margin_scale_emits_no_warning(self):
+        # each ‖·‖² is finite, but ‖q‖² + max ‖p‖² is past float64's range
+        b = 7e153
+        pset = PrototypeSet({0: np.array([[b, b]]), 1: np.array([[-b, -b]])}, "instance")
+        queries = build_set(np.array([[b, -b]]), [1], [0], id_prefix="q")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate(queries, pset, max_rank=2, include_per_query_ap=True)
+        # both prototypes lie at distance 2b: a tie that class 0 wins
+        assert rep.per_query_ap == [["q0", 0.5]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cdist_lies_within_its_rounding_bound(self, data):
+        # the margin comment's cdist bullet, |a − t| ≤ γ_{n+2}·t, plus the
+        # η a square adds when it underflows, against exact rational sums
+        dim = data.draw(st.integers(1, 8), label="dim")
+        coord = st.builds(
+            lambda m, s: s * m, st.floats(1e-150, 1e150), st.sampled_from([1.0, -1.0])
+        )
+
+        def matrix(label):
+            rows = data.draw(st.integers(1, 3), label=f"{label} rows")
+            return np.array(
+                data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                   min_size=rows, max_size=rows), label=label)
+            )
+
+        xa, xb = matrix("xa"), matrix("xb")
+        got = retrieval.cdist(xa, xb)
+        assert got.shape == (len(xa), len(xb))
+        u = Fraction(1, 2**53)
+        gamma = (dim + 2) * u / (1 - (dim + 2) * u)
+        eta = Fraction(retrieval._ETA)
+        for i, a in enumerate(xa):
+            for j, b in enumerate(xb):
+                t = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a, b))
+                assert abs(Fraction(got[i, j]) - t) <= gamma * t + dim * eta
 
     def test_report_is_identical_under_one_and_two_blas_threads(self):
         script = textwrap.dedent(

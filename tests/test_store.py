@@ -535,6 +535,18 @@ class TestPrototypeSet:
         alone = PrototypeSet({}, "centroid").replace_class(4, np.ones((1, 3)))
         assert alone.base is alone and alone.replaced == {} and alone.dim == 3
 
+    def test_derived_mapping_reads_like_a_copy_of_the_base(self):
+        pset = PrototypeSet({2: np.ones((2, 2)), 0: np.zeros((1, 2))}, "fps")
+        for class_id in (2, 1):  # a class of the base, then a new one
+            derived = pset.replace_class(class_id, np.full((3, 2), 5.0))
+            copy = {**pset.per_class, class_id: derived.replaced[class_id]}
+            assert list(derived.per_class) == list(copy)
+            assert len(derived.per_class) == len(copy)
+            assert all(got is copy[c] for c, got in derived.per_class.items())
+            with pytest.raises(TypeError):
+                derived.per_class[class_id] = np.zeros((1, 2))
+        assert list(derived.per_class) == [0, 2, 1]
+
     def test_derived_set_answers_like_an_equal_packed_set(self):
         pset = PrototypeSet({0: np.zeros((1, 2)), 2: np.ones((2, 2))}, "fps")
         derived = pset.replace_class(2, np.full((3, 2), 2.0)).replace_class(1, np.ones((1, 2)))
