@@ -55,17 +55,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
+    given = {"n_prototypes": args.n, "alpha": args.alpha, "seed": args.seed}
+    cfg = SelectorConfig(method=args.method, **{k: v for k, v in given.items() if v is not None})
     eset = load_embedding_set(args.data)
-    if args.method == "gcp":
+    if cfg.method == "gcp":
         if args.checkpoint is None:
             raise ConfigError("--method gcp needs --checkpoint")
-        model = load_model(args.checkpoint)
-        pset = select_gcp(eset, model, n=args.n)
+        pset = select_gcp(eset, load_model(args.checkpoint), n=cfg.n_prototypes)
     else:
-        given = {"n_prototypes": args.n, "alpha": args.alpha, "seed": args.seed}
-        cfg = SelectorConfig(
-            method=args.method, **{k: v for k, v in given.items() if v is not None}
-        )
         pset = run_selector(eset, cfg)
     save_prototypes(pset, args.out)
     print(

@@ -8,7 +8,9 @@ nearest generated prototype (so the prototypes partition the class the way
 a k-means assignment would, instead of all chasing the class mean), plus a
 hinge diversity penalty that keeps a class's prototypes at least ``margin``
 apart.  Distances are measured against mined hard negatives: the nearest
-other-class feature in the batch.
+other-class feature in the batch.  Its squared differences are summed in
+dimension order, as scipy's ``cdist`` sums them, because every trained
+parameter depends on those distances' bits.
 
 Decoding is incremental with per-block key/value caches: each step computes
 only the newest row, so earlier prototypes are bit-identical no matter how
@@ -345,22 +347,38 @@ class ClassBatch:
     n_prototypes: int
 
 
+def _pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """scipy's ``cdist(x, x)``, bit for bit: each pair's squared
+    differences are summed one dimension at a time, in dimension order,
+    starting from zero, and the root is taken last.  Overflow gives
+    ``inf`` without a warning, as in scipy."""
+    n = len(x)
+    acc = np.zeros((n, n))
+    buf = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in np.ascontiguousarray(x.T):
+            np.subtract.outer(col, col, out=buf)
+            np.multiply(buf, buf, out=buf)
+            acc += buf
+        return np.sqrt(acc, out=acc)
+
+
 def mine_negative_distances(features_by_class: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Per anchor, the distance to the nearest feature of any other class.
 
-    The distances are scipy's ``cdist``, imported here on first use: their
-    bits feed the triplet loss and so every trained parameter, while
-    generating from a loaded model never loads scipy.
+    The distances feed the triplet loss and so every trained parameter,
+    so their rounding is pinned: :func:`_pairwise_distances` adds squared
+    differences in dimension order, as scipy's ``cdist`` does, and needs
+    no scipy.  ``np.add.reduce`` and ``retrieval.cdist`` sum pairwise, so
+    mining through them would change the bits of every trained checkpoint.
     """
-    from scipy.spatial.distance import cdist
-
     if len(features_by_class) < 2:
         raise ConfigError("negative mining needs at least two classes in the batch")
     stacked = np.vstack(features_by_class)
     labels = np.concatenate(
         [np.full(len(f), i) for i, f in enumerate(features_by_class)]
     )
-    dists = cdist(stacked, stacked)
+    dists = _pairwise_distances(stacked)
     dists[labels[:, None] == labels[None, :]] = np.inf
     mins = dists.min(axis=1)
     out = []

@@ -126,8 +126,8 @@ def kmeans(
     the point farthest from its assigned centroid.
 
     The assignment distances are scipy's ``cdist``, imported here on first
-    use: its bits decide the labels and so the ``kcentroid`` prototypes,
-    and no other selector loads scipy.
+    use: its bits decide the labels and so the ``kcentroid`` prototypes.
+    This is the only code in gcproto that loads scipy.
     """
     from scipy.spatial.distance import cdist
 

@@ -148,6 +148,32 @@ class TestTrainAndGcpFlow:
         report = json.loads((datadir / "run" / "report.json").read_text())
         assert report["n_queries"] == 12
 
+    def test_select_and_eval_default_to_one_count(self, datadir):
+        # the checkpoint's n_prototypes (2) is a training setting; without
+        # --n both commands take SelectorConfig's default
+        gallery = str(datadir / "data" / "gallery.csv")
+        gcp_cfg = datadir / "gcp.json"
+        gcp_cfg.write_text(json.dumps(TINY_GCP), encoding="utf-8")
+        ckpt = str(datadir / "model.gcpm")
+        assert main(["train", "--data", gallery, "--config", str(gcp_cfg), "--out", ckpt]) == 0
+        assert main(["select", "--data", gallery, "--method", "gcp", "--checkpoint", ckpt,
+                     "--out", str(datadir / "gp.json")]) == 0
+        assert main(["eval", "--data", gallery, "--queries", str(datadir / "data" / "queries.csv"),
+                     "--method", "gcp", "--checkpoint", ckpt, "--out", str(datadir / "run")]) == 0
+        selected = load_prototypes(datadir / "gp.json")
+        evaluated = load_prototypes(datadir / "run" / "prototypes.json")
+        counts = {c: len(rows) for c, rows in selected.per_class.items()}
+        assert counts == {c: len(rows) for c, rows in evaluated.per_class.items()}
+        assert counts == {c: SelectorConfig().n_prototypes for c in range(4)}
+
+    @pytest.mark.parametrize("method", ["centroid", "gcp"])
+    def test_select_refuses_n_zero_alike(self, datadir, capsys, method):
+        rc = main(["select", "--data", str(datadir / "data" / "gallery.csv"),
+                   "--method", method, "--checkpoint", str(datadir / "absent.gcpm"),
+                   "--n", "0", "--out", str(datadir / "p.json")])
+        assert rc == 1
+        assert err_line(capsys) == "error:config: n_prototypes must be >= 1, got 0"
+
 
 class TestUnseenQueryCamera:
     """A query camera the gallery lacks excludes nothing under camera-filter,

@@ -2,6 +2,7 @@
 the camera-filter protocol, sweeps, grouped evaluation, and where scipy is
 loaded."""
 
+import ast
 import json
 import os
 import subprocess
@@ -733,15 +734,18 @@ class TestImportBoundary:
                 for method in ("instance", "centroid", "fps", "alphafps"):
                     run(method, protocol)
                 run("gcp", protocol, checkpoint=checkpoint)
-        assert "scipy.spatial" not in sys.modules, "loaded by ranking or generation"
+                run("gcp", protocol, gcp=gcp)  # trains a fresh model
+        assert "scipy.spatial" not in sys.modules, "loaded by ranking, generation or gcp runs"
         if sys.argv[1] == "kcentroid":
             run("kcentroid")
-        else:  # four classes in batches of four: one step
+            assert "scipy.spatial" in sys.modules, "not loaded by kcentroid"
+        else:  # four classes in batches of four: one step; training no longer needs scipy
             train(generate_synthetic(spec)[0], gcp)
-        assert "scipy.spatial" in sys.modules, "not loaded by " + sys.argv[1]
+            assert "scipy.spatial" not in sys.modules, "loaded by train"
         """
     )
 
+    # kmeans (kcentroid) is the only loader; the train case checks that training stays off it
     @pytest.mark.parametrize("loader", ["kcentroid", "train"])
     def test_scipy_loads_only_for_kmeans_and_training(self, loader):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -752,3 +756,27 @@ class TestImportBoundary:
             text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @staticmethod
+    def scipy_imports(node, function=None):
+        """(enclosing function or None) for each import of scipy under ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] if child.level == 0 else []
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                yield function
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from TestImportBoundary.scipy_imports(child, child.name if inner else function)
+
+    def test_src_imports_scipy_only_in_kmeans(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "gcproto"
+        found = [
+            (path.stem, function)
+            for path in sorted(package.glob("*.py"))
+            for function in self.scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert found == [("selectors", "kmeans")]

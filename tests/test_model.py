@@ -10,11 +10,12 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from gcproto import autodiff as ad
@@ -309,6 +310,38 @@ class TestMining:
     def test_needs_two_classes(self):
         with pytest.raises(ConfigError):
             mine_negative_distances([np.ones((3, 2))])
+
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            neg = mine_negative_distances([np.array([[1e154]]), np.array([[-1e154], [0.0]])])
+        # (2e154)**2 overflows; (1e154)**2 does not
+        np.testing.assert_array_equal(np.concatenate(neg), [1e154, np.inf, 1e154])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=6),
+        dim=st.integers(1, 64),
+        exponents=st.lists(st.integers(-150, 160), min_size=48, max_size=48),
+    )
+    @example(seed=0, sizes=[2, 1], dim=3, exponents=[160, -150, 155] + [0] * 45)
+    def test_matches_scipy_bit_for_bit(self, seed, sizes, dim, exponents):
+        # row r is scaled by 10**exponents[r]: from 1e-150, where squares
+        # underflow, to 1e160, where they overflow to inf
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(exponents[: sum(sizes)], dtype=float)[:, None]
+        stacked = rng.normal(size=(sum(sizes), dim)) * scales
+        feats = np.split(stacked, np.cumsum(sizes)[:-1])
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        want = cdist(stacked, stacked)
+        want[labels[:, None] == labels[None, :]] = np.inf
+        want = want.min(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mine_negative_distances(feats)
+        assert [len(g) for g in got] == sizes
+        assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 class TestLossFormula:
