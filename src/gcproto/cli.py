@@ -31,8 +31,8 @@ from .harness import (
 )
 from .model import GcpConfig, load_model, save_model, select_gcp, train
 from .schema import from_json, read_json_object, to_json, write_json
-from .selectors import METHODS, SelectorConfig, run_selector
-from .store import load_embedding_set, save_embedding_set
+from .selectors import SelectorConfig, run_selector
+from .store import METHODS, load_embedding_set, save_embedding_set
 from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
 
 

@@ -80,9 +80,9 @@ from .retrieval import (
     parse_buckets,
     report_to_csv,
 )
-from .schema import check_field_types, from_json, read_json_object, to_json, write_json
+from .schema import check_field_types, csv_text, from_json, read_json_object, to_json, write_json
 from .selectors import SelectorConfig, class_prototypes, run_selector
-from .store import EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
+from .store import METHOD_SPELLINGS, EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
 from .synthetic import PRESETS, SyntheticSpec, generate_synthetic, preset_spec
 
 PROTOCOL_CHOICES = ("plain", "camera-filter")
@@ -169,13 +169,14 @@ def save_prototypes(pset: PrototypeSet, path) -> None:
 
 
 def load_prototypes(path) -> PrototypeSet:
+    """The set ``save_prototypes`` wrote; an older selector spelling reads as its method."""
     data = read_json_object(path)
     if data.get("format") != PROTO_FORMAT:
         raise DataFormatError(f"{path}: not a prototype file")
     if data.get("version") != PROTO_VERSION:
         raise DataFormatError(f"{path}: unsupported version {data.get('version')}")
-    if "selector" not in data or not isinstance(data.get("classes"), dict):
-        raise DataFormatError(f"{path}: needs a 'selector' and a 'classes' object")
+    if not isinstance(data.get("selector"), str) or not isinstance(data.get("classes"), dict):
+        raise DataFormatError(f"{path}: needs a 'selector' string and a 'classes' object")
     if not isinstance(data.get("params_echo", {}), dict):
         raise DataFormatError(f"{path}: 'params_echo' must be an object")
     try:
@@ -191,7 +192,8 @@ def load_prototypes(path) -> PrototypeSet:
         raise DataFormatError(f"{path}: class id {bad[0]!r} is not a canonical integer")
     if any(not -(2**63) <= c < 2**63 for c in per_class):
         raise DataFormatError(f"{path}: a class id does not fit a 64-bit integer")
-    return PrototypeSet(per_class, data["selector"], data.get("params_echo", {}))
+    tag = METHOD_SPELLINGS.get(data["selector"], data["selector"])
+    return PrototypeSet(per_class, tag, data.get("params_echo", {}))
 
 
 # -- pipeline building blocks -------------------------------------------
@@ -435,11 +437,6 @@ def group_evaluate(
 
 
 def _write_csv(out_dir, name: str, rows: list[dict]) -> None:
-    """``rows`` under a header of their keys: floats as repr, None empty."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(rows[0])] + [
-        ",".join("" if v is None else v if isinstance(v, str) else repr(v) for v in r.values())
-        for r in rows
-    ]
-    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / name).write_text(csv_text(rows), encoding="utf-8")

@@ -295,24 +295,20 @@ def generate_prototypes(model: GcpModel, memory: np.ndarray, n: int) -> np.ndarr
     return rows.data[0]
 
 
-def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> PrototypeSet:
+def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int) -> PrototypeSet:
     """Generate prototypes for every class with the trained model, each from
     the memory of all of the class's gallery rows.
 
     The per-class count is min(n, class rows); classes given fewer than n
     are listed in params_echo, and an n below 1 is refused by
     ``generate_prototypes``.  The camera-filter protocol picks the rows of
-    its rebuilds in gcproto.harness; the echo keeps its empty
-    ``camera_filtered_classes``/``fallback_unfiltered_classes`` fields so
-    prototype files keep one schema.
+    its rebuilds in gcproto.harness.
     """
     cfg = model.config
     if eset.dim != cfg.dim:
         raise DimensionMismatchError(
             f"set dimension {eset.dim} does not match model dim {cfg.dim}"
         )
-    if n is None:
-        n = cfg.n_prototypes
     per_class: dict[int, np.ndarray] = {}
     reduced: dict[str, int] = {}
     for c, rows in sorted(eset.class_index.items()):
@@ -320,13 +316,7 @@ def select_gcp(eset: EmbeddingSet, model: GcpModel, n: int | None = None) -> Pro
         if n_c < n:
             reduced[str(c)] = n_c
         per_class[c] = generate_prototypes(model, build_memory(eset, model, rows), n_c)
-    echo = {
-        "method": "gcp",
-        "n_requested": n,
-        "camera_filtered_classes": {},
-        "fallback_unfiltered_classes": [],
-        "reduced_count_classes": reduced,
-    }
+    echo = {"method": "gcp", "n": n, "reduced_count_classes": reduced}
     return PrototypeSet(per_class=per_class, selector_tag="gcp", params_echo=echo)
 
 

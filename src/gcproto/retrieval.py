@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionMismatchError, EmptyPrototypeSetError
-from .schema import check_field_types, json_text, parse_json_object
+from .schema import check_field_types, csv_text, json_text, parse_json_object
 from .store import EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
@@ -380,18 +380,18 @@ def parse_buckets(labels: Sequence[str]) -> list[tuple[int, float]]:
     """Parse bucket labels like "1-15" or "50+" into inclusive (lo, hi) ranges.
 
     The labels must jointly partition the positive integers: sorted by lower
-    bound they must start at 1, abut exactly, and end open-ended.
+    bound they must start at 1, abut exactly, and end open-ended.  Each label
+    is written out as given, so only its one spelling passes: "1-15", not " 1-15".
     """
     if not labels:
         raise ConfigError("bucket list is empty")
     bounds: list[tuple[int, float]] = []
     for label in labels:
-        text = label.strip()
         try:
-            if text.endswith("+"):
-                lo, hi = int(text[:-1]), np.inf
+            if label.endswith("+"):
+                lo, hi = int(label[:-1]), np.inf
             else:
-                lo_s, hi_s = text.split("-", 1)
+                lo_s, hi_s = label.split("-", 1)
                 lo, hi = int(lo_s), int(hi_s)
         except ValueError:
             raise ConfigError(
@@ -399,6 +399,9 @@ def parse_buckets(labels: Sequence[str]) -> list[tuple[int, float]]:
             ) from None
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad bucket {label!r}: bounds out of order")
+        spelling = f"{lo}+" if hi == np.inf else f"{lo}-{hi}"
+        if label != spelling:
+            raise ConfigError(f"bad bucket {label!r}: write it as {spelling!r}")
         bounds.append((lo, hi))
     ordered = sorted(bounds)
     if ordered[0][0] != 1:
@@ -460,8 +463,5 @@ def report_from_json(text: str) -> EvalReport:
 
 def report_to_csv(report: EvalReport) -> str:
     """One `cmc,k,value` row per rank plus one summary row with the mAP."""
-    lines = ["metric,k,value"]
-    for k, v in enumerate(report.cmc, start=1):
-        lines.append(f"cmc,{k},{v!r}")
-    lines.append(f"map,,{report.map!r}")
-    return "\n".join(lines) + "\n"
+    rows = [{"metric": "cmc", "k": k, "value": v} for k, v in enumerate(report.cmc, start=1)]
+    return csv_text(rows + [{"metric": "map", "k": None, "value": report.map}])

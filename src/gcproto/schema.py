@@ -247,6 +247,16 @@ def json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def csv_text(rows: list[dict]) -> str:
+    """``rows`` as CSV under a header of the first row's keys: ``None`` as an
+    empty field, a ``str`` as is, any other value as its ``repr``."""
+    lines = [",".join(rows[0])] + [
+        ",".join("" if v is None else v if isinstance(v, str) else repr(v) for v in r.values())
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def write_json(path, data) -> None:
     """Write ``data`` to ``path`` as UTF-8 ``json_text``."""
     Path(path).write_text(json_text(data), encoding="utf-8")

@@ -3,9 +3,11 @@
 Each selector is one per-class function, :func:`class_prototypes`, of a
 class's gallery rows and the config; :func:`run_selector` applies it to
 every class of a set, and the camera-filter protocol applies it to one
-class's rows with the query camera left out.  All are deterministic under a
-fixed seed. Ties in nearest/farthest scans are broken by lowest record
-index so repeated runs agree bit-for-bit.
+class's rows with the query camera left out.  A method's name, one of
+``store.METHODS``, is the tag and the echoed ``"method"`` of the prototype
+set it makes.  All are deterministic under a fixed seed. Ties in
+nearest/farthest scans are broken by lowest record index so repeated runs
+agree bit-for-bit.
 
 The farthest-point selectors run per class and, under camera-filter, per
 (class, camera) group on a few dozen rows, so each call works in buffers
@@ -30,19 +32,15 @@ import numpy as np
 from .errors import ConfigError
 from .schema import check_field_types
 from .seeding import substream
-from .store import SELECTOR_TAGS, EmbeddingSet, PrototypeSet
-
-# Method names as configs and the CLI spell them: the selector tags
-# without underscores ("alpha_fps" is method "alphafps").
-METHODS = tuple(t.replace("_", "") for t in SELECTOR_TAGS)
+from .store import METHOD_SPELLINGS, METHODS, EmbeddingSet, PrototypeSet
 
 
 @dataclass
 class SelectorConfig:
-    # JSON must name the method; "alpha_fps" is the store tag's spelling
+    # JSON must name the method
     method: str = field(
         default="centroid",
-        metadata={"required": True, "spellings": {"alpha_fps": "alphafps"}, "choices": METHODS},
+        metadata={"required": True, "spellings": METHOD_SPELLINGS, "choices": METHODS},
     )
     n_prototypes: int = field(default=3, metadata={"json": "n", "ge": 1})
     alpha: float = field(default=0.5, metadata={"ge": 0.0, "le": 1.0})
@@ -210,8 +208,7 @@ def run_selector(eset: EmbeddingSet, cfg: SelectorConfig) -> PrototypeSet:
         per_class[c], converged = class_prototypes(eset.class_matrix(c), c, cfg)
         if not converged:
             unconverged.append(c)
-    tag = SELECTOR_TAGS[METHODS.index(cfg.method)]
-    echo = {"method": tag}
+    echo = {"method": cfg.method}
     if cfg.method in ("kcentroid", "fps", "alphafps"):
         echo["n"] = cfg.n_prototypes
     if cfg.method == "alphafps":
@@ -220,4 +217,4 @@ def run_selector(eset: EmbeddingSet, cfg: SelectorConfig) -> PrototypeSet:
         echo["seed"] = cfg.seed
         if unconverged:
             echo["unconverged_classes"] = unconverged
-    return PrototypeSet(per_class, tag, echo)
+    return PrototypeSet(per_class, cfg.method, echo)

@@ -57,7 +57,8 @@ from .errors import (
 BINARY_MAGIC = b"GCPE"
 BINARY_VERSION = 1
 
-SELECTOR_TAGS = ("instance", "centroid", "kcentroid", "fps", "alpha_fps", "gcp")
+METHODS = ("instance", "centroid", "kcentroid", "fps", "alphafps", "gcp")
+METHOD_SPELLINGS = {"alpha_fps": "alphafps"}  # older files' spelling, still read
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def pack(per_class: Mapping[int, np.ndarray], dim: int):
 
 @dataclass(eq=False)
 class PrototypeSet:
-    """Per-class ordered prototype vectors with selection provenance.
+    """Per-class ordered prototype vectors, tagged with their method's name.
 
     List position within a class records the generation iteration, which is
     meaningful for the iterative selectors.
@@ -323,7 +324,7 @@ class PrototypeSet:
     params_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.selector_tag not in SELECTOR_TAGS:
+        if self.selector_tag not in METHODS:
             raise DataFormatError(f"unknown selector tag {self.selector_tag!r}")
         rows = {c: _checked_rows(c, p, finite=False) for c, p in self.per_class.items()}
         dims = {arr.shape[1] for arr in rows.values()}

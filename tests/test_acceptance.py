@@ -468,13 +468,13 @@ ARTIFACT_DIGESTS = {
     ("fps", "camera-filter"):
         "61f3ce210337f72ab134c2ed5e156d50361cd1488890494a8df8c45e2740656c",
     ("alphafps", "plain"):
-        "fb74b886f02a3a752f6a364d3cc1ba3c565c07f82a16b47fb992ff83554c9bd1",
+        "9d0d35783ebe6fce21a1b83551e7d8a14c97c95be02544ec5074e78ead51a719",
     ("alphafps", "camera-filter"):
-        "1f72b95e60aec474f0e9a3ff2943dd3979252efb2d468abb3bf2b75af8ff2cbb",
+        "021d4bdcf5d47d3e55e2d720ce2cb78fd961d18229131f2a6c48e85d99b64c1d",
     ("gcp", "plain"):
-        "e66f6c065fe6ea7265fa3573a5edb6c7060faf40eacc45c4dfc5061dbaf4debf",
+        "96ae0b3b002bce5b9017d17562e178e136bc98530b8114ed9bcb44d25537bd44",
     ("gcp", "camera-filter"):
-        "8ce774f2cd41fc219dfc92f7fdf7bc901d49e254b850c74cd1db3838731e7721",
+        "fcc12ae735ee86dcf8b122a52a89b89cd7d029ad697fb0a78a638bdbdb4a4aaa",
 }
 
 

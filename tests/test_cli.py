@@ -4,6 +4,7 @@ directory, exit codes, and the single-line stderr error contract."""
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ TINY_GCP = {
     "n_prototypes": 2, "n_cameras": 3, "batch_classes": 4,
     "instances_per_class": 4, "epochs": 2,
 }
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SMALL_SPEC = {
     "n_classes": 4, "instances_per_class": 6, "dim": 6, "n_cameras": 3,
@@ -96,7 +99,7 @@ class TestSelect:
         assert rc == 0
         default = SelectorConfig()
         assert load_prototypes(out).params_echo == {
-            "method": "alpha_fps", "n": 2, "alpha": default.alpha,
+            "method": "alphafps", "n": 2, "alpha": default.alpha,
         }
 
     def test_gcp_without_checkpoint_fails(self, datadir, capsys):
@@ -394,3 +397,55 @@ class TestEntryPoints:
         assert callable(script.main)
         for name in gcproto.__all__:
             assert getattr(gcproto, name) is not None, name
+
+
+def readme_blocks(lang):
+    """The README's fenced code blocks of language ``lang``, in order."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.M | re.S)
+
+
+def transcript(block):
+    """[command, printed output] pairs of a console block: a ``$ `` line
+    with its ``\\`` continuations, then the non-blank lines up to the next
+    command."""
+    steps, lines = [], iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ "):
+            cmd = line[2:]
+            while cmd.endswith("\\"):
+                cmd = cmd[:-1] + next(lines)
+            steps.append([cmd, ""])
+        elif line:
+            steps[-1][1] += line + "\n"
+    return steps
+
+
+class TestReadme:
+    # the README's examples, run as written, so its numbers cannot drift;
+    # the 250-epoch training runs are left out for time
+
+    def test_library_quick_start_prints_its_comment(self, capsys):
+        code = readme_blocks("python")[0]
+        exec(compile(code, str(README), "exec"), {})
+        printed = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+        assert printed
+        assert capsys.readouterr().out.splitlines() == printed
+
+    def test_command_line_transcript_before_training(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        steps = transcript(readme_blocks("console")[0])
+        heads = [shlex.split(cmd)[:2] for cmd, _ in steps]
+        steps = steps[: heads.index(["gcproto", "train"])]
+        assert heads[: len(steps)] == [
+            ["echo", '{"preset": "tradeoff"}'], ["gcproto", "gen"], ["gcproto", "eval"],
+        ]
+        assert "--method centroid" in steps[2][0]
+        for cmd, printed in steps:
+            args = shlex.split(cmd)
+            if args[0] == "echo":  # echo TEXT > FILE
+                Path(args[3]).write_text(args[1] + "\n", encoding="utf-8")
+                continue
+            capsys.readouterr()
+            assert main(args[1:]) == 0
+            assert capsys.readouterr().out == printed

@@ -42,7 +42,7 @@ from gcproto.model import (
 from gcproto.retrieval import report_from_json, report_to_json
 from gcproto.seeding import substream
 from gcproto.selectors import SelectorConfig, run_selector
-from gcproto.store import EmbeddingSet, PrototypeSet, build_set, save_embedding_set
+from gcproto.store import METHODS, EmbeddingSet, PrototypeSet, build_set, save_embedding_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
 
 SMALL = SyntheticSpec(
@@ -279,7 +279,7 @@ class TestPrototypeFiles:
         ),
         dim=st.integers(1, 3),
         values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=12),
-        tag=st.sampled_from(["instance", "fps", "gcp"]),
+        tag=st.sampled_from(METHODS),
         echo=st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=2),
     )
     def test_every_accepted_set_reloads(self, tmp_path_factory, rows, dim, values, tag, echo):
@@ -316,6 +316,23 @@ class TestPrototypeFiles:
         with pytest.raises(DataFormatError, match="canonical"):
             load_prototypes(path)
 
+    def test_older_alpha_fps_spelling_loads_as_the_method_name(self, tmp_path):
+        rows = [[0.1, -2.5], [1.0 / 3.0, 7e-300]]
+        doc = {
+            "format": PROTO_FORMAT, "version": PROTO_VERSION, "selector": "alpha_fps",
+            "params_echo": {"method": "alpha_fps", "n": 1, "alpha": 0.5},
+            "classes": {"4": rows},
+        }
+        path = tmp_path / "protos.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        pset = load_prototypes(path)
+        assert pset.selector_tag == "alphafps"
+        want = np.array(rows, dtype=np.float64)
+        assert pset.per_class[4].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        save_prototypes(pset, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["selector"] == "alphafps"
+        assert load_prototypes(path).selector_tag == "alphafps"
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "protos.json"
         path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
@@ -333,9 +350,12 @@ class TestPrototypeFiles:
             {"selector": "centroid", "classes": {"zero": [[1.0]]}},
             {"selector": "centroid", "classes": {"0": [[1.0, 2.0], [3.0]]}},
             {"selector": "centroid", "classes": {"0": [[1.0]]}, "params_echo": [1, 2]},
+            {"selector": ["centroid"], "classes": {"0": [[1.0]]}},
+            {"selector": "mean", "classes": {"0": [[1.0]]}},
         ],
         ids=["top-level-list", "no-classes", "no-selector", "classes-list",
-             "non-integer-class", "ragged-rows", "params-echo-list"],
+             "non-integer-class", "ragged-rows", "params-echo-list", "selector-list",
+             "unknown-selector"],
     )
     def test_malformed_file_rejected(self, tmp_path, doc):
         if isinstance(doc, dict):
@@ -696,6 +716,15 @@ class TestGroupEvaluate:
         lines = (tmp_path / "group_eval.csv").read_text().strip().splitlines()
         assert lines[0] == "bucket,count,map"
         assert lines[2].startswith("100+,0,")
+
+    @pytest.mark.parametrize("label", ["1-99\n", " 1-99", "01-99", "1-099", "1\n-99"])
+    def test_label_in_another_spelling_refused(self, tmp_path, label):
+        # labels are written out as given; a line break would split a row
+        with pytest.raises(ConfigError, match="write it as '1-99'"):
+            group_evaluate(cfg_for(), [label, "100+"], out_dir=tmp_path)
+        with pytest.raises(ConfigError):
+            cfg_for(group_buckets=[label, "100+"])
+        assert not (tmp_path / "group_eval.csv").exists()
 
 
 class TestImportBoundary:

@@ -939,12 +939,7 @@ class TestSelectGcp:
         pset = select_gcp(es, model, n=2)
         assert counts(pset) == {0: 2, 1: 2, 2: 2}
         assert pset.selector_tag == "gcp"
-        assert pset.params_echo["n_requested"] == 2
-
-    def test_default_n_comes_from_config(self):
-        es, model = self.fixture()
-        pset = select_gcp(es, model)
-        assert len(pset.per_class[0]) == model.config.n_prototypes
+        assert pset.params_echo == {"method": "gcp", "n": 2, "reduced_count_classes": {}}
 
     def camera_filtered(self, es, model, queries, n):
         # the camera-filter protocol rebuilds a query's own class without its
@@ -999,4 +994,4 @@ class TestSelectGcp:
         _, model = self.fixture()
         es = build_set(np.ones((2, 7)), [0, 0], [0, 0])
         with pytest.raises(DimensionMismatchError):
-            select_gcp(es, model)
+            select_gcp(es, model, n=2)

@@ -25,7 +25,7 @@ from gcproto.harness import (
 )
 from gcproto.model import GcpConfig, save_model, train
 from gcproto.retrieval import AP_MODES
-from gcproto.schema import from_json, read_json_object, to_json
+from gcproto.schema import csv_text, from_json, read_json_object, to_json
 from gcproto.selectors import METHODS, SelectorConfig, run_selector
 from gcproto.store import save_embedding_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
@@ -159,6 +159,12 @@ non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 def through_json_text(obj):
     return json.loads(json.dumps(to_json(obj)))
+
+
+def test_csv_text_rule():
+    # a header of the keys; None empty, a str as is, anything else its repr
+    rows = [{"bucket": "1-15", "count": 3, "map": 0.1}, {"bucket": "16+", "count": 0, "map": None}]
+    assert csv_text(rows) == "bucket,count,map\n1-15,3,0.1\n16+,0,\n"
 
 
 class TestRoundTrip:

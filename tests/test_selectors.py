@@ -116,7 +116,7 @@ class TestAlphaFps:
         es = build_set(np.random.default_rng(0).normal(size=(12, 3)), [0] * 6 + [1] * 6, [0] * 12)
         pset = run_selector(es, SelectorConfig(method="alphafps", n_prototypes=3))
         assert {c: len(rows) for c, rows in pset.per_class.items()} == {0: 4, 1: 4}
-        assert pset.selector_tag == "alpha_fps"
+        assert pset.selector_tag == "alphafps"
         assert pset.params_echo["alpha"] == 0.5
 
 
@@ -356,20 +356,21 @@ class TestSelectors:
             np.testing.assert_array_equal(x.per_class[c], y.per_class[c])
 
     @pytest.mark.parametrize(
-        "method, tag, echo",
+        "method, echo",
         [
-            ("instance", "instance", {"method": "instance"}),
-            ("centroid", "centroid", {"method": "centroid"}),
-            ("kcentroid", "kcentroid", {"method": "kcentroid", "n": 3, "seed": 4}),
-            ("fps", "fps", {"method": "fps", "n": 3}),
-            ("alphafps", "alpha_fps", {"method": "alpha_fps", "n": 3, "alpha": 0.25}),
+            ("instance", {}),
+            ("centroid", {}),
+            ("kcentroid", {"n": 3, "seed": 4}),
+            ("fps", {"n": 3}),
+            ("alphafps", {"n": 3, "alpha": 0.25}),
         ],
     )
-    def test_tag_and_params_echo(self, method, tag, echo):
+    def test_tag_and_params_echo(self, method, echo):
+        # the method's name is the set's tag and its echoed "method"
         cfg = SelectorConfig(method=method, n_prototypes=3, alpha=0.25, seed=4)
         pset = run_selector(self.separated(), cfg)
-        assert pset.selector_tag == tag
-        assert pset.params_echo == echo
+        assert pset.selector_tag == method
+        assert pset.params_echo == {"method": method, **echo}
 
     def test_kcentroid_echo_lists_unconverged_classes(self):
         cfg = SelectorConfig(method="kcentroid", n_prototypes=3, kmeans_max_iters=1)
