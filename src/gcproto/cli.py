@@ -2,21 +2,21 @@
 
 Subcommands: ``gen`` (synthetic data), ``select`` (prototype file),
 ``train`` (model checkpoint), ``eval`` (report), ``sweep-n`` and
-``sweep-alpha`` (both ``harness.sweep``), ``group-eval``.  A run is set
-by flags or by ``--config`` with an experiment JSON; flags override the
-config field-for-field, and ``--seed`` also fills each ``selector``,
-``gcp`` and ``data.synthetic`` seed the file left out.
-
-On failure the process exits nonzero after printing one line to stderr of
-the form ``error:<category>: <message>``, where the category is a stable
-machine-parsable token (see gcproto.errors).
+``sweep-alpha`` (both ``harness.sweep``), ``group-eval``.  A run is set by
+flags or by ``--config`` with a JSON file.  Each flag is the config key it
+names, read with the file by the one schema reader, so flags take the
+file's rules and spellings and override it field-for-field; ``--seed``
+also fills each ``selector``, ``gcp`` and ``data.synthetic`` seed the
+file left out.  Every failure, a flag the parser refuses included, exits
+with status 1 after one stderr line ``error:<category>: <message>``, the
+category a stable machine-parsable token (see gcproto.errors); ``--help``
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, GcprotoError
@@ -36,14 +36,27 @@ from .store import METHODS, load_embedding_set, save_embedding_set
 from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigError`` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _given(args, *names) -> dict:
+    """The flags ``names`` that were given, keyed by name."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
+def _read_config(args) -> dict:
+    return read_json_object(args.config) if args.config is not None else {}
+
+
 def cmd_gen(args) -> int:
-    data = read_json_object(args.config) if args.config is not None else {}
+    data = _read_config(args)
     if data.keys() == {"preset"}:
-        spec = preset_spec(data["preset"])
-    else:
-        spec = from_json(SyntheticSpec, data)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        data = to_json(preset_spec(data["preset"]))
+    spec = from_json(SyntheticSpec, {**data, **_given(args, "seed")})
     gallery, queries = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -55,8 +68,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
-    given = {"n_prototypes": args.n, "alpha": args.alpha, "seed": args.seed}
-    cfg = SelectorConfig(method=args.method, **{k: v for k, v in given.items() if v is not None})
+    cfg = from_json(SelectorConfig, _given(args, "method", "n", "alpha", "seed"))
     eset = load_embedding_set(args.data)
     if cfg.method == "gcp":
         if args.checkpoint is None:
@@ -73,10 +85,7 @@ def cmd_select(args) -> int:
 
 def cmd_train(args) -> int:
     eset = load_embedding_set(args.data)
-    data = read_json_object(args.config) if args.config is not None else {}
-    cfg = from_json(GcpConfig, data, {"dim": eset.dim})
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = from_json(GcpConfig, {**_read_config(args), **_given(args, "seed")}, {"dim": eset.dim})
     model, trace = train(eset, cfg)
     save_model(model, args.out)
     print(
@@ -87,27 +96,16 @@ def cmd_train(args) -> int:
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
+    data = _read_config(args)
     if args.config is not None:
-        data = read_json_object(args.config)
         experiment_config_from_json_dict(data)  # the file must be valid as written
-    else:
-        if args.data is None or args.queries is None or args.method is None:
-            raise ConfigError("without --config, provide --data, --queries and --method")
-        data = {"version": 1, "selector": {"method": args.method}}
     # each flag is set in the JSON object, so a nested section that left
-    # out its seed takes --seed through the schema's seed inheritance
-    if args.data is not None:
-        data["data"] = {"path": args.data}
-    if args.queries is not None:
-        data["queries"] = {"path": args.queries}
-    for key, value in (("method", args.method), ("n", args.n), ("alpha", args.alpha)):
-        if value is not None:
-            data["selector"][key] = value
-    for key, value in (
-        ("protocol", args.protocol), ("seed", args.seed), ("checkpoint", args.checkpoint)
-    ):
-        if value is not None:
-            data[key] = value
+    # out its seed takes --seed through the schema's seed inheritance, and
+    # a missing piece is refused by the config's own rules
+    for key, path in _given(args, "data", "queries").items():
+        data[key] = {"path": path}
+    data["selector"] = {**data.get("selector", {}), **_given(args, "method", "n", "alpha")}
+    data.update(_given(args, "protocol", "seed", "checkpoint"))
     return experiment_config_from_json_dict(data)
 
 
@@ -139,7 +137,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_group_eval(args) -> int:
     cfg = _experiment_from_args(args)
-    buckets = [b.strip() for b in args.buckets.split(",")] if args.buckets else None
+    buckets = args.buckets.split(",") if args.buckets is not None else None
     rows = group_evaluate(cfg, buckets, out_dir=args.out)
     for row in rows:
         map_txt = "absent" if row["map"] is None else repr(row["map"])
@@ -147,13 +145,16 @@ def cmd_group_eval(args) -> int:
     return 0
 
 
+METHOD_HELP = f"prototype selector, one of {', '.join(METHODS)}"
+
+
 def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="gallery file (csv or binary)")
     p.add_argument("--queries", help="query file (csv or binary)")
-    p.add_argument("--method", choices=METHODS, help="prototype selector")
+    p.add_argument("--method", help=METHOD_HELP)
     p.add_argument("--n", type=int, help="prototypes per class")
     p.add_argument("--alpha", type=float, help="interpolation factor for alphafps")
-    p.add_argument("--protocol", choices=PROTOCOL_CHOICES, help="inference protocol")
+    p.add_argument("--protocol", help=f"inference protocol, one of {', '.join(PROTOCOL_CHOICES)}")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--checkpoint", help="trained model checkpoint for --method gcp")
     p.add_argument("--config", help="experiment config JSON")
@@ -161,9 +162,10 @@ def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcproto",
         description="Class-prototype selection and prototype-based retrieval",
+        epilog=METHOD_HELP,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="build a prototype file from a gallery")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", help=METHOD_HELP)
     p.add_argument("--n", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--seed", type=int)
@@ -213,15 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except GcprotoError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error:io: {exc}", file=sys.stderr)
+    except (GcprotoError, OSError) as exc:
+        category = exc.category if isinstance(exc, GcprotoError) else "io"
+        message = " ".join(str(exc).splitlines())  # a quoted value may hold a line break
+        print(f"error:{category}: {message}", file=sys.stderr)
         return 1
 
 

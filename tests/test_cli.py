@@ -1,5 +1,6 @@
 """Command-line interface: full gen/train/select/eval flows in a temp
-directory, exit codes, and the single-line stderr error contract."""
+directory, exit codes, and the single-line stderr error contract, named
+and fuzzed over drawn command lines."""
 
 import importlib.util
 import json
@@ -9,13 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_schema import assert_clean_exit, cli, same_files
 
 import gcproto
 from gcproto.cli import main
-from gcproto.harness import load_prototypes
-from gcproto.model import load_model
+from gcproto.harness import PROTOCOL_CHOICES, load_prototypes
+from gcproto.model import GcpConfig, load_model, save_model, train
+from gcproto.schema import from_json, read_json_object, to_json
 from gcproto.selectors import SelectorConfig
-from gcproto.store import load_embedding_set, save_embedding_set
+from gcproto.store import METHODS, load_embedding_set, save_embedding_set
+from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
 
 TINY_GCP = {
     "dim": 6, "n_blocks": 1, "n_heads": 2, "ffn_dim": 8, "dropout_rate": 0.0,
@@ -233,9 +238,10 @@ class TestEval:
         assert "queries=12" in capsys.readouterr().out
 
     def test_incomplete_flags_fail(self, datadir, capsys):
+        # the config's own rule refuses the first missing piece
         rc = main(["eval", "--data", str(datadir / "data" / "gallery.csv")])
         assert rc == 1
-        assert err_line(capsys).startswith("error:config: ")
+        assert err_line(capsys) == "error:config: missing required key 'selector.method'"
 
     def test_config_file_run(self, datadir, capsys):
         cfg = {
@@ -384,6 +390,166 @@ class TestSweepAndGroup:
         out = capsys.readouterr().out
         assert "bucket=1-99 count=12" in out
         assert "bucket=100+ count=0 map=absent" in out
+
+
+# command lines refused before any file is read: (argv, message)
+REFUSALS = [
+    (["select", "--data", "g.csv", "--method", "bogus", "--out", "p.json"],
+     "unknown method 'bogus' (choose from "),
+    (["select", "--data", "g.csv", "--method", "centroid", "--n", "abc", "--out", "p.json"],
+     "argument --n: invalid int value: 'abc'"),
+    (["eval", "--data", "g.csv", "--queries", "q.csv", "--method", "centroid",
+      "--protocol", "bogus"], "unknown protocol 'bogus' (choose from "),
+    (["select", "--data", "g.csv", "--method", "centroid"],
+     "the following arguments are required: --out"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["eval", "--bogus"], "unrecognized arguments: --bogus"),
+    (["eval", "--bogus", "a\nb"], "unrecognized arguments: --bogus a b"),
+]
+
+
+class TestFlagsAreConfigKeys:
+    @pytest.mark.parametrize(
+        "argv,message", REFUSALS,
+        ids=["method", "n-not-int", "protocol", "missing-out", "subcommand", "unknown-flag",
+             "line-break-in-value"],
+    )
+    def test_refusal_is_one_config_line(self, argv, message):
+        rc, err = cli(argv)
+        assert (rc, err.count("\n")) == (1, 1), err
+        assert err.startswith("error:config: ") and message in err, err
+
+    @pytest.mark.parametrize("command", ["select", "eval"])
+    def test_method_flag_reads_the_older_spelling(self, datadir, command):
+        data = datadir / "data"
+        argv = [command, "--data", data / "gallery.csv", "--method", "alpha_fps"]
+        if command == "select":
+            argv += ["--out", datadir / "protos.json"]
+            written = datadir / "protos.json"
+        else:
+            argv += ["--queries", data / "queries.csv", "--out", datadir / "run"]
+            written = datadir / "run" / "prototypes.json"
+        assert cli(argv) == (0, "")
+        assert read_json_object(written)["selector"] == "alphafps"
+
+    def test_gen_seed_flag_on_a_preset_is_that_spec_with_the_seed(self, tmp_path):
+        (tmp_path / "preset.json").write_text(json.dumps({"preset": "tradeoff"}), "utf-8")
+        spec = {**to_json(tradeoff_spec()), "seed": 7}
+        (tmp_path / "spec.json").write_text(json.dumps(spec), "utf-8")
+        argv = ["gen", "--config", tmp_path / "preset.json", "--seed", 7, "--out", tmp_path / "a"]
+        assert cli(argv) == (0, "")
+        assert cli(["gen", "--config", tmp_path / "spec.json", "--out", tmp_path / "b"]) == (0, "")
+        assert same_files(
+            tmp_path / "a", tmp_path / "b", ["gallery.csv", "queries.csv", "synthetic_spec.json"]
+        )
+        assert read_json_object(tmp_path / "a" / "synthetic_spec.json") == spec
+
+    def test_train_seed_flag_overrides_the_config_seed(self, datadir):
+        gallery = datadir / "data" / "gallery.csv"
+        for seed in (1, 2):
+            path = datadir / f"seed{seed}.json"
+            path.write_text(json.dumps({**TINY_GCP, "epochs": 1, "seed": seed}), "utf-8")
+        argv = ["train", "--data", gallery, "--config", datadir / "seed1.json", "--seed", 2]
+        assert cli([*argv, "--out", datadir / "flag.gcpm"]) == (0, "")
+        argv = ["train", "--data", gallery, "--config", datadir / "seed2.json"]
+        assert cli([*argv, "--out", datadir / "file.gcpm"]) == (0, "")
+        assert load_model(datadir / "flag.gcpm").config.seed == 2
+        assert (datadir / "flag.gcpm").read_bytes() == (datadir / "file.gcpm").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]], ids=" ".join)
+    def test_help_exits_zero_and_lists_the_methods(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert ", ".join(METHODS) in " ".join(capsys.readouterr().out.split())
+
+
+# -- fuzzing the command line --------------------------------------------
+
+EVAL_FLAGS = ("--data", "--queries", "--method", "--n", "--alpha", "--protocol", "--seed",
+              "--checkpoint", "--config", "--out")
+COMMAND_FLAGS = {
+    "gen": ("--config", "--seed", "--out"),
+    "select": ("--data", "--method", "--n", "--alpha", "--seed", "--checkpoint", "--out"),
+    "train": ("--data", "--config", "--seed", "--out"),
+    "eval": EVAL_FLAGS,
+    "sweep-n": (*EVAL_FLAGS, "--values"),
+    "sweep-alpha": (*EVAL_FLAGS, "--values"),
+    "group-eval": (*EVAL_FLAGS, "--buckets"),
+}
+# the files every path flag draws from: valid inputs of each kind, broken
+# JSON of three shapes, and a path that does not exist
+FUZZ_FILES = ["gallery.csv", "queries.csv", "model.gcpm", "experiment.json", "spec.json",
+              "train.json", "invalid.json", "array.json", "empty.json", "absent.json"]
+CONFIG_FILES = {"gen": "spec.json", "train": "train.json"}  # else experiment.json
+junk = st.text(st.characters(exclude_characters="\x00"), max_size=6)  # argv holds no NUL
+# (valid, invalid) values of each flag that takes neither a path nor --values
+FLAG_VALUES = {
+    "--method": ([*METHODS, "alpha_fps"], ["bogus", "alpha-fps"]),
+    "--n": (["1", "2"], ["0", "-1", "1.5", "abc"]),
+    "--alpha": (["0", "0.5", "1"], ["1.5", "-0.5", "nan", "abc"]),
+    "--seed": (["0", "7"], ["-1", "abc"]),
+    "--protocol": (PROTOCOL_CHOICES, ["bogus"]),
+    "--buckets": (["1-5,6+", "1+"], ["1-5, 6+", "6+", "bogus", ""]),
+}
+
+
+def flag_values(flag, command, files, out):
+    """The (valid, invalid) value strategies of ``flag`` under ``command``."""
+    if flag in FLAG_VALUES:
+        valid, invalid = FLAG_VALUES[flag]
+        return st.sampled_from(valid), st.sampled_from(invalid) | junk
+    if flag == "--values":
+        valid = "1,2" if command == "sweep-n" else "0.5,1"
+        return st.just(valid), st.sampled_from(["2.5", "0", "abc", ""]) | junk
+    if flag == "--out":  # a new path, or one below a file
+        return st.just(out / "out"), st.just(files / "gallery.csv" / "out")
+    valid = {"--data": "gallery.csv", "--queries": "queries.csv", "--checkpoint": "model.gcpm",
+             "--config": CONFIG_FILES.get(command, "experiment.json")}[flag]
+    return st.just(files / valid), st.sampled_from(FUZZ_FILES).map(files.joinpath)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The ``FUZZ_FILES`` the command-line fuzz draws from."""
+    root = tmp_path_factory.mktemp("fuzz")
+    gallery, queries = generate_synthetic(from_json(SyntheticSpec, SMALL_SPEC))
+    save_embedding_set(gallery, root / "gallery.csv")
+    save_embedding_set(queries, root / "queries.csv")
+    gcp = {**TINY_GCP, "epochs": 1}
+    save_model(train(gallery, from_json(GcpConfig, gcp))[0], root / "model.gcpm")
+    experiment = {
+        "version": 1,
+        "data": {"path": str(root / "gallery.csv")},
+        "queries": {"path": str(root / "queries.csv")},
+        "selector": {"method": "centroid"},
+    }
+    texts = {
+        "experiment.json": json.dumps(experiment), "spec.json": json.dumps(SMALL_SPEC),
+        "train.json": json.dumps(gcp), "invalid.json": "{oops", "array.json": "[1, 2]",
+        "empty.json": "",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_command_line_exits_0_or_1_with_one_line(fuzz_files, tmp_path_factory, data):
+    # each flag of the drawn subcommand is valid, invalid or missing, most
+    # often valid, so that the runs reach the files and the pipeline
+    out = tmp_path_factory.mktemp("out")
+    command = data.draw(st.sampled_from([*COMMAND_FLAGS, "bogus"]), label="command")
+    argv = [command]
+    for flag in COMMAND_FLAGS.get(command, ()):
+        valid, invalid = flag_values(flag, command, fuzz_files, out)
+        kind = data.draw(st.sampled_from(["valid"] * 4 + ["invalid", "missing"]), label=flag)
+        if kind != "missing":
+            argv += [flag, data.draw(valid if kind == "valid" else invalid, label=flag)]
+    if data.draw(st.integers(0, 9), label="unknown flag") == 0:
+        argv += ["--bogus", data.draw(junk, label="--bogus")]
+    assert_clean_exit(*cli(argv))
 
 
 class TestEntryPoints:

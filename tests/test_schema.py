@@ -15,6 +15,7 @@ import typing
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from gcproto import errors
 from gcproto.cli import main
 from gcproto.errors import ConfigError, GcprotoError
 from gcproto.harness import (
@@ -249,13 +250,22 @@ def cli(argv) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
+# every category the CLI may print: one per gcproto.errors class, and io
+CATEGORIES = {
+    cls.category for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, GcprotoError)
+} | {"io"}
+
+
 def assert_clean_exit(rc, err):
-    """Success, or exit 1 with exactly one ``error:<category>:`` line."""
+    """Success, or exit 1 with exactly one ``error:<category>:`` line whose
+    category is in ``CATEGORIES``."""
     event(err.split(":")[1] if rc else "ok")
     if rc != 0:
         lines = err.splitlines()
         assert rc == 1 and len(lines) == 1, lines
-        assert re.match(r"^error:[a-z-]+: ", lines[0]), lines[0]
+        category = re.match(r"^error:([a-z-]+): ", lines[0])
+        assert category and category[1] in CATEGORIES, lines[0]
 
 
 def gen_twice(tmp, config_doc):
