@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gcproto.harness import ExperimentConfig, run_experiment, sweep
+from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig, run_experiment, sweep
 from gcproto.selectors import SelectorConfig
 from gcproto.synthetic import tradeoff_spec, tradeoff_training
 
@@ -32,9 +32,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="runs/tradeoff", help="artifact directory")
     parser.add_argument("--seed", type=int, default=0, help="training seed")
-    parser.add_argument(
-        "--protocol", choices=("plain", "camera-filter"), default="camera-filter"
-    )
+    parser.add_argument("--protocol", choices=PROTOCOL_CHOICES, default="camera-filter")
     args = parser.parse_args(argv)
     out = Path(args.out)
 
@@ -59,7 +57,7 @@ def main(argv=None) -> int:
         gcp=tradeoff_training(args.seed),
         sweep_axis="n", sweep_values=[1, 2, 3, 6],
     )
-    for row in sweep(gcfg, "n", out_dir=out / "gcp_sweep"):
+    for row in sweep(gcfg, out_dir=out / "gcp_sweep"):
         print(f"  N={row['n']}        R-1 {row['top1']:.4f}  mAP {row['map']:.4f}")
     print(f"  (training + sweep took {time.time() - t0:.1f}s)")
 

@@ -7,10 +7,12 @@ flags or by ``--config`` with a JSON file.  Each flag is the config key it
 names, read with the file by the one schema reader, so flags take the
 file's rules and spellings and override it field-for-field; ``--seed``
 also fills each ``selector``, ``gcp`` and ``data.synthetic`` seed the
-file left out.  Every failure, a flag the parser refuses included, exits
-with status 1 after one stderr line ``error:<category>: <message>``, the
-category a stable machine-parsable token (see gcproto.errors); ``--help``
-exits 0.
+file left out.  A list flag is a config key too: ``--buckets`` sets
+``group_buckets``, and ``--values`` sets ``sweep.values`` under the sweep
+subcommand's ``sweep.axis``.  Every failure, a flag the parser refuses
+included, exits with status 1 after one stderr line
+``error:<category>: <message>``, the category a stable machine-parsable
+token (see gcproto.errors); ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from .errors import ConfigError, GcprotoError
 from .harness import (
     PROTOCOL_CHOICES,
     ExperimentConfig,
-    experiment_config_from_json_dict,
     group_evaluate,
     run_experiment,
     save_prototypes,
+    select_prototypes,
     sweep,
 )
-from .model import GcpConfig, load_model, save_model, select_gcp, train
+from .model import GcpConfig, load_model, save_model, train
 from .schema import from_json, read_json_object, to_json, write_json
-from .selectors import SelectorConfig, run_selector
+from .selectors import SelectorConfig
 from .store import METHODS, load_embedding_set, save_embedding_set
 from .synthetic import SyntheticSpec, generate_synthetic, preset_spec
 
@@ -44,8 +46,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _given(args, *names) -> dict:
-    """The flags ``names`` that were given, keyed by name."""
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    """The flags ``names`` that were given (a subcommand may lack some), keyed by name."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+
+
+def _list_of(kind):
+    """An argparse type: comma-separated items, none dropped, each read by
+    ``kind`` as a flag of that type reads its value."""
+
+    def read(text: str) -> list:
+        return [kind(item) for item in text.split(",")]
+
+    read.__name__ = f"{kind.__name__} list"  # argparse names the type in its error
+    return read
 
 
 def _read_config(args) -> dict:
@@ -70,12 +83,10 @@ def cmd_gen(args) -> int:
 def cmd_select(args) -> int:
     cfg = from_json(SelectorConfig, _given(args, "method", "n", "alpha", "seed"))
     eset = load_embedding_set(args.data)
-    if cfg.method == "gcp":
-        if args.checkpoint is None:
-            raise ConfigError("--method gcp needs --checkpoint")
-        pset = select_gcp(eset, load_model(args.checkpoint), n=cfg.n_prototypes)
-    else:
-        pset = run_selector(eset, cfg)
+    if cfg.method == "gcp" and args.checkpoint is None:
+        raise ConfigError("--method gcp needs --checkpoint")
+    model = load_model(args.checkpoint) if cfg.method == "gcp" else None
+    pset = select_prototypes(cfg, eset, model)
     save_prototypes(pset, args.out)
     print(
         f"wrote {pset.total_count()} prototypes over {len(pset.class_ids)} classes to {args.out}"
@@ -98,15 +109,20 @@ def cmd_train(args) -> int:
 def _experiment_from_args(args) -> ExperimentConfig:
     data = _read_config(args)
     if args.config is not None:
-        experiment_config_from_json_dict(data)  # the file must be valid as written
+        from_json(ExperimentConfig, data)  # the file must be valid as written
     # each flag is set in the JSON object, so a nested section that left
     # out its seed takes --seed through the schema's seed inheritance, and
     # a missing piece is refused by the config's own rules
     for key, path in _given(args, "data", "queries").items():
         data[key] = {"path": path}
     data["selector"] = {**data.get("selector", {}), **_given(args, "method", "n", "alpha")}
-    data.update(_given(args, "protocol", "seed", "checkpoint"))
-    return experiment_config_from_json_dict(data)
+    data.update(_given(args, "protocol", "seed", "checkpoint", "group_buckets"))
+    if "axis" in args:
+        # the subcommand names the axis; the file's values serve only that axis
+        section = data.get("sweep") or {}
+        section = section if section.get("axis") == args.axis else {}
+        data["sweep"] = {**section, "axis": args.axis, **_given(args, "values")}
+    return from_json(ExperimentConfig, data)
 
 
 def cmd_eval(args) -> int:
@@ -119,27 +135,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_values(text: str, kind) -> list:
-    try:
-        return [kind(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --values list {text!r}") from None
-
-
 def cmd_sweep(args) -> int:
     cfg = _experiment_from_args(args)
-    kind = int if args.axis == "n" else float
-    values = _parse_values(args.values, kind) if args.values else None
-    for row in sweep(cfg, args.axis, values, out_dir=args.out):
+    for row in sweep(cfg, out_dir=args.out):
         print(f"{args.axis}={row[args.axis]!r} top1={row['top1']!r} map={row['map']!r}")
     return 0
 
 
 def cmd_group_eval(args) -> int:
     cfg = _experiment_from_args(args)
-    buckets = args.buckets.split(",") if args.buckets is not None else None
-    rows = group_evaluate(cfg, buckets, out_dir=args.out)
-    for row in rows:
+    for row in group_evaluate(cfg, out_dir=args.out):
         map_txt = "absent" if row["map"] is None else repr(row["map"])
         print(f"bucket={row['bucket']} count={row['count']} map={map_txt}")
     return 0
@@ -198,17 +203,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-n", help="evaluate across prototype counts")
     _add_common_eval_flags(p)
-    p.add_argument("--values", help="comma-separated N values, e.g. 1,2,3,6")
+    p.add_argument("--values", type=_list_of(int), help="comma-separated N values, e.g. 1,2,3,6")
     p.set_defaults(func=cmd_sweep, axis="n")
 
     p = sub.add_parser("sweep-alpha", help="evaluate across alpha values")
     _add_common_eval_flags(p)
-    p.add_argument("--values", help="comma-separated alpha values")
+    p.add_argument("--values", type=_list_of(float), help="comma-separated alpha values")
     p.set_defaults(func=cmd_sweep, axis="alpha")
 
     p = sub.add_parser("group-eval", help="per-bucket mAP by gallery size")
     _add_common_eval_flags(p)
-    p.add_argument("--buckets", help="comma-separated buckets, e.g. 1-15,16-30,31+")
+    p.add_argument(
+        "--buckets", dest="group_buckets", type=_list_of(str),
+        help="comma-separated buckets, e.g. 1-15,16-30,31+",
+    )
     p.set_defaults(func=cmd_group_eval)
 
     return parser

@@ -35,7 +35,10 @@ valid config.
 A sweep sets one ``SelectorConfig`` field per value: axis ``"n"`` sets
 ``n_prototypes``, axis ``"alpha"`` sets ``alpha``.  Each value is checked at
 load by building the selector config it sets; that an alpha sweep needs
-selector ``alphafps`` is checked when :func:`sweep` runs.
+selector ``alphafps`` is checked when :func:`sweep` runs.  :func:`sweep`
+and :func:`group_evaluate` read their settings from the config alone; like
+:func:`run_experiment`, an ``out_dir`` argument (keyword-only for them)
+replaces ``cfg.out_dir``.
 
 Under the camera-filter protocol the query class's prototypes are rebuilt
 once per distinct (class, camera) query group, in order of first
@@ -56,7 +59,6 @@ from __future__ import annotations
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +82,7 @@ from .retrieval import (
     parse_buckets,
     report_to_csv,
 )
-from .schema import check_field_types, csv_text, from_json, read_json_object, to_json, write_json
+from .schema import check_field_types, csv_text, read_json_object, to_json, write_json
 from .selectors import SelectorConfig, class_prototypes, run_selector
 from .store import METHOD_SPELLINGS, EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
 from .synthetic import PRESETS, SyntheticSpec, generate_synthetic, preset_spec
@@ -136,14 +138,6 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         return to_json(self)
-
-
-def experiment_config_from_json_dict(data: dict) -> ExperimentConfig:
-    return from_json(ExperimentConfig, data)
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    return experiment_config_from_json_dict(read_json_object(path))
 
 
 # -- prototype file IO ---------------------------------------------------
@@ -221,9 +215,11 @@ def obtain_model(
     return model, True
 
 
-def _select_base(
+def select_prototypes(
     selector: SelectorConfig, gallery: EmbeddingSet, model: GcpModel | None
 ) -> PrototypeSet:
+    """``gallery``'s prototype set under ``selector``; ``model`` serves the
+    gcp method and is ignored by the others."""
     if selector.method == "gcp":
         return select_gcp(gallery, model, n=selector.n_prototypes)
     return run_selector(gallery, selector)
@@ -270,7 +266,7 @@ def build_protocol_prototypes(
     ``n`` is built once and serves every group.
     """
     selector = replace(cfg.selector, n_prototypes=n)
-    base = _select_base(selector, gallery, model)
+    base = select_prototypes(selector, gallery, model)
     if cfg.protocol == "plain":
         return base, base, []
     keys = list(zip(queries.row_classes.tolist(), queries.row_cameras.tolist()))
@@ -377,7 +373,7 @@ def _selectors_at(selector: SelectorConfig, axis: str, values) -> list[SelectorC
     if axis not in SWEEP_FIELDS:
         raise ConfigError(f"sweep axis must be 'n' or 'alpha', got {axis!r}")
     if not values:
-        raise ConfigError("sweep values must be a non-empty list")
+        raise ConfigError(f"sweep axis {axis!r} needs a non-empty list of values")
     name = SWEEP_FIELDS[axis]
     cast = typing.get_type_hints(SelectorConfig)[name]
     try:  # check each value as given, then store it cast
@@ -386,22 +382,20 @@ def _selectors_at(selector: SelectorConfig, axis: str, values) -> list[SelectorC
         raise ConfigError(f"sweep {axis} values {list(values)!r}: {exc}") from None
 
 
-def sweep(
-    cfg: ExperimentConfig, axis: str, values: Sequence | None = None, out_dir=None
-) -> list[dict]:
-    """Evaluate the configured pipeline at each value of one selector field.
+def sweep(cfg: ExperimentConfig, *, out_dir=None) -> list[dict]:
+    """Evaluate the configured pipeline at each value of the config's sweep.
 
-    ``axis`` is ``"n"`` (prototypes per class) or ``"alpha"`` (alphafps
-    only); ``values`` default to the config's sweep values for that axis.
+    The axis ``cfg.sweep_axis`` is ``"n"`` (prototypes per class) or
+    ``"alpha"`` (alphafps only); ``cfg.sweep_values`` are its values.
     Data and, with the gcp selector, the model are made once.  One model
     serves every N: generation is autoregressive with an exact prefix
     property, so the first k of a longer generation equal a length-k
     generation bit for bit.  Non-learned selectors rerun selection at each
-    value.  Writes ``sweep_<axis>.csv`` under ``out_dir``.
+    value.  Writes ``sweep_<axis>.csv`` under ``out_dir``, or else under
+    ``cfg.out_dir``.
     """
-    if values is None and cfg.sweep_axis != axis:
-        raise ConfigError(f"sweep-{axis} needs values, or a config sweep with axis {axis!r}")
-    selectors = _selectors_at(cfg.selector, axis, cfg.sweep_values if values is None else values)
+    axis = cfg.sweep_axis
+    selectors = _selectors_at(cfg.selector, axis, cfg.sweep_values)
     if axis == "alpha" and cfg.selector.method != "alphafps":
         raise ConfigError("sweep-alpha requires selector method 'alphafps'")
     gallery, queries, model, _ = _prepare(cfg)
@@ -410,33 +404,36 @@ def sweep(
         report = _evaluate(replace(cfg, selector=sel), gallery, queries, model).report
         value = getattr(sel, SWEEP_FIELDS[axis])
         rows.append({axis: value, "top1": report.top1, "map": report.map})
-    if out_dir is not None:
-        _write_csv(out_dir, f"sweep_{axis}.csv", rows)
+    _write_csv(cfg, out_dir, f"sweep_{axis}.csv", rows)
     return rows
 
 
-def group_evaluate(
-    cfg: ExperimentConfig, buckets: Sequence[str] | None = None, out_dir=None
-) -> list[dict]:
-    """Per-bucket mAP keyed on the query class's gallery size.
+def group_evaluate(cfg: ExperimentConfig, *, out_dir=None) -> list[dict]:
+    """Per-bucket mAP keyed on the query class's gallery size, one row per
+    label of ``cfg.group_buckets``.
 
     Buckets must partition the positive integers; empty buckets produce a
-    row with count 0 and no mAP value.
+    row with count 0 and no mAP value.  Writes ``group_eval.csv`` under
+    ``out_dir``, or else under ``cfg.out_dir``.
     """
-    labels = list(buckets) if buckets is not None else cfg.group_buckets
-    if not labels:
+    if not cfg.group_buckets:
         raise ConfigError("group-eval needs bucket labels")
-    report = run_experiment(replace(cfg, group_buckets=labels, out_dir=None)).report
+    gallery, queries, model, _ = _prepare(cfg)
+    per_group = _evaluate(cfg, gallery, queries, model).report.per_group
     rows = [
-        {"bucket": b, "count": report.per_group[b]["count"], "map": report.per_group[b]["map"]}
-        for b in labels
+        {"bucket": b, "count": per_group[b]["count"], "map": per_group[b]["map"]}
+        for b in cfg.group_buckets
     ]
-    if out_dir is not None:
-        _write_csv(out_dir, "group_eval.csv", rows)
+    _write_csv(cfg, out_dir, "group_eval.csv", rows)
     return rows
 
 
-def _write_csv(out_dir, name: str, rows: list[dict]) -> None:
-    out = Path(out_dir)
+def _write_csv(cfg: ExperimentConfig, out_dir, name: str, rows: list[dict]) -> None:
+    """Write ``rows`` to ``name`` under ``out_dir``, or else ``cfg.out_dir``;
+    with neither set, write nothing."""
+    target = out_dir if out_dir is not None else cfg.out_dir
+    if target is None:
+        return
+    out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(csv_text(rows), encoding="utf-8")

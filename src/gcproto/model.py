@@ -326,15 +326,14 @@ class ClassBatch:
 
     ``negative_distances[i]`` is the distance from anchor i to its nearest
     feature of any other class in the batch, precomputed by the miner; the
-    loss treats it as a constant.
+    loss treats it as a constant.  The prototype count is the training
+    config's ``n_prototypes``.
     """
 
-    class_id: int
     anchors: np.ndarray  # (m, D)
     negative_distances: np.ndarray  # (m,)
     memory_features: np.ndarray  # (s, D), raw features without camera embedding
     memory_cameras: np.ndarray  # (s,) int
-    n_prototypes: int
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -396,12 +395,13 @@ def _loss_graph(
     recomputed every step from current values but held constant inside the
     graph, so the gradient routes through the selected prototype only
     (exact away from assignment ties, which have measure zero under random
-    init).  The classes of a batch share their prototype and anchor counts.
+    init).  Each class gets ``cfg.n_prototypes`` prototypes, and the
+    classes of a batch share their anchor count.
     """
-    n = batches[0].n_prototypes
+    n = cfg.n_prototypes
     m = batches[0].anchors.shape[0]
-    if any(cb.n_prototypes != n or cb.anchors.shape[0] != m for cb in batches):
-        raise ConfigError("classes of one batch must share n_prototypes and anchor count")
+    if any(cb.anchors.shape[0] != m for cb in batches):
+        raise ConfigError("classes of one batch must share their anchor count")
     B = len(batches)
     s = max(len(cb.memory_cameras) for cb in batches)
     feats = np.zeros((B, s, cfg.dim))
@@ -477,19 +477,12 @@ def _sample_class_batches(
         # short classes are resampled with replacement to fill the slot
         idx = rng.choice(pool, size=m, replace=pool < m)
         s = int(rng.integers(2, m + 1))
-        picked.append((c, feats[idx], feats[idx[:s]], cams[idx[:s]]))
+        picked.append((feats[idx], feats[idx[:s]], cams[idx[:s]]))
         anchors_list.append(feats[idx])
     neg = mine_negative_distances(anchors_list)
     return [
-        ClassBatch(
-            class_id=c,
-            anchors=anchors,
-            negative_distances=neg_c,
-            memory_features=mem_f,
-            memory_cameras=mem_c,
-            n_prototypes=cfg.n_prototypes,
-        )
-        for (c, anchors, mem_f, mem_c), neg_c in zip(picked, neg)
+        ClassBatch(anchors, neg_c, mem_f, mem_c)
+        for (anchors, mem_f, mem_c), neg_c in zip(picked, neg)
     ]
 
 

@@ -245,12 +245,10 @@ def _gradcheck_batches(cfg, rng):
     neg = mine_negative_distances(feats)
     return [
         ClassBatch(
-            class_id=c,
             anchors=feats[c],
             negative_distances=neg[c],
             memory_features=feats[c][:5],
             memory_cameras=rng.integers(cfg.n_cameras, size=5),
-            n_prototypes=cfg.n_prototypes,
         )
         for c in range(3)
     ]
@@ -263,7 +261,7 @@ def _kink_clearance(model, batches):
         tokens = cb.memory_features + model.params["camera_embeddings"][
             cb.memory_cameras
         ]
-        P = np.vstack(generate_prototypes(model, tokens, cb.n_prototypes))
+        P = np.vstack(generate_prototypes(model, tokens, cfg.n_prototypes))
         d = np.sort(cdist(cb.anchors, P), axis=1)
         if d.shape[1] > 1:
             clearance = min(clearance, float((d[:, 1] - d[:, 0]).min()))
@@ -271,7 +269,7 @@ def _kink_clearance(model, batches):
             clearance,
             float(np.abs(d[:, 0] - cb.negative_distances + cfg.margin).min()),
         )
-        if cb.n_prototypes >= 2:
+        if cfg.n_prototypes >= 2:
             dpp = cdist(P, P)[~np.eye(len(P), dtype=bool)]
             clearance = min(clearance, float(np.abs(cfg.margin - dpp).min()))
     return clearance
@@ -361,7 +359,7 @@ def test_criterion_07_prototype_count_tradeoff_direction():
         gcp=tradeoff_training(),
         sweep_axis="n", sweep_values=[1, 2, 3, 6],
     )
-    rows = {r["n"]: r for r in sweep(cfg, "n")}
+    rows = {r["n"]: r for r in sweep(cfg)}
     r1_gain = rows[6]["top1"] - rows[1]["top1"]
     map_drop = rows[1]["map"] - rows[6]["map"]
     ok = r1_gain >= 0.0 and map_drop >= 0.0

@@ -110,8 +110,8 @@ def count_node_constructions() -> list[dict[str, int]]:
     memory = rng.normal(size=(5, cfg.dim))
     feats = [rng.normal(size=(4, cfg.dim)) for _ in range(2)]
     batches = [
-        ClassBatch(c, f, neg, f[:3], np.array([0, 1, 1]), cfg.n_prototypes)
-        for c, (f, neg) in enumerate(zip(feats, mine_negative_distances(feats)))
+        ClassBatch(f, neg, f[:3], np.array([0, 1, 1]))
+        for f, neg in zip(feats, mine_negative_distances(feats))
     ]
     Tensor.__new__ = staticmethod(counting_new)
     Tensor.__init__ = counting_init

@@ -391,6 +391,45 @@ class TestSweepAndGroup:
         assert "bucket=1-99 count=12" in out
         assert "bucket=100+ count=0 map=absent" in out
 
+    def write_config(self, datadir, **extra):
+        cfg = {
+            "version": 1,
+            "data": {"path": str(datadir / "data" / "gallery.csv")},
+            "queries": {"path": str(datadir / "data" / "queries.csv")},
+            "selector": {"method": "alphafps"},
+            **extra,
+        }
+        path = datadir / "exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    def test_sweep_n_refuses_alpha_axis_config(self, datadir):
+        # [1] would be a valid N, but a file's values serve only its own axis
+        path = self.write_config(datadir, sweep={"axis": "alpha", "values": [1]})
+        rc, err = cli(["sweep-n", "--config", path])
+        assert (rc, err.count("\n")) == (1, 1), err
+        assert err.startswith("error:config: ") and "axis 'n'" in err, err
+        rc, err = cli(["sweep-n", "--config", path, "--values", "1,2"])
+        assert (rc, err) == (0, "")
+
+    def test_sweep_alpha_refuses_n_axis_config(self, datadir):
+        path = self.write_config(datadir, sweep={"axis": "n", "values": [1]})
+        rc, err = cli(["sweep-alpha", "--config", path])
+        assert (rc, err.count("\n")) == (1, 1), err
+        assert err.startswith("error:config: ") and "axis 'alpha'" in err, err
+
+    @pytest.mark.parametrize(
+        "command,written",
+        [("eval", "report.json"), ("sweep-n", "sweep_n.csv"), ("group-eval", "group_eval.csv")],
+    )
+    def test_config_out_dir_without_out_flag(self, datadir, command, written):
+        out = datadir / "from_config"
+        path = self.write_config(
+            datadir, sweep={"axis": "n", "values": [1]}, group_buckets=["1+"], out_dir=str(out)
+        )
+        assert cli([command, "--config", path]) == (0, "")
+        assert (out / written).is_file()
+
 
 # command lines refused before any file is read: (argv, message)
 REFUSALS = [
@@ -405,6 +444,9 @@ REFUSALS = [
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     (["eval", "--bogus"], "unrecognized arguments: --bogus"),
     (["eval", "--bogus", "a\nb"], "unrecognized arguments: --bogus a b"),
+    # each --values item is read as --n reads its value; none is dropped
+    (["sweep-n", "--values", "1,,2"], "argument --values: invalid int list value: '1,,2'"),
+    (["sweep-n", "--values", ""], "argument --values: invalid int list value: ''"),
 ]
 
 
@@ -412,7 +454,7 @@ class TestFlagsAreConfigKeys:
     @pytest.mark.parametrize(
         "argv,message", REFUSALS,
         ids=["method", "n-not-int", "protocol", "missing-out", "subcommand", "unknown-flag",
-             "line-break-in-value"],
+             "line-break-in-value", "values-empty-item", "values-empty"],
     )
     def test_refusal_is_one_config_line(self, argv, message):
         rc, err = cli(argv)
@@ -501,7 +543,7 @@ def flag_values(flag, command, files, out):
         return st.sampled_from(valid), st.sampled_from(invalid) | junk
     if flag == "--values":
         valid = "1,2" if command == "sweep-n" else "0.5,1"
-        return st.just(valid), st.sampled_from(["2.5", "0", "abc", ""]) | junk
+        return st.just(valid), st.sampled_from(["2.5", "0", "abc", "", "1,,2"]) | junk
     if flag == "--out":  # a new path, or one below a file
         return st.just(out / "out"), st.just(files / "gallery.csv" / "out")
     valid = {"--data": "gallery.csv", "--queries": "queries.csv", "--checkpoint": "model.gcpm",

@@ -22,9 +22,7 @@ from gcproto.harness import (
     ExperimentConfig,
     _regen_class,
     build_protocol_prototypes,
-    experiment_config_from_json_dict,
     group_evaluate,
-    load_experiment_config,
     load_prototypes,
     resolve_data,
     run_experiment,
@@ -40,6 +38,7 @@ from gcproto.model import (
     load_model,
 )
 from gcproto.retrieval import report_from_json, report_to_json
+from gcproto.schema import from_json, read_json_object
 from gcproto.seeding import substream
 from gcproto.selectors import SelectorConfig, run_selector
 from gcproto.store import METHODS, EmbeddingSet, PrototypeSet, build_set, save_embedding_set
@@ -132,36 +131,36 @@ class TestConfigJson:
             method="alphafps", n_prototypes=4, protocol="camera-filter",
             group_buckets=["1-10", "11+"], per_query_ap=True, seed=3,
         )
-        back = experiment_config_from_json_dict(cfg.to_json_dict())
+        back = from_json(ExperimentConfig, cfg.to_json_dict())
         assert back == cfg
 
     def test_round_trip_with_gcp(self):
         cfg = cfg_for(method="gcp", gcp=TINY_GCP, sweep_axis="n", sweep_values=[1, 3])
-        back = experiment_config_from_json_dict(cfg.to_json_dict())
+        back = from_json(ExperimentConfig, cfg.to_json_dict())
         assert back == cfg
 
     def test_unknown_top_level_key(self):
         data = cfg_for().to_json_dict()
         data["extra"] = 1
         with pytest.raises(ConfigError):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
 
     def test_unsupported_version(self):
         data = cfg_for().to_json_dict()
         data["version"] = 99
         with pytest.raises(ConfigError):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
 
     def test_selector_requires_method(self):
         data = cfg_for().to_json_dict()
         del data["selector"]["method"]
         with pytest.raises(ConfigError):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
 
     def test_alpha_fps_spelling_accepted(self):
         data = cfg_for().to_json_dict()
         data["selector"]["method"] = "alpha_fps"
-        cfg = experiment_config_from_json_dict(data)
+        cfg = from_json(ExperimentConfig, data)
         assert cfg.selector.method == "alphafps"
 
     def test_master_seed_fills_unset_sub_seeds(self):
@@ -171,7 +170,7 @@ class TestConfigJson:
             "data": {"synthetic": {"n_classes": 3, "dim": 4}},
             "selector": {"method": "kcentroid"},
         }
-        cfg = experiment_config_from_json_dict(data)
+        cfg = from_json(ExperimentConfig, data)
         assert cfg.selector.seed == 7
         assert cfg.synthetic.seed == 7
 
@@ -195,7 +194,7 @@ class TestConfigJson:
         }.get(section, data.get(section))
         target[key] = value
         with pytest.raises(ConfigError):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
 
     @pytest.mark.parametrize(
         "edit",
@@ -214,23 +213,24 @@ class TestConfigJson:
         data = cfg_for().to_json_dict()
         edit(data)
         with pytest.raises(ConfigError):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
 
     def test_ranged_elongation_scale_reads_as_tuple(self, tmp_path):
         data = cfg_for().to_json_dict()
         data["data"]["synthetic"]["elongation_scale"] = [0.5, 2.0]
-        cfg = experiment_config_from_json_dict(data)
+        cfg = from_json(ExperimentConfig, data)
         assert cfg.synthetic.elongation_scale == (0.5, 2.0)
         # and the resolved config it writes loads back to the same config
         run_experiment(cfg, out_dir=tmp_path)
-        assert load_experiment_config(tmp_path / "resolved_config.json") == cfg
+        resolved = read_json_object(tmp_path / "resolved_config.json")
+        assert from_json(ExperimentConfig, resolved) == cfg
 
     def test_integer_in_float_field_echoes_as_float_in_every_section(self):
         data = cfg_for(method="gcp", gcp=TINY_GCP).to_json_dict()
         data["selector"]["alpha"] = 1
         data["gcp"]["margin"] = 2
         data["data"]["synthetic"]["class_center_scale"] = 6
-        echo = experiment_config_from_json_dict(data).to_json_dict()
+        echo = from_json(ExperimentConfig, data).to_json_dict()
         for value in (
             echo["selector"]["alpha"], echo["gcp"]["margin"],
             echo["data"]["synthetic"]["class_center_scale"],
@@ -242,19 +242,19 @@ class TestConfigJson:
         data = cfg_for().to_json_dict()
         data["data"]["synthetic"]["n_class"] = 3
         with pytest.raises(ConfigError, match="n_class"):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
 
     def test_integer_floats_keep_their_float_echo(self):
         data = cfg_for(method="alphafps").to_json_dict()
         data["selector"]["alpha"] = 1
-        cfg = experiment_config_from_json_dict(data)
+        cfg = from_json(ExperimentConfig, data)
         assert cfg.selector.alpha == 1.0 and isinstance(cfg.selector.alpha, float)
 
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_experiment_config(path)
+            from_json(ExperimentConfig, read_json_object(path))
 
 
 class TestPrototypeFiles:
@@ -399,7 +399,7 @@ class TestRunExperiment:
             np.testing.assert_array_equal(
                 protos2.per_class[c], result.prototypes.per_class[c]
             )
-        cfg2 = load_experiment_config(tmp_path / "resolved_config.json")
+        cfg2 = from_json(ExperimentConfig, read_json_object(tmp_path / "resolved_config.json"))
         assert cfg2 == cfg
         model2 = load_model(tmp_path / "model.gcpm")
         for name in result.model.params:
@@ -615,14 +615,15 @@ class TestCameraFilter:
 
 class TestSweeps:
     def test_single_value_equals_direct_run(self):
-        cfg = cfg_for(method="kcentroid", n_prototypes=2)
-        rows = sweep(cfg, "n", [2])
+        cfg = cfg_for(method="kcentroid", n_prototypes=2, sweep_axis="n", sweep_values=[2])
+        rows = sweep(cfg)
         direct = run_experiment(cfg).report
         assert rows == [{"n": 2, "top1": direct.top1, "map": direct.map}]
 
     def test_gcp_sweep_matches_direct_runs(self):
         rows = sweep(
-            cfg_for(method="gcp", gcp=TINY_GCP, protocol="camera-filter"), "n", [1, 2]
+            cfg_for(method="gcp", gcp=TINY_GCP, protocol="camera-filter",
+                    sweep_axis="n", sweep_values=[1, 2])
         )
         for n, row in zip((1, 2), rows):
             direct = run_experiment(
@@ -633,22 +634,22 @@ class TestSweeps:
 
     def test_sweep_values_from_config(self):
         cfg = cfg_for(method="fps", sweep_axis="n", sweep_values=[1, 3])
-        rows = sweep(cfg, "n")
+        rows = sweep(cfg)
         assert [r["n"] for r in rows] == [1, 3]
 
     def test_sweep_rejects_bad_values(self):
         with pytest.raises(ConfigError):
-            sweep(cfg_for(), "n", [])
+            cfg_for(sweep_axis="n", sweep_values=[])
         with pytest.raises(ConfigError):
-            sweep(cfg_for(), "n", [0])
+            cfg_for(sweep_axis="n", sweep_values=[0])
 
     def test_sweep_n_refuses_non_integer_values(self):
         data = cfg_for(sweep_axis="n", sweep_values=[1]).to_json_dict()
         data["sweep"]["values"] = [2.5, 2.9]
         with pytest.raises(ConfigError):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
         with pytest.raises(ConfigError):
-            sweep(cfg_for(), "n", [2.5, 2.9])
+            cfg_for(sweep_axis="n", sweep_values=[2.5, 2.9])
         with pytest.raises(ConfigError):
             cfg_for(sweep_axis="n", sweep_values=[2.0])
 
@@ -656,75 +657,96 @@ class TestSweeps:
         data = cfg_for(method="alphafps", sweep_axis="alpha", sweep_values=[0.5]).to_json_dict()
         data["sweep"]["values"] = [2.0]
         with pytest.raises(ConfigError, match="alpha"):
-            experiment_config_from_json_dict(data)
+            from_json(ExperimentConfig, data)
         # the alphafps requirement waits for the sweep itself
         cfg = cfg_for(method="centroid", sweep_axis="alpha", sweep_values=[0, 1])
         with pytest.raises(ConfigError, match="alphafps"):
-            sweep(cfg, "alpha")
-
-    def test_sweep_n_refuses_alpha_axis_config(self):
-        cfg = cfg_for(method="alphafps", sweep_axis="alpha", sweep_values=[0.0, 1.0])
-        with pytest.raises(ConfigError, match="axis"):
-            sweep(cfg, "n")
-
-    def test_sweep_alpha_refuses_n_axis_config(self):
-        cfg = cfg_for(method="alphafps", sweep_axis="n", sweep_values=[1])
-        with pytest.raises(ConfigError, match="axis"):
-            sweep(cfg, "alpha")
+            sweep(cfg)
 
     def test_sweep_without_axis_is_refused(self):
         with pytest.raises(ConfigError):
             cfg_for(sweep_values=[1, 2])
 
+    def test_config_without_a_sweep_is_refused(self):
+        with pytest.raises(ConfigError, match="sweep axis"):
+            sweep(cfg_for())
+
     def test_sweep_csv_artifact(self, tmp_path):
-        sweep(cfg_for(method="centroid"), "n", [1, 2], out_dir=tmp_path)
+        sweep(cfg_for(method="centroid", sweep_axis="n", sweep_values=[1, 2]), out_dir=tmp_path)
         lines = (tmp_path / "sweep_n.csv").read_text().strip().splitlines()
         assert lines[0] == "n,top1,map"
         assert len(lines) == 3
 
     def test_sweep_alpha_requires_alphafps(self):
         with pytest.raises(ConfigError):
-            sweep(cfg_for(method="centroid"), "alpha", [0.5])
+            sweep(cfg_for(method="centroid", sweep_axis="alpha", sweep_values=[0.5]))
 
     def test_sweep_alpha_rows(self):
-        rows = sweep(cfg_for(method="alphafps", n_prototypes=2), "alpha", [0.0, 0.5])
+        rows = sweep(
+            cfg_for(method="alphafps", n_prototypes=2, sweep_axis="alpha", sweep_values=[0.0, 0.5])
+        )
         assert [r["alpha"] for r in rows] == [0.0, 0.5]
         for r in rows:
             assert 0.0 <= r["map"] <= 1.0
 
 
+class TestOutDir:
+    # each run writes under its out_dir argument, or else the config's out_dir
+    RUNS = {
+        "run_experiment": (run_experiment, {}, "report.json"),
+        "sweep": (sweep, {"sweep_axis": "n", "sweep_values": [1]}, "sweep_n.csv"),
+        "group_evaluate": (group_evaluate, {"group_buckets": ["1+"]}, "group_eval.csv"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_config_out_dir_is_used_without_an_argument(self, tmp_path, name):
+        run, settings, written = self.RUNS[name]
+        run(cfg_for(out_dir=str(tmp_path / "cfg"), **settings))
+        names = [p.name for p in (tmp_path / "cfg").iterdir()]
+        # a sweep or bucket run writes its table, not a run's artifacts
+        assert written in names and (name == "run_experiment" or len(names) == 1)
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_argument_overrides_config_out_dir(self, tmp_path, name):
+        run, settings, written = self.RUNS[name]
+        run(cfg_for(out_dir=str(tmp_path / "cfg"), **settings), out_dir=tmp_path / "arg")
+        assert (tmp_path / "arg" / written).is_file()
+        assert not (tmp_path / "cfg").exists()
+
+
 class TestGroupEvaluate:
     def test_single_bucket_equals_overall(self):
-        cfg = cfg_for()
-        rows = group_evaluate(cfg, ["1+"])
+        cfg = cfg_for(group_buckets=["1+"])
+        rows = group_evaluate(cfg)
         overall = run_experiment(cfg).report
         assert rows[0]["count"] == overall.n_queries
         assert rows[0]["map"] == overall.map
 
     def test_counts_sum_to_total(self):
-        rows = group_evaluate(cfg_for(), ["1-5", "6-7", "8+"])
+        rows = group_evaluate(cfg_for(group_buckets=["1-5", "6-7", "8+"]))
         total = sum(r["count"] for r in rows)
         assert total == SMALL.n_classes * SMALL.queries_per_class
 
     def test_empty_bucket_marked_absent(self):
         # every class has 6 gallery records, so the >= 100 bucket is empty
-        rows = group_evaluate(cfg_for(), ["1-99", "100+"])
+        rows = group_evaluate(cfg_for(group_buckets=["1-99", "100+"]))
         assert rows[1] == {"bucket": "100+", "count": 0, "map": None}
 
     def test_csv_artifact(self, tmp_path):
-        group_evaluate(cfg_for(), ["1-99", "100+"], out_dir=tmp_path)
+        group_evaluate(cfg_for(group_buckets=["1-99", "100+"]), out_dir=tmp_path)
         lines = (tmp_path / "group_eval.csv").read_text().strip().splitlines()
         assert lines[0] == "bucket,count,map"
         assert lines[2].startswith("100+,0,")
 
+    def test_config_without_buckets_is_refused(self):
+        with pytest.raises(ConfigError, match="bucket labels"):
+            group_evaluate(cfg_for())
+
     @pytest.mark.parametrize("label", ["1-99\n", " 1-99", "01-99", "1-099", "1\n-99"])
-    def test_label_in_another_spelling_refused(self, tmp_path, label):
+    def test_label_in_another_spelling_refused(self, label):
         # labels are written out as given; a line break would split a row
         with pytest.raises(ConfigError, match="write it as '1-99'"):
-            group_evaluate(cfg_for(), [label, "100+"], out_dir=tmp_path)
-        with pytest.raises(ConfigError):
             cfg_for(group_buckets=[label, "100+"])
-        assert not (tmp_path / "group_eval.csv").exists()
 
 
 class TestImportBoundary:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,8 +140,8 @@ def reference_loss_and_grads(params, cfg, batches, dropout_rng=None, pad=False):
     pt = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
     width = max(len(cb.memory_cameras) for cb in batches) if pad else None
     triplets, regs, n_triplets = [], [], 0
+    n = cfg.n_prototypes
     for cb in batches:
-        n = cb.n_prototypes
         cams, feats, mask = padded_memory(cb, width, cfg.dim)
         mem = ad.take_rows(pt["camera_embeddings"], cams) + ad.const(feats)
         mem = ad.reshape(mem, (1, len(cams), cfg.dim))
@@ -442,7 +443,7 @@ class TestLossFormula:
 
 
 class TestTrainingLossGraph:
-    def batches(self, model, rng, n_classes=2, m=4, n_protos=2):
+    def batches(self, model, rng, n_classes=2, m=4):
         cfg = model.config
         feats = [rng.normal(0, 3, size=(m, cfg.dim)) for _ in range(n_classes)]
         neg = mine_negative_distances(feats)
@@ -451,12 +452,10 @@ class TestTrainingLossGraph:
             cams = rng.integers(cfg.n_cameras, size=m)
             out.append(
                 ClassBatch(
-                    class_id=c,
                     anchors=feats[c],
                     negative_distances=neg[c],
                     memory_features=feats[c],
                     memory_cameras=cams,
-                    n_prototypes=n_protos,
                 )
             )
         return out
@@ -470,12 +469,12 @@ class TestTrainingLossGraph:
             tokens = cb.memory_features + model.params["camera_embeddings"][
                 cb.memory_cameras
             ]
-            P = np.vstack(generate_prototypes(model, tokens, cb.n_prototypes))
+            P = np.vstack(generate_prototypes(model, tokens, cfg.n_prototypes))
             d_pos = cdist(cb.anchors, P).min(axis=1)
             hinges.append(
                 np.maximum(0.0, d_pos - cb.negative_distances + cfg.margin)
             )
-            if cb.n_prototypes >= 2:
+            if cfg.n_prototypes >= 2:
                 dpp = cdist(P, P)
                 h = np.maximum(0.0, cfg.margin - dpp)
                 h[np.diag_indices(len(P))] = 0.0
@@ -493,7 +492,7 @@ class TestTrainingLossGraph:
             dim=4, n_blocks=2, n_heads=2, ffn_dim=8, dropout_rate=0.2, n_prototypes=3, n_cameras=2
         )
         model = tiny_model(2, cfg)
-        batches = self.batches(model, np.random.default_rng(9), n_protos=3)
+        batches = self.batches(model, np.random.default_rng(9))
         gc.collect()
         gc.disable()
         try:
@@ -521,12 +520,10 @@ class TestTrainingLossGraph:
         neg = mine_negative_distances(feats)
         batches = [
             ClassBatch(
-                class_id=c,
                 anchors=feats[c],
                 negative_distances=neg[c],
                 memory_features=rng.normal(0.0, 3.0, size=(k, cfg.dim)),
                 memory_cameras=rng.choice(cameras, size=k),
-                n_prototypes=n_protos,
             )
             for c, k in enumerate(lengths)
         ]
@@ -573,12 +570,13 @@ class TestTrainingLossGraph:
                 rows.append(_generate_rows(pt, cfg, Tensor(mem), n_protos, mask).data)
             np.testing.assert_allclose(rows[1], rows[0], rtol=1e-12, atol=1e-12)
 
-    def test_batch_must_share_prototype_count(self):
+    def test_batch_must_share_anchor_count(self):
         model = tiny_model()
         batches = self.batches(model, np.random.default_rng(3))
-        mixed = [batches[0], ClassBatch(**{**batches[1].__dict__, "n_prototypes": 3})]
-        with pytest.raises(ConfigError):
-            loss_and_grads(model.params, model.config, mixed)
+        cb = batches[1]
+        short = replace(cb, anchors=cb.anchors[:3], negative_distances=cb.negative_distances[:3])
+        with pytest.raises(ConfigError, match="anchor count"):
+            loss_and_grads(model.params, model.config, [batches[0], short])
 
     def kink_clearance(self, model, batches):
         """Smallest distance of any hinge or nearest-prototype assignment
@@ -591,13 +589,13 @@ class TestTrainingLossGraph:
             tokens = cb.memory_features + model.params["camera_embeddings"][
                 cb.memory_cameras
             ]
-            P = np.vstack(generate_prototypes(model, tokens, cb.n_prototypes))
+            P = np.vstack(generate_prototypes(model, tokens, cfg.n_prototypes))
             d = np.sort(cdist(cb.anchors, P), axis=1)
             if d.shape[1] > 1:
                 clearance = min(clearance, float((d[:, 1] - d[:, 0]).min()))
             hinge_args = d[:, 0] - cb.negative_distances + cfg.margin
             clearance = min(clearance, float(np.abs(hinge_args).min()))
-            if cb.n_prototypes >= 2:
+            if cfg.n_prototypes >= 2:
                 dpp = cdist(P, P)[~np.eye(len(P), dtype=bool)]
                 clearance = min(clearance, float(np.abs(cfg.margin - dpp).min()))
         return clearance
