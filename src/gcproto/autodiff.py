@@ -2,11 +2,15 @@
 
 Just enough machinery for a small attention decoder run over a batch of
 classes and a hinge-based metric loss: elementwise arithmetic with
-broadcasting, matmul over stacks of matrices, axis permutations and
-reshapes, softmax, layer norm, row gathers, concatenation along any axis,
-and sums.
+broadcasting, matmul over stacks of matrices, ``linear`` (``x @ w + b`` as
+one node), axis permutations, the attention head split and merge (a
+reshape and an axis permutation as one node each), softmax, layer norm,
+row gathers, concatenation along any axis, and sums.
 Graphs are plain DAGs of ``Tensor`` nodes; ``backward()`` walks them in
-iterative topological order (chains get thousands of nodes deep).
+iterative topological order (chains get thousands of nodes deep) and
+consumes them: an interior node drops its gradient, backward closure and
+parents as soon as its backward has run, so activations are freed during
+the walk and only the leaves keep gradients.
 
 Every node is built through ``Tensor.__init__``, so counting its calls
 counts the nodes of a graph.  Constants (requires_grad=False leaves, or any
@@ -30,7 +34,7 @@ _F64 = np.dtype(np.float64)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad", "__weakref__")
 
     def __init__(
         self,
@@ -59,6 +63,9 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
+        """Accumulate this scalar's gradient into every leaf's ``grad``,
+        consuming the graph as the module docstring says; a backward that
+        reaches a consumed node raises ``RuntimeError``."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -71,14 +78,19 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node.parents is None:
+                raise RuntimeError("backward() through a graph an earlier backward() consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node.parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = node.parents = None
 
     # operator sugar; scalars and ndarrays are treated as constants
     def __add__(self, other):
@@ -156,6 +168,17 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+    if b.requires_grad:
+        if b.data.ndim == 2:
+            rows = a.data.reshape(-1, a.data.shape[-1])
+            b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
+        else:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+
 def matmul(a, b) -> Tensor:
     """Product over the last two axes of operands of at least two axes;
     leading axes broadcast as in ``np.matmul``.
@@ -167,18 +190,25 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
     if not (a.requires_grad or b.requires_grad):
         return Tensor(out)
+    return Tensor(out, (a, b), lambda g: _matmul_backward(a, b, g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: the product, then ``b`` added in place,
+    so ``b`` must broadcast to the product's shape.  The same bits as
+    ``add(matmul(x, w), b)``, and each operand gets its gradient at the
+    point in the backward walk where the pair gave it."""
+    out = x.data @ w.data
+    out += b.data
+    if not (x.requires_grad or w.requires_grad or b.requires_grad):
+        return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            if b.data.ndim == 2:
-                rows = a.data.reshape(-1, a.data.shape[-1])
-                b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
-            else:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        _matmul_backward(x, w, g)
 
-    return Tensor(out, (a, b), backward)
+    return Tensor(out, (x, w, b), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -194,14 +224,33 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+def split_heads(a: Tensor, n_heads: int, axes: Sequence[int]) -> Tensor:
+    """(B, t, D) to (B, t, H, D/H) by reshape, then permuted by ``axes``:
+    one node for the pair, the same view of ``a``'s data."""
+    B, t, d = a.data.shape
+    out = a.data.reshape(B, t, n_heads, d // n_heads).transpose(axes)
     if not a.requires_grad:
-        return Tensor(a.data.reshape(shape))
+        return Tensor(out)
+    inverse = np.argsort(axes)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(a.data.shape))
+        a._accumulate(g.transpose(inverse).reshape(a.data.shape))
 
-    return Tensor(a.data.reshape(shape), (a,), backward)
+    return Tensor(out, (a,), backward)
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """(B, H, t, dh) to (B, t, H * dh): heads moved next to their features,
+    then joined; one node for the transpose and reshape."""
+    B, H, t, dh = a.data.shape
+    out = a.data.transpose(0, 2, 1, 3).reshape(B, t, H * dh)
+    if not a.requires_grad:
+        return Tensor(out)
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate(g.reshape(B, t, H, dh).transpose(0, 2, 1, 3))
+
+    return Tensor(out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -186,17 +186,15 @@ def _attend(
     (B, 1, 1, s), when given, is added to the logits: 0 for a real key,
     -inf for padding.  Returns (B, t, D).
     """
-    B, t, d = q.shape
-    s = K.shape[1]
-    dh = d // n_heads
-    qh = ad.transpose(ad.reshape(q, (B, t, n_heads, dh)), (0, 2, 1, 3))
-    kt = ad.transpose(ad.reshape(K, (B, s, n_heads, dh)), (0, 2, 3, 1))
-    vh = ad.transpose(ad.reshape(V, (B, s, n_heads, dh)), (0, 2, 1, 3))
-    logits = (qh @ kt) * (1.0 / np.sqrt(dh))
+    qh = ad.split_heads(q, n_heads, (0, 2, 1, 3))
+    # split on every call, cross keys and values too: splitting them once per
+    # block reorders gradient accumulation, and that moved training's bits
+    kt = ad.split_heads(K, n_heads, (0, 2, 3, 1))
+    vh = ad.split_heads(V, n_heads, (0, 2, 1, 3))
+    logits = (qh @ kt) * (1.0 / np.sqrt(q.shape[-1] // n_heads))
     if key_mask is not None:
         logits = logits + ad.const(key_mask)
-    out = ad.softmax_rows(logits) @ vh  # (B, H, t, dh)
-    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, t, d))
+    return ad.merge_heads(ad.softmax_rows(logits) @ vh)
 
 
 def _generate_rows(
@@ -232,11 +230,13 @@ def _generate_rows(
     def dropout(x: Tensor, step: int, block: int, sub: int) -> Tensor:
         return x if keep is None else x * ad.const(keep[:, step, block, sub])
 
-    cross_kv = []
-    for b in range(nb):
-        k = mem_tokens @ params[f"block{b}.cross.wk"] + params[f"block{b}.cross.bk"]
-        v = mem_tokens @ params[f"block{b}.cross.wv"] + params[f"block{b}.cross.bv"]
-        cross_kv.append((k, v))
+    def dense(x: Tensor, layer: str, which: str = "") -> Tensor:
+        return ad.linear(x, params[f"{layer}.w{which}"], params[f"{layer}.b{which}"])
+
+    cross_kv = [
+        (dense(mem_tokens, f"block{b}.cross", "k"), dense(mem_tokens, f"block{b}.cross", "v"))
+        for b in range(nb)
+    ]
     self_k: list[list[Tensor]] = [[] for _ in range(nb)]
     self_v: list[list[Tensor]] = [[] for _ in range(nb)]
     protos: list[Tensor] = []
@@ -249,31 +249,31 @@ def _generate_rows(
             xn = ad.layer_norm(
                 h, params[f"{pre}.self_ln.gain"], params[f"{pre}.self_ln.bias"], LN_EPS
             )
-            self_k[b].append(xn @ params[f"{pre}.self.wk"] + params[f"{pre}.self.bk"])
-            self_v[b].append(xn @ params[f"{pre}.self.wv"] + params[f"{pre}.self.bv"])
-            q = xn @ params[f"{pre}.self.wq"] + params[f"{pre}.self.bq"]
+            self_k[b].append(dense(xn, f"{pre}.self", "k"))
+            self_v[b].append(dense(xn, f"{pre}.self", "v"))
+            q = dense(xn, f"{pre}.self", "q")
             att = _attend(
                 q, ad.concat(self_k[b], axis=1), ad.concat(self_v[b], axis=1), nh
             )
-            att = att @ params[f"{pre}.self.wo"] + params[f"{pre}.self.bo"]
+            att = dense(att, f"{pre}.self", "o")
             h = h + dropout(att, step, b, 0)
 
             xn = ad.layer_norm(
                 h, params[f"{pre}.cross_ln.gain"], params[f"{pre}.cross_ln.bias"], LN_EPS
             )
-            q = xn @ params[f"{pre}.cross.wq"] + params[f"{pre}.cross.bq"]
+            q = dense(xn, f"{pre}.cross", "q")
             att = _attend(q, cross_kv[b][0], cross_kv[b][1], nh, key_mask)
-            att = att @ params[f"{pre}.cross.wo"] + params[f"{pre}.cross.bo"]
+            att = dense(att, f"{pre}.cross", "o")
             h = h + dropout(att, step, b, 1)
 
             xn = ad.layer_norm(
                 h, params[f"{pre}.ffn_ln.gain"], params[f"{pre}.ffn_ln.bias"], LN_EPS
             )
-            f = ad.relu(xn @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"])
-            f = f @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
+            f = ad.relu(dense(xn, f"{pre}.ffn", "1"))
+            f = dense(f, f"{pre}.ffn", "2")
             h = h + dropout(f, step, b, 2)
         hn = ad.layer_norm(h, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-        x = hn @ params["head.w"] + params["head.b"]
+        x = dense(hn, "head")
         protos.append(x)
     return ad.concat(protos, axis=1)
 

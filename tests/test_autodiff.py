@@ -131,8 +131,18 @@ class TestMatmulAndShape:
     def test_transpose_axes(self, axes):
         check(weighted(lambda t: ad.transpose(t, axes)), RNG.normal(size=(2, 3, 4, 5)))
 
-    def test_reshape(self):
-        check(weighted(lambda t: ad.reshape(t, (2, 6))), RNG.normal(size=(3, 4)))
+    def test_split_heads(self):
+        for axes in ((0, 2, 1, 3), (0, 2, 3, 1)):
+            check(weighted(lambda t: ad.split_heads(t, 3, axes)), RNG.normal(size=(2, 4, 6)))
+
+    def test_merge_heads(self):
+        check(weighted(ad.merge_heads), RNG.normal(size=(2, 3, 4, 5)))
+
+    def test_linear(self):
+        w, b, x = RNG.normal(size=(4, 5)), RNG.normal(size=(5,)), RNG.normal(size=(2, 3, 4))
+        check(weighted(lambda t: ad.linear(t, ad.const(w), ad.const(b))), x.copy())
+        check(weighted(lambda t: ad.linear(ad.const(x), t, ad.const(b))), w.copy())
+        check(weighted(lambda t: ad.linear(ad.const(x), ad.const(w), t)), b.copy())
 
     def test_take_rows_with_duplicates(self):
         check(weighted(lambda t: ad.take_rows(t, [0, 2, 0, 1])), RNG.normal(size=(4, 3)))
@@ -317,6 +327,99 @@ class TestConstantFastPath:
         parents = tuple(ad.Tensor(np.zeros(1), requires_grad=f) for f in flags)
         node = ad.Tensor(np.ones(1), parents, requires_grad=own)
         assert node.requires_grad == (own or any(flags))
+
+
+def reshape(a: ad.Tensor, shape: tuple[int, ...]) -> ad.Tensor:
+    """A reshape node, the unfused reference for the head nodes."""
+    return ad.Tensor(
+        a.data.reshape(shape), (a,), lambda g: a._accumulate(g.reshape(a.data.shape))
+    )
+
+
+def signed_zeros_normal(rng, shape):
+    """Normal draws with about a quarter of the entries +0.0 or -0.0, so
+    products and sums meet zeros of both signs."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.25] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+class TestFusedNodes:
+    """``linear``, ``split_heads`` and ``merge_heads`` are one node each for
+    a pair of ops: the same forward bits and, with every operand a leaf
+    that is also used on its own, the same bits in every gradient."""
+
+    @staticmethod
+    def run(build, arrays, seed):
+        """Forward data and leaf gradients of sum(build(*leaves) * w) plus
+        one more weighted use of each leaf."""
+        rng = np.random.default_rng(seed)
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        y = build(*leaves)
+        total = ad.sum_(ad.mul(y, ad.const(signed_zeros_normal(rng, y.shape))))
+        for t in leaves:
+            total = ad.add(total, ad.sum_(ad.mul(t, ad.const(rng.normal(size=t.shape)))))
+        data = y.data.copy()
+        total.backward()
+        return data, [t.grad for t in leaves]
+
+    def assert_same(self, fused, unfused, arrays, seed):
+        got, got_grads = self.run(fused, arrays, seed)
+        want, want_grads = self.run(unfused, arrays, seed)
+        assert same_bits(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert same_bits(g, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+        rows=st.integers(1, 5),
+        k=st.integers(1, 6),
+        e=st.integers(1, 6),
+        bias=st.sampled_from(["row", "1-row", "full"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_is_matmul_then_add(self, lead, rows, k, e, bias, seed):
+        rng = np.random.default_rng(seed)
+        b_shape = {"row": (e,), "1-row": (1, e), "full": lead + (rows, e)}[bias]
+        arrays = [
+            signed_zeros_normal(rng, lead + (rows, k)),
+            signed_zeros_normal(rng, (k, e)),
+            signed_zeros_normal(rng, b_shape),
+        ]
+        self.assert_same(ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b), arrays, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        axes=st.sampled_from([(0, 2, 1, 3), (0, 2, 3, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_heads_is_reshape_then_transpose(self, shape, axes, seed):
+        B, t, H, dh = shape
+        x = signed_zeros_normal(np.random.default_rng(seed), (B, t, H * dh))
+        self.assert_same(
+            lambda a: ad.split_heads(a, H, axes),
+            lambda a: ad.transpose(reshape(a, shape), axes),
+            [x],
+            seed,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merge_heads_is_transpose_then_reshape(self, shape, seed):
+        B, H, t, dh = shape
+        x = signed_zeros_normal(np.random.default_rng(seed), shape)
+        self.assert_same(
+            ad.merge_heads,
+            lambda a: reshape(ad.transpose(a, (0, 2, 1, 3)), (B, t, H * dh)),
+            [x],
+            seed,
+        )
 
 
 class TestGraphMechanics:

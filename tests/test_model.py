@@ -10,7 +10,9 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,10 +145,10 @@ def reference_loss_and_grads(params, cfg, batches, dropout_rng=None, pad=False):
     n = cfg.n_prototypes
     for cb in batches:
         cams, feats, mask = padded_memory(cb, width, cfg.dim)
-        mem = ad.take_rows(pt["camera_embeddings"], cams) + ad.const(feats)
-        mem = ad.reshape(mem, (1, len(cams), cfg.dim))
+        # a batch of one: (1, s, D) memory in, the (n, D) rows of class 0 out
+        mem = ad.take_rows(pt["camera_embeddings"], cams[None]) + ad.const(feats[None])
         rows = _generate_rows(pt, cfg, mem, n, mask, dropout_rng)
-        P = ad.reshape(rows, (n, cfg.dim))
+        P = ad.take_rows(rows, 0)
         A = ad.const(cb.anchors)
         a2 = ad.sum_(A * A, axis=1, keepdims=True)
         p2 = ad.sum_(P * P, axis=1, keepdims=True)
@@ -636,6 +638,92 @@ class TestTrainingLossGraph:
             if checked >= 2:
                 break
         assert checked >= 2
+
+
+def backward_keeping_the_tape(root: Tensor) -> None:
+    """Reverse mode over ``root``'s graph without freeing anything: every
+    node keeps its gradient, closure and parents.  The reference the
+    consuming ``Tensor.backward`` is checked against."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestFreedTape:
+    """``Tensor.backward`` frees the graph as it walks it: a training
+    step's backward needs little more memory than its forward graph, and
+    the gradients are the bits a walk that keeps the whole tape gives."""
+
+    CFG = GcpConfig(seed=5)  # desk scale: dim 32, 2 blocks, 16 classes of 8
+
+    def step_inputs(self):
+        cfg = self.CFG
+        rng = np.random.default_rng(cfg.seed)
+        params = init_params(cfg, rng)
+        m = cfg.instances_per_class
+        feats = [rng.normal(0.0, 3.0, size=(m, cfg.dim)) for _ in range(cfg.batch_classes)]
+        batches = []
+        for f, neg in zip(feats, mine_negative_distances(feats)):
+            s = int(rng.integers(2, m + 1))
+            batches.append(ClassBatch(f, neg, f[:s], rng.integers(cfg.n_cameras, size=s)))
+        return params, batches
+
+    def graph(self):
+        params, batches = self.step_inputs()
+        leaves = _wrap_params(params, requires_grad=True)
+        return leaves, _loss_graph(leaves, self.CFG, batches, np.random.default_rng(1))
+
+    def test_backward_peak_stays_near_the_forward_graph(self):
+        params, batches = self.step_inputs()
+        leaves = _wrap_params(params, requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = _loss_graph(leaves, self.CFG, batches, np.random.default_rng(1))
+            graph = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            out.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * graph, (peak, graph)
+
+    def test_interior_nodes_are_freed(self):
+        leaves, out = self.graph()
+        interior = weakref.ref(out.parents[0])
+        assert interior() is not None
+        out.backward()
+        assert interior() is None
+        assert out.grad is None and out.parents is None
+        assert all(leaf.grad is not None for leaf in leaves.values())
+
+    def test_leaf_gradients_equal_the_tape_keeping_walk(self):
+        params, batches = self.step_inputs()
+        _, grads = loss_and_grads(params, self.CFG, batches, np.random.default_rng(1))
+        ref_leaves, ref_out = self.graph()
+        backward_keeping_the_tape(ref_out)
+        for name, t in ref_leaves.items():
+            want = t.grad if t.grad is not None else np.zeros_like(t.data)
+            assert grads[name].tobytes() == want.tobytes(), name
+
+    def test_a_second_backward_raises(self):
+        leaves, out = self.graph()
+        out.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            out.backward()
+        # a new graph over a consumed node cannot reach the leaves either
+        with pytest.raises(RuntimeError, match="consumed"):
+            ad.sum_(ad.mul(out, leaves["sos"])).backward()
 
 
 class TestTraining:
