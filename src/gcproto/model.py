@@ -9,8 +9,9 @@ a k-means assignment would, instead of all chasing the class mean), plus a
 hinge diversity penalty that keeps a class's prototypes at least ``margin``
 apart.  Distances are measured against mined hard negatives: the nearest
 other-class feature in the batch.  Its squared differences are summed in
-dimension order, as scipy's ``cdist`` sums them, because every trained
-parameter depends on those distances' bits.
+dimension order, as scipy's ``cdist`` sums them, by
+``selectors.ordered_sq_dists``, the kernel k-means uses too: every trained
+parameter depends on those distances' bits, and nothing loads scipy.
 
 Decoding is incremental with per-block key/value caches: each step computes
 only the newest row, so earlier prototypes are bit-identical no matter how
@@ -44,6 +45,7 @@ from .errors import (
     UnknownCameraError,
 )
 from .schema import check_field_types, from_json, to_json
+from .selectors import ordered_sq_dists
 from .seeding import counter_stream, substream
 from .store import EmbeddingSet, PrototypeSet
 
@@ -336,30 +338,16 @@ class ClassBatch:
     memory_cameras: np.ndarray  # (s,) int
 
 
-def _pairwise_distances(x: np.ndarray) -> np.ndarray:
-    """scipy's ``cdist(x, x)``, bit for bit: each pair's squared
-    differences are summed one dimension at a time, in dimension order,
-    starting from zero, and the root is taken last.  Overflow gives
-    ``inf`` without a warning, as in scipy."""
-    n = len(x)
-    acc = np.zeros((n, n))
-    buf = np.empty((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for col in np.ascontiguousarray(x.T):
-            np.subtract.outer(col, col, out=buf)
-            np.multiply(buf, buf, out=buf)
-            acc += buf
-        return np.sqrt(acc, out=acc)
-
-
 def mine_negative_distances(features_by_class: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Per anchor, the distance to the nearest feature of any other class.
 
     The distances feed the triplet loss and so every trained parameter,
-    so their rounding is pinned: :func:`_pairwise_distances` adds squared
-    differences in dimension order, as scipy's ``cdist`` does, and needs
-    no scipy.  ``np.add.reduce`` and ``retrieval.cdist`` sum pairwise, so
-    mining through them would change the bits of every trained checkpoint.
+    so their rounding is pinned: they are the roots of
+    ``selectors.ordered_sq_dists``, the one kernel that sums squared
+    differences in dimension order, as scipy's ``cdist`` does, without
+    loading scipy.  ``np.add.reduce`` and ``retrieval.cdist`` sum pairwise,
+    so mining through them would change the bits of every trained
+    checkpoint.  A distance that overflows is ``inf``, without a warning.
     """
     if len(features_by_class) < 2:
         raise ConfigError("negative mining needs at least two classes in the batch")
@@ -367,7 +355,8 @@ def mine_negative_distances(features_by_class: Sequence[np.ndarray]) -> list[np.
     labels = np.concatenate(
         [np.full(len(f), i) for i, f in enumerate(features_by_class)]
     )
-    dists = _pairwise_distances(stacked)
+    dists = ordered_sq_dists(stacked, stacked)
+    np.sqrt(dists, out=dists)
     dists[labels[:, None] == labels[None, :]] = np.inf
     mins = dists.min(axis=1)
     out = []

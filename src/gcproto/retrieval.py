@@ -17,10 +17,13 @@ rebuilds one class, as the camera-filter protocol rebuilds the query's
 own: a query of that class is ranked against its base's packed matrix
 with the base's rows of the class left out, and the rebuilt rows get
 squared distances to the set's queries of the class from one call per set
-of this module's numpy :func:`cdist`, so ranking never loads scipy and the
-protocol costs one GEMM plus a few rows per (class, camera) group.  A
-query of another class ranks against the set packed anew.  The squared
-norms these distances need are computed here too; the store keeps none.  Each own-class item is ranked by counting the
+of this module's :func:`cdist`, so the protocol costs one GEMM plus a few
+rows per (class, camera) group.  That :func:`cdist` sums in numpy's
+pairwise order, not in dimension order as ``selectors.ordered_sq_dists``
+does for k-means and mining: the certified margin below covers any
+summation order.  A query of another class ranks against the set packed
+anew.  The squared norms these distances need are computed here too; the
+store keeps none.  Each own-class item is ranked by counting the
 prototypes certainly nearer than it, given a certified rounding margin on
 these approximate distances; a prototype inside the margin is re-checked
 with exact distances, ``np.linalg.norm(rows - q)``, under the tie rule.

@@ -1,6 +1,6 @@
 """Experiment harness: config parsing and validation, artifact round trips,
-the camera-filter protocol, sweeps, grouped evaluation, and where scipy is
-loaded."""
+the camera-filter protocol, sweeps, grouped evaluation, power-of-two
+scaling of whole runs, and that no run loads scipy."""
 
 import ast
 import json
@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from gcproto import retrieval
 from gcproto.errors import ConfigError, DataFormatError
 from gcproto.harness import (
+    PROTOCOL_CHOICES,
     PROTO_FORMAT,
     PROTO_VERSION,
     ExperimentConfig,
@@ -749,6 +751,56 @@ class TestGroupEvaluate:
             cfg_for(group_buckets=[label, "100+"])
 
 
+class TestPowerOfTwoScaling:
+    """A power-of-two scale is exact in float64 through every +, -, x, /
+    and square root that the non-learned selectors and the evaluator use,
+    away from overflow and subnormals, so a run over scaled data answers as
+    the unscaled run does.  k stays at or above -20: k-means stops on an
+    absolute centroid shift (``kmeans_tol``), so a scale that shrinks every
+    step below it would end the iteration sooner."""
+
+    @staticmethod
+    def files(tmp, gallery, queries, factor):
+        paths = []
+        for name, eset in (("gallery", gallery), ("queries", queries)):
+            path = Path(tmp) / f"{name}_{factor!r}.gcpe"
+            save_embedding_set(
+                build_set(eset.features * factor, eset.row_classes, eset.row_cameras, name), path
+            )
+            paths.append(str(path))
+        return paths
+
+    @staticmethod
+    def report_without_paths(result):
+        report = json.loads(report_to_json(result.report))
+        del report["config_echo"]["data"], report["config_echo"]["queries"]
+        return report
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-20, 300))
+    @example(seed=9, k=-20)
+    @example(seed=9, k=7)
+    @example(seed=9, k=300)
+    def test_reports_identical_and_prototypes_scaled_exactly(self, tmp_path_factory, seed, k):
+        gallery, queries = generate_synthetic(replace(SMALL, seed=seed))
+        tmp = tmp_path_factory.mktemp("scaled")
+        sources = [self.files(tmp, gallery, queries, f) for f in (1.0, 2.0**k)]
+        for method in (m for m in METHODS if m != "gcp"):
+            for protocol in PROTOCOL_CHOICES:
+                base, scaled = (
+                    run_experiment(ExperimentConfig(
+                        selector=SelectorConfig(method=method), data_path=g, queries_path=q,
+                        protocol=protocol, per_query_ap=True,
+                    ))
+                    for g, q in sources
+                )
+                assert self.report_without_paths(scaled) == self.report_without_paths(base)
+                assert scaled.prototypes.class_ids == base.prototypes.class_ids
+                for c in base.prototypes.class_ids:
+                    want = base.prototypes.per_class[c] * 2.0**k
+                    assert scaled.prototypes.per_class[c].tobytes() == want.tobytes()
+
+
 class TestImportBoundary:
     # run in a child interpreter: the test modules import scipy themselves
     SCRIPT = textwrap.dedent(
@@ -758,10 +810,11 @@ class TestImportBoundary:
         from pathlib import Path
 
         import gcproto.cli
-        from gcproto.harness import ExperimentConfig, run_experiment
+        from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig, run_experiment
         from gcproto.model import GcpConfig, GcpModel, init_params, save_model, train
         from gcproto.seeding import substream
         from gcproto.selectors import SelectorConfig
+        from gcproto.store import METHODS
         from gcproto.synthetic import SyntheticSpec, generate_synthetic
 
         spec = SyntheticSpec(
@@ -772,7 +825,7 @@ class TestImportBoundary:
             batch_classes=4, instances_per_class=4, epochs=1,
         )
 
-        def run(method, protocol="plain", **kw):
+        def run(method, protocol, **kw):
             cfg = ExperimentConfig(
                 selector=SelectorConfig(method=method), synthetic=spec, protocol=protocol, **kw
             )
@@ -781,53 +834,39 @@ class TestImportBoundary:
         with tempfile.TemporaryDirectory() as tmp:
             checkpoint = str(Path(tmp) / "model.gcpm")
             save_model(GcpModel(config=gcp, params=init_params(gcp, substream(0, "init"))), checkpoint)
-            for protocol in ("plain", "camera-filter"):
-                for method in ("instance", "centroid", "fps", "alphafps"):
-                    run(method, protocol)
-                run("gcp", protocol, checkpoint=checkpoint)
-                run("gcp", protocol, gcp=gcp)  # trains a fresh model
-        assert "scipy.spatial" not in sys.modules, "loaded by ranking, generation or gcp runs"
-        if sys.argv[1] == "kcentroid":
-            run("kcentroid")
-            assert "scipy.spatial" in sys.modules, "not loaded by kcentroid"
-        else:  # four classes in batches of four: one step; training no longer needs scipy
-            train(generate_synthetic(spec)[0], gcp)
-            assert "scipy.spatial" not in sys.modules, "loaded by train"
+            for protocol in PROTOCOL_CHOICES:
+                for method in METHODS:
+                    if method == "gcp":
+                        run(method, protocol, checkpoint=checkpoint)
+                        run(method, protocol, gcp=gcp)  # trains a fresh model
+                    else:
+                        run(method, protocol)
+        train(generate_synthetic(spec)[0], gcp)
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
         """
     )
 
-    # kmeans (kcentroid) is the only loader; the train case checks that training stays off it
-    @pytest.mark.parametrize("loader", ["kcentroid", "train"])
-    def test_scipy_loads_only_for_kmeans_and_training(self, loader):
+    def test_no_method_protocol_or_training_loads_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, loader], env=env, capture_output=True,
-            text=True, timeout=120,
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 
-    @staticmethod
-    def scipy_imports(node, function=None):
-        """(enclosing function or None) for each import of scipy under ``node``."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""] if child.level == 0 else []
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                yield function
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            yield from TestImportBoundary.scipy_imports(child, child.name if inner else function)
-
-    def test_src_imports_scipy_only_in_kmeans(self):
+    def test_no_src_module_imports_scipy(self):
         package = Path(__file__).resolve().parents[1] / "src" / "gcproto"
-        found = [
-            (path.stem, function)
-            for path in sorted(package.glob("*.py"))
-            for function in self.scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
-        ]
-        assert found == [("selectors", "kmeans")]
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [(path.stem, name) for name in names if name.split(".")[0] == "scipy"]
+        assert found == []

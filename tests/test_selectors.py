@@ -1,24 +1,34 @@
 """Classical prototype selectors: hand-traced values, greedy invariants,
-agreement with independent brute-force re-derivations."""
+agreement with independent brute-force re-derivations, and the ordered
+squared-distance kernel that k-means and negative mining share."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
+from gcproto import selectors
 from gcproto.errors import ConfigError
+from gcproto.harness import ExperimentConfig, run_experiment
+from gcproto.model import GcpConfig, train
 from gcproto.selectors import (
     SelectorConfig,
     _dists,
+    _sq_dists_by_dimension,
+    _sq_dists_cumsum,
     alpha_fps_points,
     kmeans,
     maximin_selection,
+    ordered_sq_dists,
     run_selector,
 )
 from gcproto.seeding import substream
 from gcproto.store import build_set
+from gcproto.synthetic import SyntheticSpec, generate_synthetic
 
 # Hand-derived trace for the 1-D gallery {0, 1, 10} with n=2, alpha=1/4.
 # Start: centroid 11/3. Iteration 1 picks 10 (farthest), pulls it a quarter
@@ -390,3 +400,90 @@ class TestSelectors:
             SelectorConfig(alpha=1.5)
         with pytest.raises(ConfigError):
             SelectorConfig(kmeans_tol=0.0)
+
+
+class TestOrderedSqDists:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        na=st.integers(1, 40),
+        nb=st.integers(1, 40),
+        dim=st.integers(1, 48),
+        exponents=st.lists(st.integers(-150, 160), min_size=80, max_size=80),
+        near_duplicates=st.booleans(),
+    )
+    # a few pairs either side of the crossover, and squares that overflow
+    @example(seed=0, na=16, nb=32, dim=5, exponents=[160, -150] + [0] * 78, near_duplicates=True)
+    @example(seed=1, na=17, nb=31, dim=5, exponents=[0, 155] * 40, near_duplicates=False)
+    @example(seed=2, na=20, nb=3, dim=48, exponents=[0] * 80, near_duplicates=True)
+    def test_both_forms_match_scipy_bit_for_bit(
+        self, seed, na, nb, dim, exponents, near_duplicates
+    ):
+        # row r is scaled by 10**exponents[r]: from 1e-150, where squares
+        # underflow, to 1e160, where they overflow to inf
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(exponents, dtype=float)[:, None]
+        a = rng.normal(size=(na, dim)) * scales[:na]
+        b = rng.normal(size=(nb, dim)) * scales[na : na + nb]
+        if near_duplicates:
+            m = min(na, nb)
+            b[:m] = a[:m] * (1.0 + 1e-15 * rng.normal(size=(m, 1)))
+        want = cdist(a, b, "sqeuclidean")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ordered_sq_dists(a, b)
+            with np.errstate(over="ignore"):
+                forms = [_sq_dists_cumsum(a, b), _sq_dists_by_dimension(a, b)]
+        for out in [got, *forms]:
+            assert _same_bits(out, want)
+
+    def test_kmeans_takes_cumsum_and_mining_the_dimension_loop(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            form = getattr(selectors, name)
+
+            def counted(a, b):
+                calls.append((name, len(a) * len(b)))
+                return form(a, b)
+
+            monkeypatch.setattr(selectors, name, counted)
+
+        spy("_sq_dists_cumsum")
+        spy("_sq_dists_by_dimension")
+        for protocol in ("plain", "camera-filter"):
+            run_experiment(ExperimentConfig(
+                selector=SelectorConfig(method="kcentroid"), preset="tradeoff", protocol=protocol,
+            ))
+        # k-means' class rows meet at most 3 centroids: a few dozen pairs
+        assert calls and {name for name, _ in calls} == {"_sq_dists_cumsum"}
+        assert max(pairs for _, pairs in calls) <= 24 * 3
+        calls.clear()
+        # one training step at the default batch mines 16 classes x 8 rows
+        cfg = GcpConfig(dim=8, n_blocks=1, ffn_dim=8, epochs=1)
+        spec = SyntheticSpec(
+            n_classes=cfg.batch_classes, instances_per_class=cfg.instances_per_class,
+            dim=cfg.dim, n_cameras=cfg.n_cameras, queries_per_class=1,
+        )
+        train(generate_synthetic(spec)[0], cfg)
+        assert calls == [("_sq_dists_by_dimension", 128 * 128)]
+
+
+class TestOverflowWithoutWarnings:
+    @pytest.mark.parametrize("method", ["fps", "alphafps", "kcentroid"])
+    def test_picks_unchanged_and_no_warning(self, method):
+        # rows near 1e200 make squared distances overflow to inf, as a valid
+        # gallery may; the picks are those computed with warnings ignored
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(18, 4)) * 10.0 ** rng.integers(-2, 201, size=(18, 1))
+        es = build_set(vecs, [0] * 6 + [1] * 12, [i % 3 for i in range(18)])
+        cfg = SelectorConfig(method=method, n_prototypes=4, kmeans_max_iters=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = run_selector(es, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_selector(es, cfg)
+        assert got.params_echo == want.params_echo
+        for c in want.class_ids:
+            assert _same_bits(got.per_class[c], want.per_class[c])
