@@ -26,7 +26,7 @@ anew.  The squared norms these distances need are computed here too; the
 store keeps none.  Each own-class item is ranked by counting the
 prototypes certainly nearer than it, given a certified rounding margin on
 these approximate distances; a prototype inside the margin is re-checked
-with exact distances, ``np.linalg.norm(rows - q)``, under the tie rule.
+with exact distances, from ``selectors.row_dists``, under the tie rule.
 Every rank therefore equals the brute-force rank: the report does not
 depend on the block, the BLAS library or its thread count.
 
@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionMismatchError, EmptyPrototypeSetError
 from .schema import check_field_types, csv_text, json_text, parse_json_object
+from .selectors import row_dists
 from .store import EmbeddingSet, PrototypeSet
 
 DEFAULT_MAX_RANK = 25
@@ -64,13 +65,6 @@ def check_max_rank(max_rank: int) -> None:
     prototypes), and a deeper one may not fit in memory."""
     if not 1 <= max_rank <= 2**20:
         raise ConfigError(f"max_rank must lie in [1, 2**20], got {max_rank}")
-
-
-def _exact_dists(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(rows - q, axis=1)``: the distances every ranking is
-    exact in; one too large for float64 is inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(rows - q, axis=1)
 
 
 @dataclass
@@ -166,8 +160,8 @@ class _Splice:
 #     |a − t| ≤ (2γ_n + 4u(1 + γ_n))·S;
 #   * ``cdist`` sums rounded squares of rounded differences, in whatever
 #     order ``np.add.reduce`` takes: |a − t| ≤ γ_{n+2}·t ≤ 2γ_{n+2}·S;
-#   * the exact path d = √Σ(p_i − q_i)² (``np.linalg.norm``) rounds each
-#     difference, its square, the sum and the root: |d² − t| ≤ γ_{n+4}·t.
+#   * the exact path d = √Σ(p_i − q_i)² (``selectors.row_dists``) rounds
+#     each difference, its square, the sum and the root: |d² − t| ≤ γ_{n+4}·t.
 # Every approximation a thus lies within E + D of its row's d², with
 # E ≈ (2n + 4)·u·S and D = 2γ_{n+4}·S ≈ (2n + 8)·u·S, and so does the j-th
 # smallest own-class approximation A_j of the j-th smallest own-class d_j².
@@ -279,8 +273,9 @@ class _RankKernel:
             keep = np.ones(len(approx), dtype=bool)
             keep[span] = False
             before, cols, w_lo, w_hi = 0, np.flatnonzero(keep), 0, k
-        d_own = np.sort(_exact_dists(own, q))
-        d = _exact_dists(self.mat[cols], q)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_own = np.sort(row_dists(own, q))
+            d = row_dists(self.mat[cols], q)[:, None]
         nearer = (d < d_own) | ((d == d_own) & (self.classes[cols][:, None] < class_id))
         return 1 + j + before + np.count_nonzero(nearer & (w_lo <= j) & (j < w_hi), axis=0)
 

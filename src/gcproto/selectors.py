@@ -11,17 +11,16 @@ agree bit-for-bit.
 
 The farthest-point selectors run per class and, under camera-filter, per
 (class, camera) group on a few dozen rows, so each call works in buffers
-made once.  A distance scan subtracts into one (rows, D) buffer, squares
-it in place, sums rows with ``np.add.reduce(axis=1)`` and takes the root
-in place: the operations and contiguous layout of
-``np.linalg.norm(points - anchor, axis=1)``, so every distance and pick is
-bit for bit the norm's.  Interpolated farthest-point sampling writes into
-one preallocated output and marks a picked point by setting its distance
-to ``-inf``, so ``argmax`` over all points returns the lowest-index
-farthest point not yet picked, as a scan over the remaining ones would.
-Only a non-finite prototype, which ``PrototypeSet`` refuses, can make a
-distance NaN and undo that mark.  A distance that overflows is ``inf``
-without a warning: each selector call runs under one ``np.errstate``.
+made once.  Every distance scan, the k-means centroid shift and the
+evaluator's exact re-check call :func:`row_dists`, so every distance and
+pick is bit for bit ``np.linalg.norm``'s.  Interpolated farthest-point
+sampling writes into one preallocated output and marks a picked point by
+setting its distance to ``-inf``, so ``argmax`` over all points returns
+the lowest-index farthest point not yet picked, as a scan over the
+remaining ones would.  Only a non-finite prototype, which ``PrototypeSet``
+refuses, can make a distance NaN and undo that mark.  A distance that
+overflows is ``inf`` without a warning: :func:`class_prototypes` runs
+each selector under one ``np.errstate``.
 k-means and the learned generator's negative mining share one
 squared-distance kernel, :func:`ordered_sq_dists`.
 """
@@ -48,6 +47,7 @@ class SelectorConfig:
     n_prototypes: int = field(default=3, metadata={"json": "n", "ge": 1})
     alpha: float = field(default=0.5, metadata={"ge": 0.0, "le": 1.0})
     kmeans_max_iters: int = field(default=100, metadata={"ge": 1})
+    # largest centroid shift at convergence, relative to the class's spread
     kmeans_tol: float = field(default=1e-9, metadata={"gt": 0.0})
     seed: int = field(default=0, metadata={"ge": 0})
 
@@ -55,9 +55,10 @@ class SelectorConfig:
         check_field_types(self)
 
 
-def _dists(points: np.ndarray, anchor: np.ndarray, diff=None, out=None) -> np.ndarray:
-    """``np.linalg.norm(points - anchor, axis=1)``, bit for bit, written
-    into ``diff`` (``points``' shape) and ``out`` (one per row) when given."""
+def row_dists(points: np.ndarray, anchor: np.ndarray, diff=None, out=None) -> np.ndarray:
+    """The package's one kernel for ``np.linalg.norm(points - anchor, axis=1)``,
+    bit for bit by the norm's operations and layout, for a 1-D ``anchor`` or
+    one of ``points``' shape; into ``diff`` and ``out`` when given."""
     diff = np.subtract(points, anchor, out=diff)
     np.multiply(diff, diff, out=diff)
     out = np.add.reduce(diff, axis=1, out=out)
@@ -120,12 +121,11 @@ def maximin_selection(points: np.ndarray, n: int, start_index: int) -> list[int]
     n = min(n, points.shape[0])
     chosen = [start_index]
     diff, d_new = np.empty(points.shape), np.empty(points.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        min_d = _dists(points, points[start_index], diff)
-        while len(chosen) < n:
-            nxt = int(min_d.argmax())
-            chosen.append(nxt)
-            np.minimum(min_d, _dists(points, points[nxt], diff, d_new), out=min_d)
+    min_d = row_dists(points, points[start_index], diff)
+    while len(chosen) < n:
+        nxt = int(min_d.argmax())
+        chosen.append(nxt)
+        np.minimum(min_d, row_dists(points, points[nxt], diff, d_new), out=min_d)
     return chosen
 
 
@@ -143,22 +143,20 @@ def alpha_fps_points(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
     out = np.empty((min(n, m) + 1, points.shape[1]))
     out[0] = points.mean(axis=0)
     diff, d_new = np.empty(points.shape), np.empty(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # min distance from each point to the prototypes, -inf once picked,
-        # and the row of ``out`` holding its nearest prototype, kept
-        # incrementally
-        d_near = _dists(points, out[0], diff)
-        near_idx = np.zeros(m, dtype=np.int64)
-        for t in range(1, len(out)):
-            pick = int(d_near.argmax())
-            d_near[pick] = -np.inf
-            p = out[near_idx[pick]]
-            # convex-combination form so alpha=0 yields the raw point and
-            # alpha=1 duplicates the nearest prototype, both bit-exactly
-            out[t] = alpha * p + (1.0 - alpha) * points[pick]
-            _dists(points, out[t], diff, d_new)
-            near_idx[d_new < d_near] = t
-            np.minimum(d_near, d_new, out=d_near)
+    # min distance from each point to the prototypes, -inf once picked, and
+    # the row of ``out`` holding its nearest prototype, kept incrementally
+    d_near = row_dists(points, out[0], diff)
+    near_idx = np.zeros(m, dtype=np.int64)
+    for t in range(1, len(out)):
+        pick = int(d_near.argmax())
+        d_near[pick] = -np.inf
+        p = out[near_idx[pick]]
+        # convex-combination form so alpha=0 yields the raw point and
+        # alpha=1 duplicates the nearest prototype, both bit-exactly
+        out[t] = alpha * p + (1.0 - alpha) * points[pick]
+        row_dists(points, out[t], diff, d_new)
+        near_idx[d_new < d_near] = t
+        np.minimum(d_near, d_new, out=d_near)
     return out
 
 
@@ -174,48 +172,48 @@ def kmeans(
     Returns (centroids, labels, converged, objective_trace). The objective
     (sum of squared distances to assigned centroids) is recorded after every
     assignment step. Empty clusters are repaired by moving their centroid to
-    the point farthest from its assigned centroid.
+    the point farthest from its assigned centroid, the i-th empty one to the
+    i-th farthest.  It converges once no centroid moves more than ``tol``
+    times the largest distance of a point from the points' mean, or at all
+    if that overflows; a power-of-two scale thus changes no decision.
 
     The assignment distances come from :func:`ordered_sq_dists`, which
     sums in dimension order as scipy's ``cdist`` does: their bits decide
     the labels and so the ``kcentroid`` prototypes, and no scipy is loaded.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = points.shape[0]
-        k = min(k, n)
-        start = int(rng.integers(n))
-        centroids = points[maximin_selection(points, k, start)].astype(np.float64)
+    n = points.shape[0]
+    k = min(k, n)
+    start = int(rng.integers(n))
+    centroids = points[maximin_selection(points, k, start)].astype(np.float64)
+    spread = float(np.max(row_dists(points, points.mean(axis=0))))
+    limit = tol * spread if spread < np.inf else 0.0
 
-        labels = np.zeros(n, dtype=np.int64)
-        objective: list[float] = []
-        converged = False
-        for _ in range(max_iters):
-            d2 = ordered_sq_dists(points, centroids)
-            labels = np.argmin(d2, axis=1)
-            objective.append(float(d2[np.arange(n), labels].sum()))
+    labels = np.zeros(n, dtype=np.int64)
+    objective: list[float] = []
+    converged = False
+    for _ in range(max_iters):
+        d2 = ordered_sq_dists(points, centroids)
+        labels = np.argmin(d2, axis=1)
+        objective.append(float(d2[np.arange(n), labels].sum()))
 
-            new_centroids = centroids.copy()
-            for j in range(k):
-                members = points[labels == j]
-                if members.shape[0]:
-                    new_centroids[j] = members.mean(axis=0)
-            empty = [j for j in range(k) if not np.any(labels == j)]
-            if empty:
-                dist_own = np.sqrt(d2[np.arange(n), labels])
-                order = np.argsort(-dist_own, kind="stable")
-                taken: set[int] = set()
-                for j in empty:
-                    for cand in order:
-                        if int(cand) not in taken:
-                            new_centroids[j] = points[int(cand)]
-                            taken.add(int(cand))
-                            break
+        new_centroids = centroids.copy()
+        empty = []
+        for j in range(k):
+            members = points[labels == j]
+            if members.shape[0]:
+                new_centroids[j] = members.mean(axis=0)
+            else:
+                empty.append(j)
+        if empty:
+            order = np.argsort(-np.sqrt(d2[np.arange(n), labels]), kind="stable")
+            for j, cand in zip(empty, order):  # k <= n: a point for each
+                new_centroids[j] = points[cand]
 
-            shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-            centroids = new_centroids
-            if shift <= tol:
-                converged = True
-                break
+        shift = float(np.max(row_dists(new_centroids, centroids)))
+        centroids = new_centroids
+        if shift <= limit:
+            converged = True
+            break
     return centroids, labels, converged, objective
 
 
@@ -238,18 +236,18 @@ def class_prototypes(
         return points, True
     if method == "centroid":
         return points.mean(axis=0, keepdims=True), True
-    if method == "fps":
-        with np.errstate(over="ignore", invalid="ignore"):
-            start = int(np.argmin(_dists(points, points.mean(axis=0))))
-        return points[maximin_selection(points, cfg.n_prototypes, start)], True
-    if method == "alphafps":
-        return alpha_fps_points(points, cfg.n_prototypes, cfg.alpha), True
-    if method == "kcentroid":
-        rng = substream(cfg.seed, f"kmeans.{class_id}")
-        centroids, _, converged, _ = kmeans(
-            points, cfg.n_prototypes, rng, cfg.kmeans_max_iters, cfg.kmeans_tol
-        )
-        return centroids, converged
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "fps":
+            start = int(np.argmin(row_dists(points, points.mean(axis=0))))
+            return points[maximin_selection(points, cfg.n_prototypes, start)], True
+        if method == "alphafps":
+            return alpha_fps_points(points, cfg.n_prototypes, cfg.alpha), True
+        if method == "kcentroid":
+            rng = substream(cfg.seed, f"kmeans.{class_id}")
+            centroids, _, converged, _ = kmeans(
+                points, cfg.n_prototypes, rng, cfg.kmeans_max_iters, cfg.kmeans_tol
+            )
+            return centroids, converged
     raise ConfigError(f"selector {method!r} requires a trained model")
 
 

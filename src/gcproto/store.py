@@ -427,42 +427,47 @@ def _dense_remap(labels: Sequence[str]) -> tuple[list[int], dict[int, str]]:
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except UnicodeDecodeError:
-        raise DataFormatError(f"{path}: text is not UTF-8") from None
-    if not lines:
-        raise EmptyFileError(f"{path}: empty file")
-    header = lines[0].split(",")
-    for col in ("id", "class", "camera"):
-        if col not in header[:3]:
-            raise MissingColumnError(f"{path}: header missing {col!r} column")
-    if header[:3] != ["id", "class", "camera"]:
-        raise MissingColumnError(f"{path}: header must start with id,class,camera")
-    dim = len(header) - 3
-    if dim < 1:
-        raise MissingColumnError(f"{path}: header has no feature columns")
-    if len(lines) == 1:
-        raise EmptyFileError(f"{path}: no data rows")
-
-    rows = [line.split(",") for line in lines[1:]]
-    coords = []
-    for lineno, parts in enumerate(rows, start=2):
-        if len(parts) != 3 + dim:
-            raise DimensionMismatchError(
-                f"{path}: line {lineno} has {len(parts) - 3} feature values, expected {dim}"
-            )
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            coords.append([float(v) for v in parts[3:]])
-        except ValueError:
-            raise DataFormatError(f"{path}: line {lineno} has a non-numeric coordinate") from None
+            n_lines = sum(1 for ln in fh if ln.strip())
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: text is not UTF-8") from None
+        if not n_lines:
+            raise EmptyFileError(f"{path}: empty file")
+        # a second pass parses each line into its row of one preallocated matrix
+        fh.seek(0)
+        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+        header = next(lines).split(",")
+        for col in ("id", "class", "camera"):
+            if col not in header[:3]:
+                raise MissingColumnError(f"{path}: header missing {col!r} column")
+        if header[:3] != ["id", "class", "camera"]:
+            raise MissingColumnError(f"{path}: header must start with id,class,camera")
+        dim = len(header) - 3
+        if dim < 1:
+            raise MissingColumnError(f"{path}: header has no feature columns")
+        if n_lines == 1:
+            raise EmptyFileError(f"{path}: no data rows")
+        coords, heads = np.empty((n_lines - 1, dim)), []
+        for lineno, (line, row) in enumerate(zip(lines, coords), start=2):
+            parts = line.split(",")
+            if len(parts) != 3 + dim:
+                raise DimensionMismatchError(
+                    f"{path}: line {lineno} has {len(parts) - 3} feature values, expected {dim}"
+                )
+            try:
+                row[:] = list(map(float, parts[3:]))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno} has a non-numeric coordinate"
+                ) from None
+            heads.append(parts[:3])
 
-    ids, class_labels, camera_labels = zip(*(parts[:3] for parts in rows))
+    ids, class_labels, camera_labels = zip(*heads)
     dense_classes, class_names = _dense_remap(class_labels)
     dense_cameras, camera_names = _dense_remap(camera_labels)
     return EmbeddingSet._from_columns(
-        ids, np.array(coords), dense_classes, dense_cameras, class_names, camera_names
+        ids, coords, dense_classes, dense_cameras, class_names, camera_names
     )
 
 

@@ -17,13 +17,13 @@ from gcproto.harness import ExperimentConfig, run_experiment
 from gcproto.model import GcpConfig, train
 from gcproto.selectors import (
     SelectorConfig,
-    _dists,
     _sq_dists_by_dimension,
     _sq_dists_cumsum,
     alpha_fps_points,
     kmeans,
     maximin_selection,
     ordered_sq_dists,
+    row_dists,
     run_selector,
 )
 from gcproto.seeding import substream
@@ -254,13 +254,28 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 class TestBufferedSelectorsMatchOracle:
-    @settings(max_examples=30, deadline=None)
-    @given(pts=point_sets(), row=st.integers(0, 9), reuse=st.booleans())
-    def test_distances_are_linalg_norm(self, pts, row, reuse):
-        anchor = pts[row % len(pts)] * 0.5
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pts=point_sets(),
+        row=st.integers(0, 9),
+        reuse=st.booleans(),
+        full=st.booleans(),
+        scale=st.sampled_from([1.0, 1e150, 1e200]),
+    )
+    @example(pts=np.array([[3e200, 0.0], [1.0, 2.0]]), row=1, reuse=True, full=True, scale=1.0)
+    def test_distances_are_linalg_norm(self, pts, row, reuse, full, scale):
+        # a full anchor, one row per point, is the k-means centroid shift's
+        # case; at 1e150 and past, squared differences overflow to inf
+        pts = pts * scale
+        anchor = pts[::-1] * 0.5 if full else pts[row % len(pts)] * 0.5
         buffers = (np.empty(pts.shape), np.empty(len(pts))) if reuse else ()
-        want = np.linalg.norm(pts - anchor[None, :], axis=1)
-        assert _same_bits(_dists(pts, anchor, *buffers), want)
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(pts - anchor, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = row_dists(pts, anchor, *buffers)
+        assert _same_bits(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -322,6 +337,17 @@ class TestKmeans:
         centroids, labels, _, _ = kmeans(pts, 3, np.random.default_rng(3))
         assert centroids.shape == (3, 2)
         assert np.all(np.isfinite(centroids))
+
+    def test_overflowing_spread_converges_only_at_a_fixed_point(self):
+        # rows from 1e-2 to 1e172 make the spread inf, and tol times inf
+        # would pass the first step's ~1e124 centroid shift as converged
+        rng = np.random.default_rng(3)
+        pts = (rng.normal(size=(18, 4)) * 10.0 ** rng.integers(-2, 201, size=(18, 1)))[6:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, one_step, _ = kmeans(pts, 4, np.random.default_rng(0), max_iters=1)
+            _, _, converged, objective = kmeans(pts, 4, np.random.default_rng(0))
+        assert not one_step
+        assert converged and len(objective) == 2
 
 
 class TestSelectors:

@@ -4,6 +4,7 @@ import functools
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,25 @@ class TestCsvIo:
         assert [back.camera_names[r.camera_id] for r in back.records] == [
             str(r.camera_id) for r in es.records
         ]
+
+    def test_load_holds_little_beyond_the_matrix(self, tmp_path):
+        # each line is parsed into its row of one preallocated matrix; a
+        # reader that holds every line and a Python float per value peaks
+        # near 15 times the matrix
+        rng = np.random.default_rng(5)
+        es = build_set(
+            rng.normal(size=(2000, 128)), rng.integers(0, 50, 2000), rng.integers(0, 4, 2000)
+        )
+        path = tmp_path / "big.csv"
+        save_embedding_set(es, path)
+        tracemalloc.start()
+        try:
+            back = load_embedding_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.features, es.features)
+        assert peak < 4 * es.features.nbytes
 
     def test_string_labels_remapped_dense(self, tmp_path):
         path = tmp_path / "named.csv"
