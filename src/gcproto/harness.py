@@ -27,10 +27,9 @@ Config schema (top-level keys; ``gcproto.schema`` reads and writes it)::
 Nested sections take the field names of ``SelectorConfig`` (with ``"n"``
 for ``n_prototypes``), ``SyntheticSpec`` and ``GcpConfig``; an absent key
 takes the dataclass default, and unknown keys are an error.  Ranges and
-lists are JSON lists: ``"instances_per_class": [4, 9]``,
-``"elongation_scale": [0.5, 2.0]``.  ``ExperimentConfig.to_json_dict``
-writes this layout, and the ``resolved_config.json`` it writes is itself a
-valid config.
+lists are JSON lists: ``"instances_per_class": [4, 9]``.
+``ExperimentConfig.to_json_dict`` writes this layout, and the
+``resolved_config.json`` it writes is itself a valid config.
 
 A sweep sets one ``SelectorConfig`` field per value: axis ``"n"`` sets
 ``n_prototypes``, axis ``"alpha"`` sets ``alpha``.  Each value is checked at

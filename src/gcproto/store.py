@@ -35,6 +35,7 @@ set copies neither the base's rows nor its class mapping.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import ChainMap
 from dataclasses import dataclass, field
@@ -427,7 +428,9 @@ def _dense_remap(labels: Sequence[str]) -> tuple[list[int], dict[int, str]]:
 
 
 def _load_csv(path: Path) -> EmbeddingSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet programs
+    # write one; seek(0) resets the decoder, so the second pass drops it too
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             n_lines = sum(1 for ln in fh if ln.strip())
         except UnicodeDecodeError:
@@ -500,41 +503,47 @@ def _save_csv(eset: EmbeddingSet, path: Path) -> None:
 
 
 def _load_binary(path: Path) -> EmbeddingSet:
-    data = path.read_bytes()
-    if len(data) == 0:
-        raise EmptyFileError(f"{path}: empty file")
-    if len(data) < 16 or data[:4] != BINARY_MAGIC:
-        raise DataFormatError(f"{path}: bad magic, not a {BINARY_MAGIC.decode()} file")
-    version, count, dim = struct.unpack_from("<III", data, 4)
-    if version != BINARY_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if count == 0:
-        raise EmptyFileError(f"{path}: zero records")
-    offset = 16
-    ids, labels, vectors = [], [], []
-    try:
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            ids.append(data[offset : offset + id_len])
-            offset += id_len
-            labels.append(struct.unpack_from("<II", data, offset))
-            offset += 8
-            vectors.append(np.frombuffer(data, dtype="<f8", count=dim, offset=offset))
-            offset += 8 * dim
-    except (struct.error, ValueError):
-        # ValueError comes from np.frombuffer when the blob ends mid-vector.
-        raise DataFormatError(f"{path}: truncated file") from None
-    if offset != len(data):
-        raise DataFormatError(
-            f"{path}: {len(data) - offset} extra bytes after the last of {count} records"
-        )
+    """Read the records from the open file into one preallocated matrix, so
+    the coordinates are held once."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0:
+            raise EmptyFileError(f"{path}: empty file")
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != BINARY_MAGIC:
+            raise DataFormatError(f"{path}: bad magic, not a {BINARY_MAGIC.decode()} file")
+        version, count, dim = struct.unpack_from("<III", head, 4)
+        if version != BINARY_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        if count == 0:
+            raise EmptyFileError(f"{path}: zero records")
+        truncated = DataFormatError(f"{path}: truncated file")
+        # a record is at least its id length, labels and vector: a count or
+        # dim the file cannot hold is refused before the matrix is allocated
+        if size - 16 < count * (12 + 8 * dim):
+            raise truncated
+        vectors = np.empty((count, dim), dtype="<f8")
+        ids, labels = [], []
+        try:
+            for row in vectors:
+                (id_len,) = struct.unpack("<I", fh.read(4))
+                if id_len > size - fh.tell():
+                    raise truncated
+                ids.append(fh.read(id_len))
+                labels.append(struct.unpack("<II", fh.read(8)))
+                if fh.readinto(row) != row.nbytes:
+                    raise truncated
+        except struct.error:
+            raise truncated from None
+        extra = size - fh.tell()
+    if extra:
+        raise DataFormatError(f"{path}: {extra} extra bytes after the last of {count} records")
     try:
         ids = [raw.decode("utf-8") for raw in ids]
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: a record id is not UTF-8 text") from None
     classes, cameras = zip(*labels)
-    return EmbeddingSet._from_columns(ids, np.array(vectors, dtype=np.float64), classes, cameras)
+    return EmbeddingSet._from_columns(ids, vectors.astype(np.float64, copy=False), classes, cameras)
 
 
 def _save_binary(eset: EmbeddingSet, path: Path) -> None:

@@ -471,9 +471,9 @@ ARTIFACT_DIGESTS = {
     ("alphafps", "camera-filter"):
         "021d4bdcf5d47d3e55e2d720ce2cb78fd961d18229131f2a6c48e85d99b64c1d",
     ("gcp", "plain"):
-        "96ae0b3b002bce5b9017d17562e178e136bc98530b8114ed9bcb44d25537bd44",
+        "7a3b35a8e835a6b54c3fec39d4d5d576d407ffabeef072c052ddf12ab0148043",
     ("gcp", "camera-filter"):
-        "fcc12ae735ee86dcf8b122a52a89b89cd7d029ad697fb0a78a638bdbdb4a4aaa",
+        "4aed7bf60c6e16b8b99231c3ab0e79467ab8ed75f8ce80a6e5648c4789912e1c",
 }
 
 

@@ -15,7 +15,8 @@ from test_schema import assert_clean_exit, cli, same_files
 
 import gcproto
 from gcproto.cli import main
-from gcproto.harness import PROTOCOL_CHOICES, load_prototypes
+from gcproto.errors import ConfigError
+from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig, load_prototypes
 from gcproto.model import GcpConfig, load_model, save_model, train
 from gcproto.schema import from_json, read_json_object, to_json
 from gcproto.selectors import SelectorConfig
@@ -74,6 +75,20 @@ class TestGen:
         rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert err_line(capsys).startswith("error:config: ")
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    @pytest.mark.parametrize("key", ["ring_spacing", "tail_fraction", "tail_angle_deg"])
+    def test_removed_synthetic_key_is_one_config_line(self, tmp_path, command, key):
+        # an older config holding a setting the generator no longer has
+        spec = {**SMALL_SPEC, key: 0.0}
+        if command == "eval":
+            spec = {"data": {"synthetic": spec}, "selector": {"method": "centroid"}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        rc, err = cli([command, "--config", path, "--out", tmp_path / "out"])
+        assert (rc, err.count("\n")) == (1, 1), err
+        assert err.startswith("error:config: unknown ") and repr(key) in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_data(self, tmp_path):
         for seed, name in ((1, "a"), (2, "b")):
@@ -657,3 +672,23 @@ class TestReadme:
             capsys.readouterr()
             assert main(args[1:]) == 0
             assert capsys.readouterr().out == printed
+
+    def test_config_examples_name_live_keys(self):
+        # the experiment.json block, and each inline `"key": value` example
+        # placed in that config, read through from_json: a key the config
+        # no longer has is refused as unknown
+        block = readme_blocks("console")[1]
+        doc = json.loads(block.split("$ cat experiment.json\n")[1].split("\n$ ")[0])
+        from_json(ExperimentConfig, doc)
+        examples = re.findall(r'`("\w+": [^`]+)`', README.read_text(encoding="utf-8"))
+        assert examples
+        for example in examples:
+            (key, value), = json.loads("{" + example + "}").items()
+            if key == "values":  # the README's refused alpha sweep
+                edited = {**doc, "selector": {"method": "alphafps"},
+                          "sweep": {"axis": "alpha", "values": value}}
+                with pytest.raises(ConfigError, match="sweep alpha values"):
+                    from_json(ExperimentConfig, edited)
+            else:
+                edited = {**doc, "data": {"synthetic": {key: value}}}
+                assert to_json(from_json(ExperimentConfig, edited).synthetic)[key] == value

@@ -217,11 +217,11 @@ class TestConfigJson:
         with pytest.raises(ConfigError):
             from_json(ExperimentConfig, data)
 
-    def test_ranged_elongation_scale_reads_as_tuple(self, tmp_path):
+    def test_ranged_instances_per_class_reads_as_tuple(self, tmp_path):
         data = cfg_for().to_json_dict()
-        data["data"]["synthetic"]["elongation_scale"] = [0.5, 2.0]
+        data["data"]["synthetic"]["instances_per_class"] = [4, 9]
         cfg = from_json(ExperimentConfig, data)
-        assert cfg.synthetic.elongation_scale == (0.5, 2.0)
+        assert cfg.synthetic.instances_per_class == (4, 9)
         # and the resolved config it writes loads back to the same config
         run_experiment(cfg, out_dir=tmp_path)
         resolved = read_json_object(tmp_path / "resolved_config.json")

@@ -91,7 +91,6 @@ def synthetic_specs(draw, small=False):
     top = 4 if small else 200
     scale = st.floats(0, 10) | st.integers(0, 10)
     ranges = st.tuples(st.integers(1, 4), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1]))
-    layout = draw(st.sampled_from(["free", "chain", "ring"]))
     return SyntheticSpec(
         n_classes=draw(st.integers(1, top)),
         instances_per_class=draw(st.integers(1, 6) | ranges),
@@ -100,12 +99,9 @@ def synthetic_specs(draw, small=False):
         class_center_scale=draw(st.floats(0.1, 10) | st.integers(1, 10)),
         within_class_noise=draw(scale),
         camera_offset_scale=draw(scale),
-        elongation_scale=draw(scale | st.tuples(scale, scale).map(lambda t: tuple(sorted(t)))),
+        elongation_scale=draw(scale),
         elongation_floor=draw(unit_open),
-        tail_fraction=draw(unit_open),
-        tail_angle_deg=draw(st.floats(0, 90) | st.integers(0, 90)),
-        chain_spacing=draw(scale) if layout == "chain" else 0.0,
-        ring_spacing=draw(scale) if layout == "ring" else 0.0,
+        chain_spacing=draw(scale),
         queries_per_class=draw(st.integers(1 if small else 0, 3)),
         seed=draw(st.integers(0, 1000) if small else seeds),
     )
@@ -178,17 +174,17 @@ class TestRoundTrip:
         assert to_json(back) == to_json(cfg)
 
     def test_float_fields_read_as_floats(self):
-        cfg = from_json(SyntheticSpec, {"class_center_scale": 3, "elongation_scale": [1, 2]})
+        cfg = from_json(SyntheticSpec, {"class_center_scale": 3, "elongation_scale": 1})
         assert type(cfg.class_center_scale) is float
-        assert [type(v) for v in cfg.elongation_scale] == [float, float]
-        assert json.dumps(to_json(cfg)["elongation_scale"]) == "[1.0, 2.0]"
+        assert type(cfg.elongation_scale) is float
+        assert json.dumps(to_json(cfg)["elongation_scale"]) == "1.0"
 
     @pytest.mark.parametrize(
         "cls,data,match",
         [
             (SelectorConfig, {"method": "fps", "alpha": True}, "alpha"),
             (SyntheticSpec, {"n_classes": True}, "n_classes"),
-            (SyntheticSpec, {"elongation_scale": [1.0, 2.0, 3.0]}, "elongation_scale"),
+            (SyntheticSpec, {"instances_per_class": [1, 2, 3]}, "instances_per_class"),
             (SyntheticSpec, {"instances_per_class": [2.0, 3.0]}, "instances_per_class"),
             (GcpConfig, {"dim": 8.0}, "dim"),
             (GcpConfig, {"lr": 10**400}, "lr"),
@@ -199,7 +195,7 @@ class TestRoundTrip:
             (GcpConfig, {"margin": math.nan}, "margin"),
             (GcpConfig, {"lr": math.inf}, "lr"),
             (SyntheticSpec, {"class_center_scale": math.inf}, "class_center_scale"),
-            (SyntheticSpec, {"elongation_scale": [0.5, math.inf]}, "elongation_scale"),
+            (SyntheticSpec, {"instances_per_class": [2, math.inf]}, "instances_per_class"),
             (ExperimentConfig, {"selector": {"method": "alphafps"}, "data": {"preset": "tradeoff"},
                                 "sweep": {"axis": "alpha", "values": [-math.inf]}}, "sweep_values"),
         ],
@@ -300,7 +296,7 @@ class TestEchoes:
         doc = {
             "version": 1,
             "seed": 4,
-            "data": {"synthetic": {**to_json(SMALL), "elongation_scale": [0.5, 2]}},
+            "data": {"synthetic": {**to_json(SMALL), "instances_per_class": [4, 7]}},
             "selector": {"method": method, "n": 2, "alpha": 1},
             "gcp": {**to_json(TINY_GCP), "margin": 1},
             "protocol": "camera-filter",
@@ -399,15 +395,9 @@ SINGLE_FIELD_RULES = [
     (SyntheticSpec, "within_class_noise", below(0.0), 0.0),
     (SyntheticSpec, "camera_offset_scale", below(0.0), 0.0),
     (SyntheticSpec, "elongation_scale", below(0.0), 0.0),
-    (SyntheticSpec, "elongation_scale", (below(0.0), 1.0), (0.0, 1.0)),
     (SyntheticSpec, "elongation_floor", below(0.0), 0.0),
     (SyntheticSpec, "elongation_floor", 1.0, below(1.0)),
-    (SyntheticSpec, "tail_fraction", below(0.0), 0.0),
-    (SyntheticSpec, "tail_fraction", 1.0, below(1.0)),
-    (SyntheticSpec, "tail_angle_deg", below(0.0), 0.0),
-    (SyntheticSpec, "tail_angle_deg", above(90.0), 90.0),
     (SyntheticSpec, "chain_spacing", below(0.0), 0.0),
-    (SyntheticSpec, "ring_spacing", below(0.0), 0.0),
     (SyntheticSpec, "queries_per_class", -1, 0),
     (SyntheticSpec, "seed", -1, 0),
     (ExperimentConfig, "preset", "nope", "tradeoff"),
@@ -420,10 +410,11 @@ SINGLE_FIELD_RULES = [
 MULTI_FIELD_RULES = [
     (GcpConfig, {"n_heads": 4}, "dim", 6, 8, "dim"),
     (SyntheticSpec, {}, "instances_per_class", (3, 2), (2, 2), "instances_per_class"),
-    (SyntheticSpec, {}, "elongation_scale", (2.0, 1.0), (1.0, 1.0), "elongation_scale"),
-    (SyntheticSpec, {"chain_spacing": 1.0}, "ring_spacing", 1.0, 0.0, "ring_spacing"),
-    (SyntheticSpec, {"ring_spacing": 1.0}, "dim", 1, 2, "dim"),
-    (SyntheticSpec, {"tail_angle_deg": 10.0}, "dim", 1, 2, "dim"),
+    (SyntheticSpec, {}, "instances_per_class", (9, 4), (4, 9), "instances_per_class"),
+    (ExperimentConfig, {"sweep_values": [1]}, "sweep_axis", "m", "n", "sweep axis"),
+    (ExperimentConfig, {"sweep_axis": "n"}, "sweep_values", [], [1], "non-empty"),
+    (ExperimentConfig, {"selector": SelectorConfig(method="gcp")}, "gcp", None, TINY_GCP,
+     "gcp training config"),
     (ExperimentConfig, {}, "synthetic", SMALL, None, "data source"),
     (ExperimentConfig, {"preset": None}, "synthetic", None, SMALL, "data source"),
     (ExperimentConfig, {"data_path": "g.csv", "preset": None}, "queries_path", None, "q.csv",

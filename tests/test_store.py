@@ -257,6 +257,17 @@ class TestCsvIo:
         np.testing.assert_array_equal(back.features, es.features)
         assert peak < 4 * es.features.nbytes
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as spreadsheet programs write "CSV UTF-8"
+        text = "id,class,camera,f0,f1\na,walrus,north,1.5,-2\nb,heron,south,2.5,0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_embedding_set(plain), load_embedding_set(marked)
+        np.testing.assert_array_equal(a.features, b.features)
+        assert (a.ids, a.class_names, a.camera_names) == (b.ids, b.class_names, b.camera_names)
+
     def test_string_labels_remapped_dense(self, tmp_path):
         path = tmp_path / "named.csv"
         path.write_text(
@@ -464,6 +475,42 @@ class TestBinaryIo:
         es = build_set(np.ones((2, 3)), labels["class"], labels["camera"])
         save_embedding_set(es, path)
         assert load_embedding_set(path).row_classes.tolist() == labels["class"]
+
+    def test_load_holds_the_matrix_about_once(self, tmp_path):
+        # the records are read into one preallocated matrix; a reader that
+        # holds the whole file and then copies its vectors out peaks above
+        # twice the matrix
+        rng = np.random.default_rng(5)
+        es = build_set(
+            rng.normal(size=(2000, 128)), rng.integers(0, 50, 2000), rng.integers(0, 4, 2000)
+        )
+        path = tmp_path / "big.gcpe"
+        save_embedding_set(es, path)
+        tracemalloc.start()
+        try:
+            back = load_embedding_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.features, es.features)
+        assert peak < 1.5 * es.features.nbytes
+
+    @pytest.mark.parametrize("offset", [8, 12, 16], ids=["count", "dim", "id-length"])
+    def test_size_past_the_file_is_truncated_before_allocating(self, tmp_path, offset):
+        es = build_set(np.ones((3, 4)), [0, 0, 1], [0, 1, 0])
+        path = tmp_path / "x.gcpe"
+        save_embedding_set(es, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, offset, 2**32 - 1)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="truncated"):
+                load_embedding_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gcpe"
