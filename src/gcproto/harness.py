@@ -49,8 +49,9 @@ selector families build from those same rows: ``selectors.class_prototypes``
 on their features, or ``generate_prototypes`` on their ``build_memory``.
 Each group's set is ``base.replace_class``: it overlays the rebuilt class
 on the base's class mapping and validates and copies only the rebuilt rows,
-and the evaluator ranks the group's queries against the base's packed
-matrix with those rows in place of the base's rows of the class.
+and the evaluator ranks the group's queries, the only ones it takes for
+that set, against the base's packed matrix with those rows in place of the
+base's rows of the class.
 """
 
 from __future__ import annotations

@@ -14,21 +14,22 @@ distances to the packed prototypes from one GEMM per block
 FAISS); each block's query rows and distances go into two buffers that
 every block reuses.  A set made by ``PrototypeSet.replace_class``
 rebuilds one class, as the camera-filter protocol rebuilds the query's
-own: a query of that class is ranked against its base's packed matrix
-with the base's rows of the class left out, and the rebuilt rows get
-squared distances to the set's queries of the class from one call per set
-of this module's :func:`cdist`, so the protocol costs one GEMM plus a few
-rows per (class, camera) group.  That :func:`cdist` sums in numpy's
+own, and serves only queries of that class (any other is a
+``ConfigError``): each is ranked against its base's packed matrix,
+``flattened()``, with the base's rows of the class left out, and the
+rebuilt rows get squared distances to the set's queries from one call per
+set of this module's :func:`cdist`, so the protocol costs one GEMM plus a
+few rows per (class, camera) group.  That :func:`cdist` sums in numpy's
 pairwise order, not in dimension order as ``selectors.ordered_sq_dists``
 does for k-means and mining: the certified margin below covers any
-summation order.  A query of another class ranks against the set packed
-anew.  The squared norms these distances need are computed here too; the
-store keeps none.  Each own-class item is ranked by counting the
-prototypes certainly nearer than it, given a certified rounding margin on
-these approximate distances; a prototype inside the margin is re-checked
-with exact distances, from ``selectors.row_dists``, under the tie rule.
-Every rank therefore equals the brute-force rank: the report does not
-depend on the block, the BLAS library or its thread count.
+summation order.  The squared norms these distances need are computed
+here too; the store keeps none.  Each own-class item is ranked by
+counting the prototypes certainly nearer than it, given a certified
+rounding margin on these approximate distances; a prototype inside the
+margin is re-checked with exact distances, from ``selectors.row_dists``,
+under the tie rule.  Every rank therefore equals the brute-force rank:
+the report does not depend on the block, the BLAS library or its thread
+count.
 
 Each query is scored where it is ranked: its AP and first own-class hit
 are kept, nothing else.  A CMC value is an integer count of first hits
@@ -210,10 +211,9 @@ class _RankKernel:
     and (queries, P) matrix are alive at a time."""
 
     def __init__(self, base: PrototypeSet, n_queries: int):
-        self.mat, self.classes, _ = base.flattened()
+        self.mat, self.classes, self.spans = base.flattened()
         self.sq_norms = _sq_norms(self.mat)
         self.max_sq_norm = float(self.sq_norms.max(initial=0.0))
-        self.spans = base.class_spans
         rows = min(QUERY_BLOCK, n_queries)
         self._queries = np.empty((rows, self.mat.shape[1]))
         self._block = np.empty((rows, len(self.mat)))
@@ -294,11 +294,13 @@ def evaluate(
 
     ``prototypes_per_query`` is either one shared PrototypeSet or a mapping
     from query id to the set eligible for that query (as produced by the
-    camera-filter protocol).  Queries whose class has no prototype anywhere
-    in their eligible set score AP 0 and are listed in the report rather
-    than aborting the run.  ``group_buckets`` (with ``gallery_sizes``,
-    class id -> gallery record count) adds a per-bucket mAP breakdown keyed
-    on the query class's gallery size.
+    camera-filter protocol); a set made by ``replace_class`` serves only
+    queries of the class it replaced, else ConfigError.  Queries whose
+    class has no prototype anywhere in their eligible set score AP 0 and
+    are listed in the report rather than aborting the run.
+    ``group_buckets`` (with ``gallery_sizes``, class id -> gallery record
+    count) adds a per-bucket mAP breakdown keyed on the query class's
+    gallery size.
     """
     check_max_rank(max_rank)
     if ap_mode not in AP_MODES:
@@ -308,10 +310,8 @@ def evaluate(
         raise ConfigError("no queries to evaluate")
     groups = _as_pset_groups(queries, prototypes_per_query)
     classes = queries.row_classes.tolist()
-    # queries of every group with one base share its GEMM; a derived set's
-    # queries of its rebuilt class get one cdist call per set, and its other
-    # queries rank against the set packed anew.  A derived set itself is
-    # never a key: its flattened() packs again on every call.
+    # queries of every group with one base share its GEMM, and a derived
+    # set's queries get one cdist call per set to its rebuilt rows
     by_base: dict[PrototypeSet, list[tuple]] = {}
     for pset, rows in groups:
         if pset.total_count() == 0:
@@ -324,16 +324,16 @@ def evaluate(
             by_base.setdefault(pset, []).extend((qi, None, None) for qi in rows)
             continue
         ((class_id, rebuilt),) = pset.replaced.items()
-        own = [qi for qi in rows if classes[qi] == class_id]
-        other = [qi for qi in rows if classes[qi] != class_id]
-        if own:
-            splice = _Splice(queries.features[own], rebuilt)
-            by_base.setdefault(pset.base, []).extend(
-                (qi, splice, row) for qi, row in zip(own, splice.approx)
+        stray = next((qi for qi in rows if classes[qi] != class_id), None)
+        if stray is not None:
+            raise ConfigError(
+                f"query {queries.ids[stray]!r} of class {classes[stray]} is mapped to a set "
+                f"that rebuilt class {class_id}; such a set ranks only queries of that class"
             )
-        if other:
-            packed = PrototypeSet(pset.per_class, pset.selector_tag)
-            by_base[packed] = [(qi, None, None) for qi in other]
+        splice = _Splice(queries.features[rows], rebuilt)
+        by_base.setdefault(pset.base, []).extend(
+            (qi, splice, row) for qi, row in zip(rows, splice.approx)
+        )
     aps = [0.0] * n
     first_hit = [0] * n  # 0: no own-class prototype
     for base, items in by_base.items():

@@ -24,13 +24,15 @@ and safe for concurrent reads.
 
 ``PrototypeSet`` packs its classes into one read-only matrix with the one
 packer, :func:`pack`, which takes a view instead of a copy when the classes
-already lie in order in one read-only matrix.  The camera-filter protocol's
-per-group sets are made by ``replace_class`` on a packed set: each shares
-that set as its ``base`` and holds the one class it ``replaced``, which is
-all the evaluator needs to rank the query's own class from the rebuilt rows
-and every other class from the base's matrix.  Its ``per_class`` is a
-read-only overlay of the rebuilt class on the base's mapping, so a derived
-set copies neither the base's rows nor its class mapping.
+already lie in order in one read-only matrix; only the evaluator reads
+that layout, ``flattened()``.  The camera-filter protocol's per-group sets
+are made by ``replace_class`` on a packed set: each shares that set as its
+``base`` and holds the one class it ``replaced``, which is all the
+evaluator needs to rank that class's queries from the rebuilt rows and
+every other class from the base's matrix.  Its ``per_class`` is a
+read-only overlay of the rebuilt class on the base's mapping: a derived
+set copies neither the base's rows nor its class mapping, and is never
+packed.
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def _shared_block(parts: list[np.ndarray], dim: int) -> np.ndarray | None:
 
 def pack(per_class: Mapping[int, np.ndarray], dim: int):
     """Every class's rows packed into one read-only (P, D) matrix, classes
-    ascending: (matrix, parallel class-id array, parallel within-class-index
-    array, read-only class id -> slice of the matrix holding its rows).
+    ascending: (matrix, parallel class-id array, read-only class id ->
+    slice of the matrix holding its rows).
 
     The matrix is a view, sharing storage, when the classes' arrays lie end
     to end, in ascending class order, in one read-only, C-contiguous float64
@@ -287,17 +289,16 @@ def pack(per_class: Mapping[int, np.ndarray], dim: int):
     bits the concatenation would."""
     ids = sorted(per_class)
     parts = [per_class[c] for c in ids]
-    counts = np.array([len(p) for p in parts], dtype=np.int64)
+    counts = [len(p) for p in parts]
     matrix = _shared_block(parts, dim)
     if matrix is None:
         matrix = np.concatenate(parts) if ids else np.empty((0, dim))
     classes = np.repeat(np.array(ids, dtype=np.int64), counts)
-    stops = np.cumsum(counts)
-    index = np.arange(len(classes), dtype=np.int64) - np.repeat(stops - counts, counts)
-    for arr in (matrix, classes, index):
+    for arr in (matrix, classes):
         arr.setflags(write=False)
-    spans = {c: slice(e - k, e) for c, k, e in zip(ids, counts.tolist(), stops.tolist())}
-    return matrix, classes, index, MappingProxyType(spans)
+    stops = np.cumsum(counts, dtype=np.int64).tolist()
+    spans = {c: slice(e - k, e) for c, k, e in zip(ids, counts, stops)}
+    return matrix, classes, MappingProxyType(spans)
 
 
 @dataclass(eq=False)
@@ -316,8 +317,9 @@ class PrototypeSet:
     every class is copied.  Such a packed set is its own ``base`` and has
     no ``replaced`` class.  ``replace_class`` on a packed set makes a
     derived set that shares its storage: ``base`` is that packed set and
-    ``replaced`` maps the one rebuilt class id to its new rows.  Sets
-    compare by identity.
+    ``replaced`` maps the one rebuilt class id to its new rows.  A derived
+    set is never packed; ``evaluate`` ranks it only for queries of its
+    replaced class.  Sets compare by identity.
     """
 
     per_class: Mapping[int, np.ndarray]
@@ -333,7 +335,7 @@ class PrototypeSet:
             raise DimensionMismatchError(f"inconsistent prototype dimensions {sorted(dims)}")
         self._dim = dims.pop() if dims else 0
         self._packed = pack(rows, self._dim)
-        matrix, spans = self._packed[0], self._packed[3]
+        matrix, _, spans = self._packed
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(matrix.sum())  # one pass, no temporary
         if not finite:  # a NaN or ±inf, or finite rows whose sum overflows
@@ -367,26 +369,17 @@ class PrototypeSet:
     def total_count(self) -> int:
         return self._count
 
-    def _packing(self):
-        if self._base is None:
-            return self._packed
-        return pack(self.per_class, self._dim)
+    def flattened(self) -> tuple[np.ndarray, np.ndarray, Mapping[int, slice]]:
+        """The packed layout: (P, D) matrix, parallel class-id array, and
+        read-only class id -> the slice of rows holding its prototypes.
 
-    def flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P, D) matrix plus parallel class-id and within-class-index arrays.
-
-        Classes in ascending id order, prototypes in iteration order; all
-        three are read-only.  A packed set returns its cached arrays; a set
-        made by ``replace_class`` assembles them on every call.
+        Classes in ascending id order, prototypes in iteration order; every
+        part is read-only and cached.  A set made by ``replace_class`` is
+        not packed and raises TypeError.
         """
-        return self._packing()[:3]
-
-    @property
-    def class_spans(self) -> Mapping[int, slice]:
-        """Class id -> the slice of ``flattened()`` rows holding its
-        prototypes; a set made by ``replace_class`` assembles it on every
-        access."""
-        return self._packing()[3]
+        if self._base is not None:
+            raise TypeError("a set made by replace_class is not packed: read its per_class")
+        return self._packed
 
     def replace_class(self, class_id: int, protos: np.ndarray) -> "PrototypeSet":
         """A set with ``class_id``'s prototypes replaced by ``protos``.
@@ -552,14 +545,12 @@ def _save_binary(eset: EmbeddingSet, path: Path) -> None:
         raise DataFormatError(
             f"record {eset.ids[wide[0]]!r}: a label of 2**32 or more cannot be written to .gcpe"
         )
-    parts = [BINARY_MAGIC, struct.pack("<III", BINARY_VERSION, len(eset), eset.dim)]
-    for rec_id, cls, cam, vec in zip(eset.ids, eset.row_classes, eset.row_cameras, eset.features):
-        rec_id = rec_id.encode("utf-8")
-        parts.append(struct.pack("<I", len(rec_id)))
-        parts.append(rec_id)
-        parts.append(struct.pack("<II", cls, cam))
-        parts.append(vec.astype("<f8").tobytes())
-    path.write_bytes(b"".join(parts))
+    ids = [rec_id.encode("utf-8") for rec_id in eset.ids]  # may raise: before opening
+    with open(path, "wb") as fh:  # record by record: the coordinates are held once
+        fh.write(BINARY_MAGIC + struct.pack("<III", BINARY_VERSION, len(eset), eset.dim))
+        for rec_id, cls, cam, vec in zip(ids, eset.row_classes, eset.row_cameras, eset.features):
+            fh.write(struct.pack(f"<I{len(rec_id)}sII", len(rec_id), rec_id, cls, cam))
+            fh.write(vec.astype("<f8").tobytes())
 
 
 # -- public IO ----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 ``rank_query`` ranks one query against every prototype of a set with exact
 ``np.linalg.norm`` distances, computed here, and a stable sort; ``evaluate``,
-the package's one ranking path, must agree with it.
+the package's one ranking path, must agree with it.  It reads a set only
+through ``per_class`` and ``total_count`` and stacks the rows itself, so it
+shares no packing code with the evaluator either.
 """
 
 from dataclasses import dataclass
@@ -23,12 +25,15 @@ class Ranking:
 def rank_query(query: EmbeddingRecord, prototypes: PrototypeSet) -> Ranking:
     """Full ascending ranking of one query against every prototype.
 
-    ``flattened()`` rows are in (class, prototype index) order, so a stable
-    sort on distance applies the tie rule.
+    Rows are stacked in (class, prototype index) order, so a stable sort on
+    distance applies the tie rule.
     """
     if prototypes.total_count() == 0:
         raise EmptyPrototypeSetError("cannot rank against an empty prototype set")
-    mat, class_arr, proto_arr = prototypes.flattened()
+    per_class = prototypes.per_class
+    ids = sorted(per_class)
+    mat = np.vstack([per_class[c] for c in ids])
+    keys = [(c, j) for c in ids for j in range(len(per_class[c]))]
     if mat.shape[1] != query.vector.shape[0]:
         raise DimensionMismatchError(
             f"query dimension {query.vector.shape[0]} vs prototypes {mat.shape[1]}"
@@ -40,7 +45,5 @@ def rank_query(query: EmbeddingRecord, prototypes: PrototypeSet) -> Ranking:
     order = np.argsort(dists, kind="stable")
     sorted_d = dists[order]
     tie = bool(np.any(sorted_d[1:] == sorted_d[:-1])) if len(sorted_d) > 1 else False
-    entries = tuple(
-        (int(class_arr[i]), int(proto_arr[i]), float(dists[i])) for i in order
-    )
+    entries = tuple((*keys[i], float(dists[i])) for i in order)
     return Ranking(query_id=query.id, entries=entries, tie_rule_applied=tie)

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing and validation, artifact round trips,
 the camera-filter protocol, sweeps, grouped evaluation, power-of-two
-scaling of whole runs, and that no run loads scipy."""
+scaling and query-order permutation of whole runs, and that no run loads
+scipy."""
 
 import ast
 import json
@@ -802,6 +803,50 @@ class TestPowerOfTwoScaling:
                 for c in base.prototypes.class_ids:
                     want = base.prototypes.per_class[c] * 2.0**k
                     assert scaled.prototypes.per_class[c].tobytes() == want.tobytes()
+
+
+class TestQueryPermutation:
+    """Each query is ranked on its own, and a camera-filter group's rebuild
+    depends on its (class, camera) alone, so permuting the query file's rows
+    permutes the per-query AP and leaves the CMC, integer counts over n,
+    unchanged.  The mAP is a sequential sum in query order: it equals the
+    unpermuted run's APs summed in the permuted order."""
+
+    # overlapping classes, so the queries' APs differ and their sum's order
+    # shows in the mAP's last bits
+    SPEC = replace(SMALL, class_center_scale=0.5, within_class_noise=1.0)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(seed=9, data=None)
+    def test_per_query_ap_follows_its_query(self, tmp_path_factory, seed, data):
+        gallery, queries = generate_synthetic(replace(self.SPEC, seed=seed))
+        n = len(queries)
+        order = list(range(n))[::-1] if data is None else data.draw(st.permutations(range(n)))
+        tmp = tmp_path_factory.mktemp("permuted")
+        paths = [str(tmp / name) for name in ("gallery.gcpe", "queries.gcpe", "permuted.gcpe")]
+        save_embedding_set(gallery, paths[0])
+        save_embedding_set(queries, paths[1])
+        save_embedding_set(EmbeddingSet([queries.records[i] for i in order]), paths[2])
+        for method in (m for m in METHODS if m != "gcp"):
+            for protocol in PROTOCOL_CHOICES:
+                base, permuted = (
+                    run_experiment(ExperimentConfig(
+                        selector=SelectorConfig(method=method), data_path=paths[0],
+                        queries_path=q, protocol=protocol, per_query_ap=True,
+                    )).report
+                    for q in paths[1:]
+                )
+                assert [qid for qid, _ in permuted.per_query_ap] == [
+                    queries.ids[i] for i in order
+                ]
+                ap_of = dict(base.per_query_ap)
+                assert dict(permuted.per_query_ap) == ap_of
+                assert permuted.cmc == base.cmc and permuted.top1 == base.top1
+                total = 0.0
+                for qid, _ in permuted.per_query_ap:
+                    total += ap_of[qid]
+                assert permuted.map == total / n
 
 
 class TestImportBoundary:

@@ -5,6 +5,7 @@ lists, math.dist, and sequential scalar sums; `evaluate` must agree with it
 bit-for-bit on random instances.
 """
 
+import ast
 import json
 import math
 import os
@@ -155,6 +156,34 @@ class TestRankQuery:
         assert [(c, j) for c, j, _ in r.entries] == [(0, 0), (0, 1), (1, 0)]
         assert r.tie_rule_applied
 
+    def test_oracle_imports_no_ranking_code_and_reads_sets_by_per_class(self):
+        # the reference must not share code with what it checks: no import
+        # from the evaluator or the selectors' distance kernels, and a set
+        # read only through per_class and total_count, never its packing
+        tree = ast.parse(Path(__file__).with_name("ranking_oracle.py").read_text("utf-8"))
+        banned = ("gcproto.retrieval", "gcproto.selectors")
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        assert "gcproto.store.PrototypeSet" in imported
+        assert not [m for m in imported for b in banned if m == b or m.startswith(b + ".")]
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        set_params = {
+            arg.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for arg in node.args.args
+            if isinstance(arg.annotation, ast.Name) and arg.annotation.id == "PrototypeSet"
+        }
+        assert set_params == {"prototypes"}
+        reads = [
+            parent[node] for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in set_params
+        ]
+        assert reads and all(isinstance(r, ast.Attribute) for r in reads)
+        assert {r.attr for r in reads} == {"per_class", "total_count"}
+
     def test_empty_prototypes(self):
         pset = PrototypeSet({0: np.zeros((0, 2))}, "centroid")
         with pytest.raises(EmptyPrototypeSetError):
@@ -229,18 +258,27 @@ class TestEvaluate:
 
     def test_per_query_mapping_matches_oracle(self):
         rng = np.random.default_rng(31)
-        _, queries, pset_a = random_instance(rng)
-        pset_b = pset_a.replace_class(
-            pset_a.class_ids[0], pset_a.per_class[pset_a.class_ids[0]] + 0.5
-        )
-        mapping = {
-            rec.id: (pset_a if i % 2 == 0 else pset_b)
-            for i, rec in enumerate(queries.records)
-        }
-        rep = evaluate(queries, mapping, max_rank=6)
-        cmc, mean_ap, _ = oracle_evaluate(queries, mapping, 6)
-        assert rep.cmc == cmc
-        assert rep.map == mean_ap
+        for _ in range(10):
+            _, queries, pset = random_instance(rng)
+            shifted = {c: pset.replace_class(c, rows + 0.5) for c, rows in pset.per_class.items()}
+            # every other query ranks against the set rebuilt for its own class
+            mapping = {
+                rec.id: shifted.get(rec.class_id, pset) if i % 2 else pset
+                for i, rec in enumerate(queries.records)
+            }
+            rep = evaluate(queries, mapping, max_rank=6)
+            cmc, mean_ap, _ = oracle_evaluate(queries, mapping, 6)
+            assert rep.cmc == cmc
+            assert rep.map == mean_ap
+
+    def test_set_rebuilt_for_another_class_is_refused(self):
+        queries = build_set(np.zeros((3, 2)), [0, 0, 1], [0] * 3, id_prefix="q")
+        pset = PrototypeSet({0: np.ones((1, 2)), 1: np.zeros((2, 2))}, "centroid")
+        derived = pset.replace_class(0, np.full((2, 2), 2.0))
+        assert evaluate(queries, {"q0": derived, "q1": derived, "q2": pset}).n_queries == 3
+        with pytest.raises(ConfigError, match="^query 'q2' of class 1 is mapped to a set that "
+                                               "rebuilt class 0"):
+            evaluate(queries, {"q0": derived, "q1": pset, "q2": derived})
 
     def test_mapping_missing_query_id(self):
         _, queries, pset = random_instance(np.random.default_rng(37))
@@ -300,8 +338,8 @@ def tie_heavy_cases(draw):
     cross-class ties, duplicated rows, classes with zero rows, queries of
     absent classes, optionally every coordinate offset by 1e6 (which puts
     every row inside the rounding margin), and optionally per-query sets
-    made by ``replace_class`` whose replaced class may or may not be the
-    query's own."""
+    made by ``replace_class``, each picked only for queries of the class it
+    replaced, as the camera-filter protocol maps them."""
     dim = draw(st.integers(1, 5))
     offset = draw(st.sampled_from([0.0, 1e6]))
     step = draw(st.sampled_from([1.0, 0.1]))
@@ -330,12 +368,16 @@ def tie_heavy_cases(draw):
     )
     psets = [pset]
     for _ in range(draw(st.integers(0, 2))):  # a second one replaces on top of the first
-        c = draw(st.integers(0, n_classes))
+        c = draw(st.sampled_from(queries.row_classes.tolist()))
         psets.append(psets[-1].replace_class(c, matrix(draw(st.lists(row, max_size=3)))))
     assume(all(p.total_count() for p in psets))
     if len(psets) == 1:
         return queries, pset
-    picks = draw(st.lists(st.sampled_from(psets), min_size=nq, max_size=nq))
+    # the packed sets serve any query, a derived set only its replaced class
+    picks = [
+        draw(st.sampled_from([p for p in psets if set(p.replaced) <= {rec.class_id}]))
+        for rec in queries.records
+    ]
     return queries, {rec.id: p for rec, p in zip(queries.records, picks)}
 
 
@@ -408,14 +450,13 @@ class TestGemmKernel:
             return real(xa, xb, *args, **kwargs)
 
         monkeypatch.setattr(retrieval, "cdist", spy)
-        mapping = dict(zip(["q0", "q1", "q2", "q3", "q4"], [first, first, second, second, pset]))
+        mapping = dict(zip(["q0", "q1", "q2", "q3", "q4"], [first, first, second, pset, pset]))
         rep = evaluate(queries, mapping, max_rank=3, include_per_query_ap=True)
-        # one call per derived set, over its queries of the rebuilt class;
-        # q3 ranks against the set packed anew and the packed set needs none
+        # one call per derived set, over its queries; the packed set needs none
         assert shapes == [(2, 1), (1, 3)]
         # ties at 0 and √3 put class 0 before 1 before 2
         assert [ap for _, ap in rep.per_query_ap] == [
-            1.0, 1.0, (1 / 3 + 2 / 4 + 3 / 5) / 3, (1 / 6 + 2 / 7) / 2, (1 / 3 + 2 / 4) / 2
+            1.0, 1.0, (1 / 3 + 2 / 4 + 3 / 5) / 3, (1 / 3 + 2 / 4) / 2, (1 / 3 + 2 / 4) / 2
         ]
 
     def test_exact_cross_class_tie_is_rechecked(self, monkeypatch):
@@ -454,19 +495,17 @@ class TestGemmKernel:
             {0: np.array([[big, 0.0], [1.0, 0.0]]), 2: np.array([[-big, 0.0]])}, "instance"
         )
         derived = pset.replace_class(1, np.array([[0.0, big], [0.0, -big], [2.0, 0.0]]))
-        # q2 is of another class, so it ranks against the set packed anew
+        # q2 is of another class, so it ranks against the packed set
         queries = build_set(
             np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0]]), [1, 1, 0], [0] * 3, id_prefix="q"
         )
+        mapping = {"q0": derived, "q1": derived, "q2": pset}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = evaluate(
-                queries, {rec.id: derived for rec in queries.records}, max_rank=6,
-                include_per_query_ap=True,
-            )
+            rep = evaluate(queries, mapping, max_rank=6, include_per_query_ap=True)
         want = []
         for rec in queries.records:
-            entries = rank_query(rec, derived).entries
+            entries = rank_query(rec, mapping[rec.id]).entries
             ranks = [r for r, (c, _, _) in enumerate(entries, start=1) if c == rec.class_id]
             ap = 0.0
             for i, r in enumerate(ranks, start=1):
@@ -529,9 +568,12 @@ class TestGemmKernel:
             )
             qcls = np.repeat(np.arange(60), 5)
             queries = build_set(centers[qcls] + rng.normal(size=(300, 64)), qcls, [0] * 300)
-            derived = pset.replace_class(3, centers[3] + rng.normal(size=(2, 64)))
+            derived = {
+                c: pset.replace_class(c, centers[c] + rng.normal(size=(2, 64))) for c in range(60)
+            }
             mapping = {
-                rec.id: (derived if i % 3 else pset) for i, rec in enumerate(queries.records)
+                rec.id: (derived[rec.class_id] if i % 3 else pset)
+                for i, rec in enumerate(queries.records)
             }
             for arg in (pset, mapping):
                 print(report_to_json(evaluate(queries, arg, include_per_query_ap=True)))

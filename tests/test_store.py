@@ -495,6 +495,31 @@ class TestBinaryIo:
         np.testing.assert_array_equal(back.features, es.features)
         assert peak < 1.5 * es.features.nbytes
 
+    def test_save_writes_the_format_without_holding_a_copy(self, tmp_path):
+        # each record goes to the open file as it is encoded; a writer that
+        # joins the whole file in memory first peaks above the matrix
+        rng = np.random.default_rng(7)
+        n, dim = 2000, 128
+        labels = rng.integers(0, 2**32, (n, 2)).tolist()
+        es = EmbeddingSet([
+            EmbeddingRecord(f"r{i}" + "é" * (i % 3), rng.normal(size=dim), cls, cam)
+            for i, (cls, cam) in enumerate(labels)
+        ])
+        want = [b"GCPE", struct.pack("<III", 1, n, dim)]
+        for rec_id, (cls, cam), vec in zip(es.ids, labels, es.features.tolist()):
+            raw = rec_id.encode("utf-8")
+            want += [struct.pack("<I", len(raw)), raw, struct.pack("<II", cls, cam)]
+            want.append(struct.pack(f"<{dim}d", *vec))
+        path = tmp_path / "set.gcpe"
+        tracemalloc.start()
+        try:
+            save_embedding_set(es, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == b"".join(want)
+        assert peak < es.features.nbytes / 2
+
     @pytest.mark.parametrize("offset", [8, 12, 16], ids=["count", "dim", "id-length"])
     def test_size_past_the_file_is_truncated_before_allocating(self, tmp_path, offset):
         es = build_set(np.ones((3, 4)), [0, 0, 1], [0, 1, 0])
@@ -557,10 +582,10 @@ class TestPrototypeSet:
             {1: np.array([[1.0, 0.0], [2.0, 0.0]]), 0: np.array([[5.0, 5.0]])},
             "fps",
         )
-        mat, cls, idx = pset.flattened()
+        mat, cls, spans = pset.flattened()
         np.testing.assert_array_equal(mat, [[5.0, 5.0], [1.0, 0.0], [2.0, 0.0]])
         np.testing.assert_array_equal(cls, [0, 1, 1])
-        np.testing.assert_array_equal(idx, [0, 0, 1])
+        assert spans == {0: slice(0, 1), 1: slice(1, 3)}
         assert pset.total_count() == 3
         assert pset.dim == 2
 
@@ -573,9 +598,11 @@ class TestPrototypeSet:
     def test_storage_is_packed_and_read_only(self):
         given_rows = {2: np.ones((2, 3)), 0: np.arange(3.0).reshape(1, 3)}
         pset = PrototypeSet(given_rows, "fps")
-        mat = pset.flattened()[0]
-        assert pset.flattened()[0] is mat
-        assert pset.class_spans == {0: slice(0, 1), 2: slice(1, 3)}
+        mat, cls, spans = pset.flattened()
+        assert all(got is want for got, want in zip(pset.flattened(), (mat, cls, spans)))
+        assert spans == {0: slice(0, 1), 2: slice(1, 3)}
+        with pytest.raises(TypeError):
+            spans[1] = slice(0, 0)
         assert pset.base is pset and pset.replaced == {}
         assert np.shares_memory(pset.per_class[2], mat)
         assert not np.shares_memory(given_rows[2], mat)
@@ -591,10 +618,10 @@ class TestPrototypeSet:
         assert new.replaced[1] is new.per_class[1]
         assert new.per_class[0] is pset.per_class[0]
         assert new.total_count() == 4 and new.dim == 2
-        mat, cls, idx = new.flattened()
-        np.testing.assert_array_equal(mat, [[0.0, 0.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
-        np.testing.assert_array_equal(cls, [0, 1, 1, 1])
-        np.testing.assert_array_equal(idx, [0, 0, 1, 2])
+        np.testing.assert_array_equal(new.per_class[1], np.full((3, 2), 2.0))
+        assert not new.per_class[1].flags.writeable
+        with pytest.raises(TypeError, match="per_class"):
+            new.flattened()  # a derived set is never packed
         with pytest.raises(NonFiniteValueError):
             pset.replace_class(0, np.array([[np.nan, 0.0]]))
         with pytest.raises(DimensionMismatchError):
@@ -618,11 +645,13 @@ class TestPrototypeSet:
         pset = PrototypeSet({0: np.zeros((1, 2)), 2: np.ones((2, 2))}, "fps")
         derived = pset.replace_class(2, np.full((3, 2), 2.0)).replace_class(1, np.ones((1, 2)))
         packed = PrototypeSet(dict(derived.per_class), "fps")
-        assert derived.class_spans == packed.class_spans
-        assert derived.class_spans == {0: slice(0, 1), 1: slice(1, 2), 2: slice(2, 5)}
-        for got, want in zip(derived.flattened(), packed.flattened()):
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == want.dtype and not got.flags.writeable
+        # a replace on a derived set packs the new mapping
+        assert derived.base is derived and derived.replaced == {}
+        got, want = derived.flattened(), packed.flattened()
+        assert got[2] == want[2] == {0: slice(0, 1), 1: slice(1, 2), 2: slice(2, 5)}
+        for g, w in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype and not g.flags.writeable
         assert derived.total_count() == packed.total_count() == 5
         assert {c: len(r) for c, r in derived.per_class.items()} == {0: 1, 1: 1, 2: 3}
         assert derived.class_ids == packed.class_ids and derived.dim == packed.dim
@@ -660,12 +689,15 @@ class TestPrototypeSet:
         for c, arr in want.per_class.items():
             assert pset.per_class[c].shape == arr.shape
             np.testing.assert_array_equal(pset.per_class[c].view(np.uint64), arr.view(np.uint64))
-        got_mat, got_cls, got_idx = pset.flattened()
-        want_mat, want_cls, want_idx = want.flattened()
-        np.testing.assert_array_equal(got_mat.view(np.uint64), want_mat.view(np.uint64))
-        np.testing.assert_array_equal(got_cls, want_cls)
-        np.testing.assert_array_equal(got_idx, want_idx)
-        assert pset.class_spans == want.class_spans
+        if pset.replaced:  # a derived set is never packed
+            with pytest.raises(TypeError, match="per_class"):
+                pset.flattened()
+        else:
+            got_mat, got_cls, got_spans = pset.flattened()
+            want_mat, want_cls, want_spans = want.flattened()
+            np.testing.assert_array_equal(got_mat.view(np.uint64), want_mat.view(np.uint64))
+            np.testing.assert_array_equal(got_cls, want_cls)
+            assert got_spans == want_spans
         assert pset.total_count() == want.total_count()
         assert pset.dim == want.dim
 
@@ -752,17 +784,16 @@ class TestPacking:
         ids = sorted(per_class)
         want = np.concatenate([per_class[c] for c in ids])
         pset = PrototypeSet(per_class, "instance")
-        mat, cls, idx = pset.flattened()
+        mat, cls, spans = pset.flattened()
         assert mat.shape == want.shape and mat.dtype == want.dtype
         assert mat.tobytes() == want.tobytes()
         np.testing.assert_array_equal(cls, np.repeat(ids, [len(per_class[c]) for c in ids]))
-        np.testing.assert_array_equal(idx, np.concatenate([np.arange(len(per_class[c])) for c in ids]))
         stops = np.cumsum([len(per_class[c]) for c in ids]).tolist()
-        assert pset.class_spans == {c: slice(e - len(per_class[c]), e) for c, e in zip(ids, stops)}
+        assert spans == {c: slice(e - len(per_class[c]), e) for c, e in zip(ids, stops)}
         for c in ids:
             assert pset.per_class[c].tobytes() == given_bytes[c]
             assert pset.per_class[c].shape == per_class[c].shape
-        assert not any(arr.flags.writeable for arr in (mat, cls, idx))
+        assert not any(arr.flags.writeable for arr in (mat, cls))
         shared = layout in SHARED_LAYOUTS and len(want) > 0
         assert np.shares_memory(mat, owner) == shared
         assert all(np.shares_memory(pset.per_class[c], mat) for c in ids if len(per_class[c]))
