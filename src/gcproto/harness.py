@@ -26,8 +26,8 @@ Config schema (top-level keys; ``gcproto.schema`` reads and writes it)::
 
 Nested sections take the field names of ``SelectorConfig`` (with ``"n"``
 for ``n_prototypes``), ``SyntheticSpec`` and ``GcpConfig``; an absent key
-takes the dataclass default, and unknown keys are an error.  Ranges and
-lists are JSON lists: ``"instances_per_class": [4, 9]``.
+takes the dataclass default, and unknown keys are an error.  Lists are
+JSON lists: ``"values": [1, 2, 3, 6]``.
 ``ExperimentConfig.to_json_dict`` writes this layout, and the
 ``resolved_config.json`` it writes is itself a valid config.
 

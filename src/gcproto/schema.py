@@ -7,10 +7,11 @@ type check (:func:`check_field_types`), with one rule set for every section:
 * a section is a JSON object, and unknown keys raise ``ConfigError``;
 * an absent key takes the dataclass default (or the caller's ``defaults``),
   and a nested section's absent ``seed`` takes the enclosing object's seed;
-* ``tuple[...]`` fields accept JSON lists; ``float`` fields accept JSON
-  integers and store them as floats; a bool never counts as a number, and
-  a NaN or infinity (which ``json`` reads) is refused;
-* the writer is the exact inverse of the reader and writes tuples as lists.
+* a value is a scalar, a list of scalars, a nested config, or ``None``;
+  ``float`` fields accept JSON integers and store them as floats; a bool
+  never counts as a number, and a NaN or infinity (which ``json`` reads)
+  is refused;
+* the writer is the exact inverse of the reader.
 
 JSON-only names are field metadata, declared once on the dataclass:
 ``{"json": "n"}`` stores a field under another key, and a dotted key
@@ -22,11 +23,11 @@ maps extra JSON spellings to the stored value.  A class attribute
 
 A field's single-value rules are metadata too, checked by
 :func:`check_field_types` after the type: ``{"ge": 1}``, ``"gt"``, ``"le"``
-and ``"lt"`` bound the value (``n_blocks must be >= 1, got 0``), or each
-member of a tuple value, and ``{"choices": (...)}`` lists the values
-allowed (``unknown protocol 'x' (choose from (...))``).  A field that holds
-``None`` is not checked against either.  Rules that relate two fields, or
-two members of one value, stay in the class's ``__post_init__``.
+and ``"lt"`` bound the value (``n_blocks must be >= 1, got 0``), and
+``{"choices": (...)}`` lists the values allowed (``unknown protocol 'x'
+(choose from (...))``).  A field that holds ``None`` is not checked against
+either.  Rules that relate two fields, or the members of a list, stay in
+the class's ``__post_init__``.
 
 Every JSON artifact the package writes goes through :func:`write_json`, in
 the one form of :func:`json_text`: sorted keys, two-space indent, a trailing
@@ -50,7 +51,7 @@ from .errors import ConfigError, DataFormatError
 
 _NONE = type(None)
 # Exact types that satisfy each scalar annotation at once; other values
-# (numpy scalars, tuples, lists, nested configs) take the slower ``_matches``.
+# (numpy scalars, lists, nested configs) take the slower ``_matches``.
 _EXACT = {int: (int,), float: (float, int), str: (str,), bool: (bool,), _NONE: (_NONE,)}
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}  # for Python callers
 _NO = object()  # a JSON value that does not read as the annotated type
@@ -71,8 +72,8 @@ def _alternatives(tp) -> tuple:
 
 @functools.cache
 def _schema(cls) -> tuple[list, dict]:
-    """One row ``(field, group, key, alternatives, exact types, bounds,
-    choices)`` per field, nested configs last so that they can inherit the
+    """One row ``(field, group, key, type, exact types, bounds, choices)``
+    per field, nested configs last so that they can inherit the
     seed, and the JSON keys of each group ("" is the top level).  ``bounds``
     holds one ``(test, symbol, limit)`` per bound the field declares."""
     hints = typing.get_type_hints(cls)
@@ -81,12 +82,12 @@ def _schema(cls) -> tuple[list, dict]:
         group, _, key = f.metadata.get("json", f.name).rpartition(".")
         groups.setdefault(group, set()).add(key)
         groups[""].add(group or key)
-        kinds = _alternatives(hints[f.name])
-        exact = {t for k in kinds for t in _EXACT.get(k, ())}
-        exact.update(k for k in kinds if dataclasses.is_dataclass(k))
+        tp = hints[f.name]
+        exact = {t for k in _alternatives(tp) for t in _EXACT.get(k, ())}
+        exact.update(k for k in _alternatives(tp) if dataclasses.is_dataclass(k))
         bounds = tuple((op, sym, f.metadata[k]) for k, op, sym in _BOUNDS if k in f.metadata)
-        rows.append((f, group, key, kinds, frozenset(exact), bounds, f.metadata.get("choices")))
-    rows.sort(key=lambda r: any(dataclasses.is_dataclass(k) for k in r[3]))
+        rows.append((f, group, key, tp, frozenset(exact), bounds, f.metadata.get("choices")))
+    rows.sort(key=lambda r: any(dataclasses.is_dataclass(k) for k in _alternatives(r[3])))
     return rows, groups
 
 
@@ -97,12 +98,6 @@ def _matches(value, tp) -> bool:
     if tp in _NUMBERS:
         return isinstance(value, _NUMBERS[tp]) and not isinstance(value, bool)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple:
-        return (
-            isinstance(value, tuple)
-            and len(value) == len(args)
-            and all(map(_matches, value, args))
-        )
     if origin is list:
         return isinstance(value, list) and all(_matches(v, args[0]) for v in value)
     if origin is dict:
@@ -116,7 +111,7 @@ def _finite(value) -> bool:
     # exact types first: a numbers ABC check costs about a microsecond
     if type(value) is float:
         return math.isfinite(value)
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, list):
         return all(map(_finite, value))
     if type(value) in (int, str, bool, _NONE) or isinstance(value, numbers.Integral):
         return True  # an int may be too large for math.isfinite
@@ -126,11 +121,11 @@ def _finite(value) -> bool:
 def check_field_types(obj) -> None:
     """Raise ConfigError when a field of the dataclass ``obj`` holds a value
     of none of its annotated types (numpy scalars count as numbers), a NaN
-    or infinity, alone or in a tuple or list, or a value its declared
-    bounds or choices refuse."""
-    for f, _, _, kinds, exact, bounds, choices in _schema(type(obj))[0]:
+    or infinity, alone or in a list, or a value its declared bounds or
+    choices refuse."""
+    for f, _, _, tp, exact, bounds, choices in _schema(type(obj))[0]:
         value = getattr(obj, f.name)
-        if type(value) not in exact and not any(_matches(value, k) for k in kinds):
+        if type(value) not in exact and not _matches(value, tp):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not _finite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
@@ -139,9 +134,8 @@ def check_field_types(obj) -> None:
         if choices is not None and value not in choices:
             raise ConfigError(f"unknown {f.name} {value!r} (choose from {choices})")
         for test, sym, limit in bounds:
-            for v in value if type(value) is tuple else (value,):
-                if not test(v, limit):
-                    raise ConfigError(f"{f.name} must be {sym} {limit}, got {v!r}")
+            if not test(value, limit):
+                raise ConfigError(f"{f.name} must be {sym} {limit}, got {value!r}")
 
 
 def _read_value(value, tp, inherited: dict, where: str):
@@ -157,20 +151,12 @@ def _read_value(value, tp, inherited: dict, where: str):
         return value if type(value) is tp else _NO
     if dataclasses.is_dataclass(tp):
         return _read(tp, value, inherited, where) if type(value) is dict else _NO
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple or origin is list:
-        if type(value) is not list or (origin is tuple and len(value) != len(args)):
+    if typing.get_origin(tp) is list:
+        if type(value) is not list:
             return _NO
-        kinds = args if origin is tuple else args * len(value)
-        items = [_read_value(v, k, inherited, where) for v, k in zip(value, kinds)]
-        if any(item is _NO for item in items):
-            return _NO
-        return tuple(items) if origin is tuple else items
-    return _read_any(value, _alternatives(tp), inherited, where)
-
-
-def _read_any(value, kinds: tuple, inherited: dict, where: str):
-    for kind in kinds:
+        items = [_read_value(v, typing.get_args(tp)[0], inherited, where) for v in value]
+        return _NO if any(item is _NO for item in items) else items
+    for kind in _alternatives(tp):  # a union: its first type that reads the value
         out = _read_value(value, kind, inherited, where)
         if out is not _NO:
             return out
@@ -196,7 +182,7 @@ def _read(cls, data, defaults: dict, where: str):
     if version is not None and (type(version) is not int or version != cls.JSON_VERSION):
         raise ConfigError(f"unsupported config version {version!r}")
     kwargs = {}
-    for f, group, key, kinds, *_ in rows:
+    for f, group, key, tp, *_ in rows:
         section, qual = sections[group], ".".join(p for p in (where, group, key) if p)
         if key not in section:
             kwargs[f.name] = defaults.get(f.name, f.default)
@@ -207,7 +193,7 @@ def _read(cls, data, defaults: dict, where: str):
         if type(value) is str:
             value = f.metadata.get("spellings", {}).get(value, value)
         inherited = {"seed": kwargs["seed"]} if "seed" in kwargs else {}
-        kwargs[f.name] = _read_any(value, kinds, inherited, qual)
+        kwargs[f.name] = _read_value(value, tp, inherited, qual)
         if kwargs[f.name] is _NO:
             raise ConfigError(f"{qual} must be {f.type}, got {value!r}")
     return cls(**kwargs)
@@ -222,9 +208,7 @@ def from_json(cls, data, defaults: dict | None = None):
 def _write_value(value):
     if dataclasses.is_dataclass(value):
         return to_json(value)
-    if isinstance(value, (tuple, list)):
-        return [_write_value(v) for v in value]
-    return value
+    return list(value) if isinstance(value, list) else value
 
 
 def to_json(obj) -> dict:

@@ -11,10 +11,11 @@ Two on-disk formats are supported, chosen by the file suffix:
   passed through :func:`align_labels` before their dense ids can be
   compared. Coordinates are written with 17 significant digits, so a
   save/load cycle reproduces every float64 exactly.
-* A binary format (magic ``GCPE``, any other suffix) storing UTF-8 ids and
-  vectors as little-endian float64, which round-trips bit-exactly.
+* A binary format (magic ``GCPE``, any other suffix) storing UTF-8 ids, 32-bit
+  class and camera ids and float64 vectors, which round-trips bit-exactly; it
+  refuses labels that are not their ids in decimal (a CSV class ``alice``).
 
-Text that is not UTF-8 is a ``DataFormatError`` in either format.
+Text that is not UTF-8, read or to be written, is a ``DataFormatError``.
 
 ``EmbeddingSet`` is stored as read-only columns (features, ids, class and
 camera labels) and checked and indexed a column at a time; the pipeline and
@@ -470,26 +471,32 @@ def _load_csv(path: Path) -> EmbeddingSet:
 def _save_csv(eset: EmbeddingSet, path: Path) -> None:
     """Write the set as CSV; raises before writing when the set has no
     feature columns or an id or label holds a comma or line break, which the
-    reader could not read back."""
+    reader could not read back, or text UTF-8 cannot encode."""
     if eset.dim == 0:
         raise DataFormatError("a set of zero-width vectors cannot be written to CSV")
-    class_names = eset.class_names or {}
-    camera_names = eset.camera_names or {}
+    class_names, camera_names = _labels_of(eset, "class"), _labels_of(eset, "camera")
     heads = []
     for rec_id, cls, cam in zip(eset.ids, eset.row_classes.tolist(), eset.row_cameras.tolist()):
-        head = f"{rec_id},{class_names.get(cls, cls)},{camera_names.get(cam, cam)}"
+        head = f"{rec_id},{class_names[cls]},{camera_names[cam]}"
         if head.count(",") != 2 or "\n" in head or "\r" in head:
             raise DataFormatError(
                 f"record {rec_id!r}: a comma or line break in its id or labels "
                 "cannot be written to CSV"
             )
-        heads.append(head)
-    with open(path, "w", encoding="utf-8") as fh:
+        heads.append(_utf8(head, rec_id))
+    with open(path, "wb") as fh:
         cols = ",".join(f"f{i}" for i in range(eset.dim))
-        fh.write(f"id,class,camera,{cols}\n")
+        fh.write(f"id,class,camera,{cols}\n".encode())
         for head, vector in zip(heads, eset.features):
             coords = ",".join(f"{v:.17g}" for v in vector)
-            fh.write(f"{head},{coords}\n")
+            fh.write(head + f",{coords}\n".encode())
+
+
+def _utf8(text: str, rec_id: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise DataFormatError(f"record {rec_id!r}: its id or labels are not UTF-8 text") from None
 
 
 # -- binary -------------------------------------------------------------
@@ -540,12 +547,16 @@ def _load_binary(path: Path) -> EmbeddingSet:
 
 
 def _save_binary(eset: EmbeddingSet, path: Path) -> None:
-    wide = np.flatnonzero((eset.row_classes >= 2**32) | (eset.row_cameras >= 2**32))
-    if len(wide):  # the format stores labels as 32-bit fields
-        raise DataFormatError(
-            f"record {eset.ids[wide[0]]!r}: a label of 2**32 or more cannot be written to .gcpe"
-        )
-    ids = [rec_id.encode("utf-8") for rec_id in eset.ids]  # may raise: before opening
+    for kind, column in (("class", eset.row_classes), ("camera", eset.row_cameras)):
+        labels = _labels_of(eset, kind)
+        bad = [i for i, label in labels.items() if label != str(i) or i >= 2**32]
+        if bad:
+            raise DataFormatError(
+                f"record {eset.ids[np.flatnonzero(column == bad[0])[0]]!r}: {kind} "
+                f"{labels[bad[0]]!r} (dense id {bad[0]}) cannot be written to .gcpe, "
+                "which stores 32-bit ids and no names"
+            )
+    ids = [_utf8(rec_id, rec_id) for rec_id in eset.ids]
     with open(path, "wb") as fh:  # record by record: the coordinates are held once
         fh.write(BINARY_MAGIC + struct.pack("<III", BINARY_VERSION, len(eset), eset.dim))
         for rec_id, cls, cam, vec in zip(ids, eset.row_classes, eset.row_cameras, eset.features):
@@ -582,8 +593,8 @@ def build_set(
 
 
 def _labels_of(eset: EmbeddingSet, kind: str) -> dict[int, str]:
-    # A set without a stored mapping labels its ids by their decimal form,
-    # matching what _save_csv writes for it.
+    # A set without a stored mapping labels its ids by their decimal form.
+    # _save_csv writes these labels; _save_binary refuses any but that form.
     names = (eset.class_names if kind == "class" else eset.camera_names) or {}
     column = eset.row_classes if kind == "class" else eset.row_cameras
     return {i: names.get(i, str(i)) for i in np.unique(column).tolist()}

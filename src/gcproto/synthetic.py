@@ -44,8 +44,7 @@ from .store import EmbeddingSet
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_classes: int = field(default=200, metadata={"ge": 1})
-    # fixed, or (lo, hi) sizes
-    instances_per_class: int | tuple[int, int] = field(default=8, metadata={"ge": 1})
+    instances_per_class: int = field(default=8, metadata={"ge": 1})
     dim: int = field(default=32, metadata={"ge": 1})
     n_cameras: int = field(default=4, metadata={"ge": 1})
     class_center_scale: float = field(default=10.0, metadata={"gt": 0.0})
@@ -59,16 +58,6 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        sizes = self.instances_per_class
-        if isinstance(sizes, tuple) and sizes[1] < sizes[0]:
-            raise ConfigError(f"instances_per_class range (lo, hi) must have lo <= hi, got {sizes}")
-
-
-def _class_sizes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec.instances_per_class, tuple):
-        lo, hi = spec.instances_per_class
-        return rng.integers(lo, hi + 1, size=spec.n_classes)
-    return np.full(spec.n_classes, spec.instances_per_class, dtype=np.int64)
 
 
 def _draw_records(
@@ -133,7 +122,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EmbeddingSet, EmbeddingSet]
             0.0, 1.0, (spec.n_classes, spec.dim)
         )
         axes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    sizes = _class_sizes(spec, substream(spec.seed, "synthetic.sizes"))
+    sizes = np.full(spec.n_classes, spec.instances_per_class, dtype=np.int64)
     q_sizes = np.full(spec.n_classes, spec.queries_per_class, dtype=np.int64)
     sets = []
     for prefix, stream, counts in (("g", "gallery", sizes), ("q", "queries", q_sizes)):

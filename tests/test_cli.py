@@ -20,7 +20,7 @@ from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig, load_prototypes
 from gcproto.model import GcpConfig, load_model, save_model, train
 from gcproto.schema import from_json, read_json_object, to_json
 from gcproto.selectors import SelectorConfig
-from gcproto.store import METHODS, load_embedding_set, save_embedding_set
+from gcproto.store import METHODS, save_embedding_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
 
 TINY_GCP = {
@@ -88,6 +88,19 @@ class TestGen:
         rc, err = cli([command, "--config", path, "--out", tmp_path / "out"])
         assert (rc, err.count("\n")) == (1, 1), err
         assert err.startswith("error:config: unknown ") and repr(key) in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    def test_ranged_class_size_is_one_config_line(self, tmp_path, command):
+        # an older config holding an (lo, hi) class-size range
+        spec = {**SMALL_SPEC, "instances_per_class": [4, 9]}
+        if command == "eval":
+            spec = {"data": {"synthetic": spec}, "selector": {"method": "centroid"}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        rc, err = cli([command, "--config", path, "--out", tmp_path / "out"])
+        assert (rc, err.count("\n")) == (1, 1), err
+        assert err.startswith("error:config: ") and "instances_per_class" in err, err
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_data(self, tmp_path):
@@ -334,8 +347,10 @@ class TestEval:
 
     @pytest.mark.parametrize("damaged", ["data", "checkpoint"])
     def test_trailing_bytes_print_one_error_line(self, datadir, capsys, damaged):
+        # the generated gallery, whose labels are its ids: the CSV file names
+        # cameras in order of appearance, which .gcpe cannot store
         gallery = datadir / "data" / "gallery.gcpe"
-        save_embedding_set(load_embedding_set(datadir / "data" / "gallery.csv"), gallery)
+        save_embedding_set(generate_synthetic(SyntheticSpec(**SMALL_SPEC))[0], gallery)
         args = ["eval", "--data", str(gallery),
                 "--queries", str(datadir / "data" / "queries.csv")]
         if damaged == "checkpoint":
@@ -684,7 +699,10 @@ class TestReadme:
         assert examples
         for example in examples:
             (key, value), = json.loads("{" + example + "}").items()
-            if key == "values":  # the README's refused alpha sweep
+            if key == "values" and all(type(v) is int for v in value):  # an N sweep
+                edited = {**doc, "sweep": {"axis": "n", "values": value}}
+                assert from_json(ExperimentConfig, edited).sweep_values == value
+            elif key == "values":  # the README's refused alpha sweep
                 edited = {**doc, "selector": {"method": "alphafps"},
                           "sweep": {"axis": "alpha", "values": value}}
                 with pytest.raises(ConfigError, match="sweep alpha values"):

@@ -188,6 +188,7 @@ class TestConfigJson:
             ("synthetic", "instances_per_class", [2, "9"]),
             ("gcp", "dim", "8"),
             ("top", "max_rank", "abc"),
+            ("synthetic", "instances_per_class", [4, 9]),  # a class size is one number
         ],
     )
     def test_wrong_typed_field_is_config_error(self, section, key, value):
@@ -217,16 +218,6 @@ class TestConfigJson:
         edit(data)
         with pytest.raises(ConfigError):
             from_json(ExperimentConfig, data)
-
-    def test_ranged_instances_per_class_reads_as_tuple(self, tmp_path):
-        data = cfg_for().to_json_dict()
-        data["data"]["synthetic"]["instances_per_class"] = [4, 9]
-        cfg = from_json(ExperimentConfig, data)
-        assert cfg.synthetic.instances_per_class == (4, 9)
-        # and the resolved config it writes loads back to the same config
-        run_experiment(cfg, out_dir=tmp_path)
-        resolved = read_json_object(tmp_path / "resolved_config.json")
-        assert from_json(ExperimentConfig, resolved) == cfg
 
     def test_integer_in_float_field_echoes_as_float_in_every_section(self):
         data = cfg_for(method="gcp", gcp=TINY_GCP).to_json_dict()

@@ -576,6 +576,59 @@ class TestBinaryIo:
             load_embedding_set(path)
 
 
+class TestWriterRefusals:
+    # both writers check every id and label before opening the file, so a
+    # refused set leaves a file already at the path as it was
+
+    @pytest.mark.parametrize("suffix", [".csv", ".gcpe"])
+    @pytest.mark.parametrize("field", ["id", "class", "camera"])
+    def test_text_utf8_cannot_encode(self, tmp_path, suffix, field):
+        bad = {"id": "a\ud800", "class": "x\udcff", "camera": "c\udfff"}[field]
+        rec_id = bad if field == "id" else "r0"
+        es = EmbeddingSet(
+            [EmbeddingRecord(rec_id, np.zeros(2), 0, 0), EmbeddingRecord("r1", np.ones(2), 1, 0)],
+            class_names={0: bad if field == "class" else "0", 1: "1"},
+            camera_names={0: bad if field == "camera" else "0"},
+        )
+        path = tmp_path / f"x{suffix}"
+        path.write_bytes(b"kept")
+        with pytest.raises(DataFormatError, match=f"^record {re.escape(repr(rec_id))}: "):
+            save_embedding_set(es, path)
+        assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("column", ["class", "camera"])
+    def test_gcpe_refuses_labels_it_would_rename(self, tmp_path, column):
+        # .gcpe stores dense ids only: a CSV gallery of alice and bob would
+        # reload with classes "0" and "1", and align_labels would then give
+        # the queries' alice and bob new ids that match no gallery class
+        rows = {"class": ["g0,alice,0,0.0\n", "g1,bob,1,1.0\n"],
+                "camera": ["g0,0,cam-a,0.0\n", "g1,1,cam-b,1.0\n"]}[column]
+        (tmp_path / "gallery.csv").write_text("id,class,camera,f0\n" + "".join(rows))
+        gallery = load_embedding_set(tmp_path / "gallery.csv")
+        message = rf"^record 'g0': {column} '(alice|cam-a)' \(dense id 0\) cannot"
+        with pytest.raises(DataFormatError, match=message):
+            save_embedding_set(gallery, tmp_path / "g.gcpe")
+        assert not (tmp_path / "g.gcpe").exists()
+
+    def test_gcpe_keeps_nameless_and_decimal_sets(self, tmp_path):
+        nameless = build_set(np.arange(3.0).reshape(3, 1), [1, 0, 1], [1, 0, 0])
+        save_embedding_set(nameless, tmp_path / "n.gcpe")
+        back = load_embedding_set(tmp_path / "n.gcpe")
+        assert back.row_classes.tolist() == [1, 0, 1] and back.row_cameras.tolist() == [1, 0, 0]
+        # decimal labels met in another order are dense ids named "1", "0":
+        # refused as read, written once aligned with a decimal reference
+        (tmp_path / "q.csv").write_text("id,class,camera,f0\nq0,1,1,0.5\nq1,0,0,1.5\n")
+        queries = load_embedding_set(tmp_path / "q.csv")
+        with pytest.raises(DataFormatError, match=r"^record 'q0': class '1' \(dense id 0\) cannot"):
+            save_embedding_set(queries, tmp_path / "q.gcpe")
+        aligned = align_labels(nameless, queries)
+        save_embedding_set(aligned, tmp_path / "q.gcpe")
+        back = align_labels(nameless, load_embedding_set(tmp_path / "q.gcpe"))
+        assert back.row_classes.tolist() == aligned.row_classes.tolist() == [1, 0]
+        assert back.row_cameras.tolist() == aligned.row_cameras.tolist() == [1, 0]
+        np.testing.assert_array_equal(back.features, queries.features)
+
+
 class TestPrototypeSet:
     def test_flattened_layout(self):
         pset = PrototypeSet(

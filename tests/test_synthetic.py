@@ -47,15 +47,6 @@ class TestGeneration:
         assert gallery.class_ids == list(range(6))
         assert all(0 <= r.camera_id < 3 for r in gallery.records)
 
-    def test_variable_class_sizes(self):
-        spec = SyntheticSpec(
-            n_classes=40, instances_per_class=(2, 9), dim=4, seed=5
-        )
-        gallery, _ = generate_synthetic(spec)
-        sizes = {gallery.class_size(c) for c in gallery.class_ids}
-        assert sizes <= set(range(2, 10))
-        assert len(sizes) > 1
-
     def test_zero_noise_collapses_to_center_plus_offset(self):
         spec = SyntheticSpec(
             n_classes=3, instances_per_class=4, dim=5, n_cameras=1,
@@ -91,8 +82,8 @@ class TestGeneration:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(n_classes=0)
-        with pytest.raises(ConfigError):
-            SyntheticSpec(instances_per_class=(5, 2))
+        with pytest.raises(ConfigError, match="instances_per_class"):
+            SyntheticSpec(instances_per_class=(2, 5))  # a size range, no longer read
         with pytest.raises(ConfigError):
             SyntheticSpec(within_class_noise=-1.0)
         with pytest.raises(ConfigError):
@@ -108,10 +99,10 @@ def set_digest(eset) -> str:
     return h.hexdigest()
 
 
-# Elongated on a chain with ranged sizes and a slide floor: every branch of
-# the per-record draw.
+# Elongated on a chain with a slide floor: every branch of the per-record
+# draw.
 SHAPED = SyntheticSpec(
-    n_classes=5, instances_per_class=(3, 7), dim=6, n_cameras=3,
+    n_classes=5, instances_per_class=5, dim=6, n_cameras=3,
     elongation_scale=1.25, elongation_floor=0.2, chain_spacing=1.0,
     queries_per_class=2, seed=4,
 )
@@ -130,7 +121,7 @@ class TestPinnedData:
             ),
             (
                 SHAPED,
-                "2f5a231490242b83e80ce0a807602e48834d19f850b6a4955b7d3d0df643304c",
+                "e56fd051c157789dae28b9a59eb68e3461933ff54a36089c72062afa3d713885",
                 "df1c9416dcc6e3ded03a996031a64eee79808656fefacd804ee4631dd407bd5f",
             ),
         ],
@@ -161,12 +152,11 @@ def per_record_draw(spec, rng, centers, offsets, axes, sizes):
 
 @st.composite
 def specs(draw):
-    """Specs over every branch of the draw: fixed or ranged sizes, no
-    elongation, free or chained centers, and zero noise."""
-    size = st.integers(1, 5)
+    """Specs over every branch of the draw: no elongation, free or chained
+    centers, and zero noise."""
     return SyntheticSpec(
         n_classes=draw(st.integers(1, 5)),
-        instances_per_class=draw(size | st.tuples(size, size).map(lambda t: tuple(sorted(t)))),
+        instances_per_class=draw(st.integers(1, 5)),
         dim=draw(st.integers(1, 6)),
         n_cameras=draw(st.integers(1, 4)),
         within_class_noise=draw(st.just(0.0) | st.floats(0.0, 2.0)),
