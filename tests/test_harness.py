@@ -188,7 +188,6 @@ class TestConfigJson:
             ("synthetic", "instances_per_class", [2, "9"]),
             ("gcp", "dim", "8"),
             ("top", "max_rank", "abc"),
-            ("synthetic", "instances_per_class", [4, 9]),  # a class size is one number
         ],
     )
     def test_wrong_typed_field_is_config_error(self, section, key, value):
@@ -198,6 +197,13 @@ class TestConfigJson:
         }.get(section, data.get(section))
         target[key] = value
         with pytest.raises(ConfigError):
+            from_json(ExperimentConfig, data)
+
+    def test_class_size_range_is_config_error(self):
+        # A class size is one number; a [lo, hi] range is refused, not read.
+        data = cfg_for(method="gcp", gcp=TINY_GCP, sweep_axis="n", sweep_values=[1]).to_json_dict()
+        data["data"]["synthetic"]["instances_per_class"] = [4, 9]
+        with pytest.raises(ConfigError, match="instances_per_class"):
             from_json(ExperimentConfig, data)
 
     @pytest.mark.parametrize(
