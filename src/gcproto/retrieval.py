@@ -305,9 +305,7 @@ def evaluate(
     check_max_rank(max_rank)
     if ap_mode not in AP_MODES:
         raise ConfigError(f"unknown ap_mode {ap_mode!r} (choose from {AP_MODES})")
-    n = len(queries)
-    if n == 0:
-        raise ConfigError("no queries to evaluate")
+    n = len(queries)  # an EmbeddingSet is never empty
     groups = _as_pset_groups(queries, prototypes_per_query)
     classes = queries.row_classes.tolist()
     # queries of every group with one base share its GEMM, and a derived

@@ -20,7 +20,11 @@ the lowest-index farthest point not yet picked, as a scan over the
 remaining ones would.  Only a non-finite prototype, which ``PrototypeSet``
 refuses, can make a distance NaN and undo that mark.  A distance that
 overflows is ``inf`` without a warning: :func:`class_prototypes` runs
-each selector under one ``np.errstate``.
+each selector under one ``np.errstate``.  Each farthest-point selection
+makes one distance pass per selected row, the centroid or seed first,
+except the last row, whose distances nothing reads: ``min(n, m)`` passes
+for interpolated sampling of m >= 2 points, ``min(n, m) - 1`` for
+:func:`maximin_selection`.
 k-means and the learned generator's negative mining share one
 squared-distance kernel, :func:`ordered_sq_dists`.
 """
@@ -121,11 +125,10 @@ def maximin_selection(points: np.ndarray, n: int, start_index: int) -> list[int]
     n = min(n, points.shape[0])
     chosen = [start_index]
     diff, d_new = np.empty(points.shape), np.empty(points.shape[0])
-    min_d = row_dists(points, points[start_index], diff)
+    min_d = np.full(points.shape[0], np.inf)  # the distance to no pick at all
     while len(chosen) < n:
-        nxt = int(min_d.argmax())
-        chosen.append(nxt)
-        np.minimum(min_d, row_dists(points, points[nxt], diff, d_new), out=min_d)
+        np.minimum(min_d, row_dists(points, points[chosen[-1]], diff, d_new), out=min_d)
+        chosen.append(int(min_d.argmax()))
     return chosen
 
 
@@ -141,7 +144,7 @@ def alpha_fps_points(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
     if m < 2:
         return points.mean(axis=0, keepdims=True)
     out = np.empty((min(n, m) + 1, points.shape[1]))
-    out[0] = points.mean(axis=0)
+    np.divide(np.add.reduce(points, axis=0), m, out=out[0])  # ``points.mean(axis=0)``
     diff, d_new = np.empty(points.shape), np.empty(m)
     # min distance from each point to the prototypes, -inf once picked, and
     # the row of ``out`` holding its nearest prototype, kept incrementally
@@ -149,11 +152,13 @@ def alpha_fps_points(points: np.ndarray, n: int, alpha: float) -> np.ndarray:
     near_idx = np.zeros(m, dtype=np.int64)
     for t in range(1, len(out)):
         pick = int(d_near.argmax())
-        d_near[pick] = -np.inf
-        p = out[near_idx[pick]]
         # convex-combination form so alpha=0 yields the raw point and
         # alpha=1 duplicates the nearest prototype, both bit-exactly
-        out[t] = alpha * p + (1.0 - alpha) * points[pick]
+        np.multiply(out[near_idx[pick]], alpha, out=out[t])
+        out[t] += (1.0 - alpha) * points[pick]
+        if t == len(out) - 1:
+            break  # nothing reads the distances to the last row
+        d_near[pick] = -np.inf
         row_dists(points, out[t], diff, d_new)
         near_idx[d_new < d_near] = t
         np.minimum(d_near, d_new, out=d_near)
@@ -184,7 +189,7 @@ def kmeans(
     n = points.shape[0]
     k = min(k, n)
     start = int(rng.integers(n))
-    centroids = points[maximin_selection(points, k, start)].astype(np.float64)
+    centroids = points[maximin_selection(points, k, start)].astype(np.float64, copy=False)
     spread = float(np.max(row_dists(points, points.mean(axis=0))))
     limit = tol * spread if spread < np.inf else 0.0
 

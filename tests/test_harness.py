@@ -602,6 +602,35 @@ class TestCameraFilter:
         assert flags[(1, 1)] is False
         assert result.report.top1 == 1.0
 
+    def test_query_class_absent_from_gallery(self, tmp_path):
+        # class 2 has two queries and no gallery row: its group keeps the
+        # base set, both queries are listed, and no size bucket counts them
+        vecs = np.vstack([np.zeros((3, 4)), np.ones((3, 4)) * 8])
+        gallery = build_set(vecs, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2])
+        queries = build_set(
+            np.array([[0.1, 0, 0, 0], [7.9, 8, 8, 8], [4, 4, 4, 4], [5, 5, 5, 5]]),
+            [0, 1, 2, 2], [0, 1, 1, 1], id_prefix="q",
+        )
+        gpath, qpath = tmp_path / "g.csv", tmp_path / "q.csv"
+        save_embedding_set(gallery, gpath)
+        save_embedding_set(queries, qpath)
+        cfg = ExperimentConfig(
+            selector=SelectorConfig(method="alphafps", n_prototypes=2),
+            data_path=str(gpath), queries_path=str(qpath),
+            protocol="camera-filter", group_buckets=["1-3", "4+"],
+        )
+        result = run_experiment(cfg)
+        absent = [g for g in result.camera_groups if g.get("absent")]
+        assert absent == [{"class": 2, "camera": 1, "fallback": False, "absent": True}]
+        assert len(result.camera_groups) == 3
+        report = result.report
+        assert report.missing_class_query_ids == ["q2", "q3"]
+        assert report.n_queries == 4
+        assert report.per_group == {
+            "1-3": {"count": 2, "map": 1.0}, "4+": {"count": 0, "map": None},
+        }
+        assert report.map == 0.5
+
     def test_filter_changes_report_when_offsets_matter(self):
         strong = SyntheticSpec(
             **{**SMALL.__dict__, "camera_offset_scale": 3.0}

@@ -303,6 +303,60 @@ class TestBufferedSelectorsMatchOracle:
         assert maximin_selection(pts, n, start) == maximin_selection_oracle(pts, n, start)
 
 
+class TestFarthestPointPrefixesAndPasses:
+    """Selecting k is truncating a selection of any N >= k, and each
+    selection makes one distance pass per row but its last."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=point_sets(),
+        k=st.integers(1, 12),
+        extra=st.integers(0, 6),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+    )
+    @example(pts=DUPLICATES, k=2, extra=3, alpha=0.5)
+    @example(pts=SQUARE, k=4, extra=0, alpha=0.25)
+    def test_alpha_fps_prefix(self, pts, k, extra, alpha):
+        want = alpha_fps_points(pts, k + extra, alpha)[: min(k, len(pts)) + 1]
+        assert _same_bits(alpha_fps_points(pts, k, alpha), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=point_sets(), k=st.integers(1, 12), extra=st.integers(0, 6), start=st.integers(0, 9))
+    @example(pts=DUPLICATES, k=2, extra=3, start=0)
+    @example(pts=SQUARE, k=1, extra=3, start=2)
+    def test_maximin_prefix(self, pts, k, extra, start):
+        start %= len(pts)
+        assert maximin_selection(pts, k, start) == maximin_selection(pts, k + extra, start)[:k]
+
+    @staticmethod
+    def counted_passes(monkeypatch) -> list[int]:
+        calls = []
+        real = selectors.row_dists
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(selectors, "row_dists", counted)
+        return calls
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 5), (5, 1), (5, 3), (5, 5), (9, 20)])
+    def test_pass_counts(self, monkeypatch, m, n):
+        pts = np.random.default_rng(m * 31 + n).normal(size=(m, 3))
+        calls = self.counted_passes(monkeypatch)
+        assert len(alpha_fps_points(pts, n, 0.5)) == min(n, m) + 1
+        assert len(calls) == min(n, m)
+        calls.clear()
+        assert len(maximin_selection(pts, n, m - 1)) == min(n, m)
+        assert len(calls) == min(n, m) - 1
+
+    def test_single_point_makes_no_pass(self, monkeypatch):
+        calls = self.counted_passes(monkeypatch)
+        alpha_fps_points(np.ones((1, 4)), 3, 0.5)
+        maximin_selection(np.ones((1, 4)), 3, 0)
+        assert calls == []
+
+
 class TestKmeans:
     def test_k1_equals_mean(self):
         rng = np.random.default_rng(51)

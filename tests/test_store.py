@@ -297,6 +297,13 @@ class TestCsvIo:
         with pytest.raises(MissingColumnError):
             load_embedding_set(path)
 
+    def test_misordered_header(self, tmp_path):
+        # every column is there, but not as id,class,camera
+        path = tmp_path / "bad.csv"
+        path.write_text("class,id,camera,f0\n0,a,0,1.0\n")
+        with pytest.raises(MissingColumnError, match="must start with id,class,camera"):
+            load_embedding_set(path)
+
     def test_no_feature_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,class,camera\na,0,0\n")
@@ -548,6 +555,32 @@ class TestBinaryIo:
         path = tmp_path / "x.gcpe"
         save_embedding_set(es, path)
         path.write_bytes(path.read_bytes()[:-9])
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_embedding_set(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "x.gcpe"
+        save_embedding_set(build_set(np.ones((2, 3)), [0, 1], [0, 0]), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 4, 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="unsupported version 2"):
+            load_embedding_set(path)
+
+    def test_zero_records(self, tmp_path):
+        path = tmp_path / "x.gcpe"
+        path.write_bytes(b"GCPE" + struct.pack("<III", 1, 0, 3))
+        with pytest.raises(EmptyFileError, match="zero records"):
+            load_embedding_set(path)
+
+    # two records with 41-byte ids, 77 bytes each, far past the 36 a record
+    # of dim 3 needs at least: the file's size passes the up-front check and
+    # the record loop meets the cut, in the last vector or in its labels
+    @pytest.mark.parametrize("cut", [4, 28], ids=["vector", "labels"])
+    def test_record_cut_short_is_truncated(self, tmp_path, cut):
+        path = tmp_path / "x.gcpe"
+        save_embedding_set(build_set(np.ones((2, 3)), [0, 1], [0, 0], id_prefix="x" * 40), path)
+        path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(DataFormatError, match="truncated"):
             load_embedding_set(path)
 
