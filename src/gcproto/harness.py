@@ -4,8 +4,11 @@ A run is described by one JSON document (versioned, schema below), resolved
 into an ``ExperimentConfig``.  Pipelines share the same building blocks:
 resolve data (file, synthetic spec, or named preset), build prototypes with
 the configured selector, evaluate, and write artifacts (report JSON/CSV,
-prototype sets, checkpoints, resolved config).  Every written artifact
-reloads to the in-memory values bit-exactly.
+prototype sets, checkpoints, resolved config).  Every float a written
+artifact holds is the in-memory value bit for bit: ``json.loads`` of
+``report.json`` equals ``asdict(report)``, each entry of
+``prototypes.json``'s ``"classes"`` equals its class's prototype rows, and
+the config and checkpoint reload through their readers to equal values.
 
 Config schema (top-level keys; ``gcproto.schema`` reads and writes it)::
 
@@ -57,7 +60,7 @@ base's rows of the class.
 from __future__ import annotations
 
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +84,11 @@ from .retrieval import (
     evaluate,
     parse_buckets,
     report_to_csv,
+    report_to_json,
 )
-from .schema import check_field_types, csv_text, read_json_object, to_json, write_json
+from .schema import check_field_types, csv_text, to_json, write_json
 from .selectors import SelectorConfig, class_prototypes, run_selector
-from .store import METHOD_SPELLINGS, EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
+from .store import EmbeddingSet, PrototypeSet, align_labels, load_embedding_set
 from .synthetic import PRESETS, SyntheticSpec, generate_synthetic, preset_spec
 
 PROTOCOL_CHOICES = ("plain", "camera-filter")
@@ -147,8 +151,9 @@ PROTO_VERSION = 1
 
 
 def save_prototypes(pset: PrototypeSet, path) -> None:
-    """Write ``pset`` as JSON; raises before writing when a class has no
-    rows, which the reader could not load back as a 2-D array."""
+    """Write ``pset`` as JSON, each class's rows under its id as a list of
+    lists of floats; raises before writing when a class has no rows, whose
+    empty list would lose the rows' width."""
     empty = [c for c in pset.class_ids if not len(pset.per_class[c])]
     if empty:
         raise DataFormatError(f"class {empty[0]} has no prototypes; cannot write it")
@@ -160,34 +165,6 @@ def save_prototypes(pset: PrototypeSet, path) -> None:
         "classes": {str(c): pset.per_class[c].tolist() for c in pset.class_ids},
     }
     write_json(path, data)
-
-
-def load_prototypes(path) -> PrototypeSet:
-    """The set ``save_prototypes`` wrote; an older selector spelling reads as its method."""
-    data = read_json_object(path)
-    if data.get("format") != PROTO_FORMAT:
-        raise DataFormatError(f"{path}: not a prototype file")
-    if data.get("version") != PROTO_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {data.get('version')}")
-    if not isinstance(data.get("selector"), str) or not isinstance(data.get("classes"), dict):
-        raise DataFormatError(f"{path}: needs a 'selector' string and a 'classes' object")
-    if not isinstance(data.get("params_echo", {}), dict):
-        raise DataFormatError(f"{path}: 'params_echo' must be an object")
-    try:
-        per_class = {
-            int(c): np.array(rows, dtype=np.float64)
-            for c, rows in data["classes"].items()
-        }
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad class id or prototype rows ({exc})") from None
-    # one spelling per id, else "1" and "01" would both load as class 1
-    bad = [c for c in data["classes"] if str(int(c)) != c]
-    if bad:
-        raise DataFormatError(f"{path}: class id {bad[0]!r} is not a canonical integer")
-    if any(not -(2**63) <= c < 2**63 for c in per_class):
-        raise DataFormatError(f"{path}: a class id does not fit a 64-bit integer")
-    tag = METHOD_SPELLINGS.get(data["selector"], data["selector"])
-    return PrototypeSet(per_class, tag, data.get("params_echo", {}))
 
 
 # -- pipeline building blocks -------------------------------------------
@@ -350,7 +327,7 @@ def _write_artifacts(
         artifacts[name] = str(out / name)
         return out / name
 
-    write_json(written("report.json"), asdict(result.report))
+    written("report.json").write_text(report_to_json(result.report), encoding="utf-8")
     written("report.csv").write_text(report_to_csv(result.report), encoding="utf-8")
     save_prototypes(result.prototypes, written("prototypes.json"))
     write_json(written("resolved_config.json"), cfg.to_json_dict())

@@ -41,14 +41,13 @@ definitions therefore produces bit-identical mAP and CMC values.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DimensionMismatchError, EmptyPrototypeSetError
-from .schema import check_field_types, csv_text, json_text, parse_json_object
+from .errors import ConfigError, DimensionMismatchError, EmptyPrototypeSetError
+from .schema import csv_text, json_text
 from .selectors import row_dists
 from .store import EmbeddingSet, PrototypeSet
 
@@ -414,47 +413,8 @@ def parse_buckets(labels: Sequence[str]) -> list[tuple[int, float]]:
 
 def report_to_json(report: EvalReport) -> str:
     """The report in the written form of every JSON artifact (``json_text``);
-    reloading reproduces every float bit-exactly."""
+    ``json.loads`` of it equals ``asdict(report)``, every float bit for bit."""
     return json_text(asdict(report))
-
-
-def report_from_json(text: str) -> EvalReport:
-    """The report ``report_to_json`` wrote; DataFormatError unless ``text``
-    is a JSON object with exactly the report's keys, each holding a value
-    of its field's type (``schema.check_field_types``), and the nested
-    values have the shapes ``evaluate`` gives them: a bucket is exactly
-    ``count`` (an int >= 0) and ``map`` (a float or null), a per-query AP
-    is a [str, float] pair, the CMC is non-empty, lies in [0, 1] and never
-    decreases, and ``top1`` is its first value."""
-    data = parse_json_object(text, "report")
-    keys = {f.name for f in fields(EvalReport)}
-    if data.keys() != keys:
-        raise DataFormatError(f"report: keys {sorted(data)}, expected {sorted(keys)}")
-    report = EvalReport(**data)
-    try:
-        check_field_types(report)
-    except ConfigError as exc:
-        raise DataFormatError(f"report: {exc}") from None
-    for label, entry in report.per_group.items():
-        count, ap = entry.get("count"), entry.get("map")
-        if not (
-            entry.keys() == {"count", "map"} and type(count) is int and count >= 0
-            and (ap is None or type(ap) is float and math.isfinite(ap))
-        ):
-            raise DataFormatError(
-                f"report: per_group[{label!r}] must hold count (int >= 0) and map "
-                f"(float or null), got {entry!r}"
-            )
-    for pair in report.per_query_ap or ():
-        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
-                and type(pair[1]) is float):
-            raise DataFormatError(f"report: per_query_ap entry must be [str, float], got {pair!r}")
-    cmc = report.cmc
-    if not cmc or cmc[0] < 0.0 or cmc[-1] > 1.0 or any(b < a for a, b in zip(cmc, cmc[1:])):
-        raise DataFormatError("report: cmc must be non-empty, in [0, 1] and non-decreasing")
-    if report.top1 != cmc[0]:
-        raise DataFormatError(f"report: top1 {report.top1!r} is not cmc[0] {cmc[0]!r}")
-    return report
 
 
 def report_to_csv(report: EvalReport) -> str:

@@ -29,10 +29,11 @@ and ``"lt"`` bound the value (``n_blocks must be >= 1, got 0``), and
 either.  Rules that relate two fields, or the members of a list, stay in
 the class's ``__post_init__``.
 
-Every JSON artifact the package writes goes through :func:`write_json`, in
-the one form of :func:`json_text`: sorted keys, two-space indent, a trailing
-newline, UTF-8.  Its readers raise ``DataFormatError`` unless a file or text
-holds one JSON object.
+Every JSON artifact the package writes is in the one form of
+:func:`json_text`: sorted keys, two-space indent, a trailing newline, UTF-8;
+:func:`write_json` writes it, and ``retrieval.report_to_json`` gives the
+report's.  Its reader, :func:`read_json_object`, raises ``DataFormatError``
+unless a file holds one JSON object.
 """
 
 from __future__ import annotations
@@ -246,18 +247,12 @@ def write_json(path, data) -> None:
     Path(path).write_text(json_text(data), encoding="utf-8")
 
 
-def parse_json_object(text: str | bytes, where) -> dict:
-    """Decode ``text`` (bytes as UTF-8), which must hold one JSON object;
-    errors name ``where``."""
-    try:
-        data = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{where}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise DataFormatError(f"{where}: expected a JSON object")
-    return data
-
-
 def read_json_object(path) -> dict:
-    """Decode the file at ``path``, which must hold one JSON object."""
-    return parse_json_object(Path(path).read_bytes(), path)
+    """Decode the file at ``path`` as UTF-8; it must hold one JSON object."""
+    try:
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    return data

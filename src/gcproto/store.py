@@ -62,7 +62,7 @@ BINARY_MAGIC = b"GCPE"
 BINARY_VERSION = 1
 
 METHODS = ("instance", "centroid", "kcentroid", "fps", "alphafps", "gcp")
-METHOD_SPELLINGS = {"alpha_fps": "alphafps"}  # older files' spelling, still read
+METHOD_SPELLINGS = {"alpha_fps": "alphafps"}  # an older spelling that only configs still read
 
 
 @dataclass(frozen=True)

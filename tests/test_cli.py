@@ -16,7 +16,7 @@ from test_schema import assert_clean_exit, cli, same_files
 import gcproto
 from gcproto.cli import main
 from gcproto.errors import ConfigError
-from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig, load_prototypes
+from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig
 from gcproto.model import GcpConfig, load_model, save_model, train
 from gcproto.schema import from_json, read_json_object, to_json
 from gcproto.selectors import SelectorConfig
@@ -120,8 +120,8 @@ class TestSelect:
             "--method", "centroid", "--out", str(out),
         ])
         assert rc == 0
-        pset = load_prototypes(out)
-        assert {c: len(rows) for c, rows in pset.per_class.items()} == {c: 1 for c in range(4)}
+        classes = read_json_object(out)["classes"]
+        assert {c: len(rows) for c, rows in classes.items()} == {str(c): 1 for c in range(4)}
 
     def test_omitted_flags_keep_selector_config_defaults(self, datadir):
         out = datadir / "protos.json"
@@ -131,7 +131,7 @@ class TestSelect:
         ])
         assert rc == 0
         default = SelectorConfig()
-        assert load_prototypes(out).params_echo == {
+        assert read_json_object(out)["params_echo"] == {
             "method": "alphafps", "n": 2, "alpha": default.alpha,
         }
 
@@ -171,8 +171,8 @@ class TestTrainAndGcpFlow:
                    "--checkpoint", ckpt, "--n", "2",
                    "--out", str(datadir / "gp.json")])
         assert rc == 0
-        pset = load_prototypes(datadir / "gp.json")
-        assert all(len(rows) == 2 for rows in pset.per_class.values())
+        classes = read_json_object(datadir / "gp.json")["classes"]
+        assert all(len(rows) == 2 for rows in classes.values())
 
         rc = main(["eval", "--data", gallery, "--queries", queries,
                    "--method", "gcp", "--checkpoint", ckpt,
@@ -196,11 +196,11 @@ class TestTrainAndGcpFlow:
                      "--out", str(datadir / "gp.json")]) == 0
         assert main(["eval", "--data", gallery, "--queries", str(datadir / "data" / "queries.csv"),
                      "--method", "gcp", "--checkpoint", ckpt, "--out", str(datadir / "run")]) == 0
-        selected = load_prototypes(datadir / "gp.json")
-        evaluated = load_prototypes(datadir / "run" / "prototypes.json")
-        counts = {c: len(rows) for c, rows in selected.per_class.items()}
-        assert counts == {c: len(rows) for c, rows in evaluated.per_class.items()}
-        assert counts == {c: SelectorConfig().n_prototypes for c in range(4)}
+        selected = read_json_object(datadir / "gp.json")["classes"]
+        evaluated = read_json_object(datadir / "run" / "prototypes.json")["classes"]
+        counts = {c: len(rows) for c, rows in selected.items()}
+        assert counts == {c: len(rows) for c, rows in evaluated.items()}
+        assert counts == {str(c): SelectorConfig().n_prototypes for c in range(4)}
 
     @pytest.mark.parametrize("method", ["centroid", "gcp"])
     def test_select_refuses_n_zero_alike(self, datadir, capsys, method):

@@ -14,6 +14,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,7 +25,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gcproto.errors import (
     ConfigError,
-    DataFormatError,
     DimensionMismatchError,
     EmptyPrototypeSetError,
 )
@@ -33,7 +33,6 @@ from gcproto.retrieval import (
     AP_MODES,
     evaluate,
     parse_buckets,
-    report_from_json,
     report_to_csv,
     report_to_json,
 )
@@ -476,6 +475,26 @@ class TestGemmKernel:
         assert unsure == [1, 1]
         assert rep.per_query_ap == [["q0", 1.0], ["q1", 0.5]]
 
+    def test_underflowing_rival_is_rechecked_at_dim_512(self):
+        # e·e is η = 2**-1074, so every product the GEMM forms is subnormal
+        # and rounds to a multiple of η, in any summation order.  It puts the
+        # own row at 0 and the rival, nearer by both distances, 1,024η past
+        # it.  The margin's η term, 2(8n + 32)η = 8,256η at n = 512, sends
+        # the rival to the exact re-check; with 8/n for 8n it is 64η, and
+        # the rival would be certified farther.
+        e, dim = 2.0**-537, 512
+        own, rival, query = 0.5 * e, 1.875 * e, 1.25 * e
+        assert (rival - query) ** 2 < (own - query) ** 2
+        pset = PrototypeSet(
+            {0: np.full((1, dim), rival), 1: np.full((1, dim), own)}, "instance"
+        )
+        queries = build_set(np.full((1, dim), query), [1], [0], id_prefix="q")
+        _, _, approx = retrieval._RankKernel(pset, 1).approx_sq_dists(queries.features, [0])
+        assert approx.tolist() == [[1024 * 2.0**-1074, 0.0]]
+        assert [c for c, _, _ in rank_query(queries.records[0], pset).entries] == [0, 1]
+        rep = evaluate(queries, pset, max_rank=2, include_per_query_ap=True)
+        assert rep.per_query_ap == [["q0", 0.5]]
+
     def test_overflowing_distances_fall_back_to_exact_ties(self):
         # every distance overflows to inf, so the (class, index) rule decides
         big = 1e200
@@ -661,9 +680,12 @@ class TestBuckets:
 # -- serialization -------------------------------------------------------
 
 
-def with_values(**values):
-    """A report edit that sets the given keys."""
-    return lambda text: json.dumps({**json.loads(text), **values})
+def report_floats(data: dict) -> np.ndarray:
+    """Every float of a report as a dict: mAP, top-1, the CMC, each
+    bucket's mAP and each per-query AP."""
+    buckets = [g["map"] for g in data["per_group"].values() if g["map"] is not None]
+    aps = [ap for _, ap in data["per_query_ap"] or ()]
+    return np.array([data["map"], data["top1"], *data["cmc"], *buckets, *aps])
 
 
 class TestReportIo:
@@ -682,54 +704,11 @@ class TestReportIo:
         # an empty and a filled bucket, and one AP pair per query
         assert rep.per_group["1-15"] == {"count": 0, "map": None}
         assert rep.per_group["16+"]["count"] == rep.n_queries == len(rep.per_query_ap)
-        text = report_to_json(rep)
-        again = report_to_json(report_from_json(text))
-        assert text == again
-        back = report_from_json(text)
-        assert back.map == rep.map
-        assert back.cmc == rep.cmc
-        assert back.per_query_ap == rep.per_query_ap
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda text: text[:-3],
-            lambda text: "[" + text + "]",
-            lambda text: json.dumps(
-                {k: v for k, v in json.loads(text).items() if k != "n_queries"}
-            ),
-            lambda text: json.dumps({**json.loads(text), "extra": 1}),
-            with_values(cmc="abc", map=[1], per_group=3, n_queries=-2),
-            with_values(cmc="abc"),
-            with_values(top1="1"),
-            with_values(map=[1]),
-            with_values(per_group=3),
-            with_values(per_group={"1+": 3}),
-            with_values(config_echo=[]),
-            with_values(per_query_ap={}),
-            with_values(missing_class_query_ids=[1]),
-            with_values(n_queries=-2),
-            with_values(per_group={"1+": {"count": "abc", "map": "zz"}}),
-            with_values(per_group={"1+": {"count": -1, "map": None}}),
-            with_values(per_group={"1+": {"count": 1, "map": 0.5, "extra": 0}}),
-            with_values(per_query_ap=[[1, "x"]]),
-            with_values(per_query_ap=[["q0", 0.5, 1.0]]),
-            with_values(cmc=[2.0, -1.0], top1=2.0),
-            with_values(cmc=[0.5, 0.25], top1=0.5),
-            with_values(cmc=[], top1=0.0),
-            with_values(top1=5.0),
-        ],
-        ids=["not-json", "list", "missing-key", "extra-key", "wrong-types", "cmc-string",
-             "top1-string", "map-list", "per-group-int", "per-group-entry-int",
-             "config-echo-list", "per-query-ap-object", "missing-id-int", "negative-n-queries",
-             "bucket-entry-strings", "bucket-count-negative", "bucket-extra-key",
-             "ap-pair-types", "ap-pair-length", "cmc-out-of-range", "cmc-decreasing",
-             "cmc-empty", "top1-not-cmc0"],
-    )
-    def test_malformed_json_rejected(self, edit):
-        text = edit(report_to_json(self.build_report()))
-        with pytest.raises(DataFormatError):
-            report_from_json(text)
+        back = json.loads(report_to_json(rep))
+        assert back == asdict(rep)
+        assert np.array_equal(
+            report_floats(back).view(np.uint64), report_floats(asdict(rep)).view(np.uint64)
+        )
 
     def test_json_keys_sorted(self):
         text = report_to_json(self.build_report())

@@ -19,16 +19,11 @@ from hypothesis import assume, event, given, settings, strategies as st
 from gcproto import errors
 from gcproto.cli import main
 from gcproto.errors import ConfigError, GcprotoError
-from gcproto.harness import (
-    PROTOCOL_CHOICES,
-    ExperimentConfig,
-    load_prototypes,
-    save_prototypes,
-)
+from gcproto.harness import PROTOCOL_CHOICES, ExperimentConfig
 from gcproto.model import GcpConfig, save_model, train
 from gcproto.retrieval import AP_MODES, EvalReport
 from gcproto.schema import csv_text, from_json, read_json_object, to_json
-from gcproto.selectors import METHODS, SelectorConfig, run_selector
+from gcproto.selectors import METHODS, SelectorConfig
 from gcproto.store import save_embedding_set
 from gcproto.synthetic import SyntheticSpec, generate_synthetic, tradeoff_spec
 
@@ -600,14 +595,13 @@ def mutated(draw, doc):
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A tiny gallery file, a checkpoint trained on it, and a prototype
-    file, shared by the fuzz tests."""
+    """A tiny gallery file and a checkpoint trained on it, shared by the
+    fuzz tests."""
     root = tmp_path_factory.mktemp("world")
     gallery, _ = generate_synthetic(SMALL)
     save_embedding_set(gallery, root / "gallery.csv")
     model, _ = train(gallery, TINY_GCP)
     save_model(model, root / "model.gcpm")
-    save_prototypes(run_selector(gallery, SelectorConfig(method="fps")), root / "protos.json")
     return root
 
 
@@ -691,14 +685,3 @@ class TestFuzzReaders:
             "select", "--data", world / "gallery.csv", "--method", "gcp",
             "--checkpoint", tmp / "model.gcpm", "--out", tmp / "protos.json",
         ]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_prototype_file(self, world, tmp_path_factory, data):
-        doc = data.draw(mutated(json.loads((world / "protos.json").read_text())))
-        path = tmp_path_factory.mktemp("protos") / "protos.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        try:
-            load_prototypes(path)
-        except GcprotoError:
-            pass
