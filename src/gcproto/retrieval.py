@@ -12,24 +12,33 @@ ranking.  It takes queries in blocks of ``QUERY_BLOCK`` and gets squared
 distances to the packed prototypes from one GEMM per block
 (‖q‖² + ‖p‖² − 2qpᵀ, the decomposition used by exact L2 search in
 FAISS); each block's query rows and distances go into two buffers that
-every block reuses.  A set made by ``PrototypeSet.replace_class``
-rebuilds one class, as the camera-filter protocol rebuilds the query's
-own, and serves only queries of that class (any other is a
-``ConfigError``): each is ranked against its base's packed matrix,
-``flattened()``, with the base's rows of the class left out, and the
-rebuilt rows get squared distances to the set's queries from one call per
-set of this module's :func:`cdist`, so the protocol costs one GEMM plus a
-few rows per (class, camera) group.  That :func:`cdist` sums in numpy's
-pairwise order, not in dimension order as ``selectors.ordered_sq_dists``
-does for k-means and mining: the certified margin below covers any
-summation order.  The squared norms these distances need are computed
-here too; the store keeps none.  Each own-class item is ranked by
-counting the prototypes certainly nearer than it, given a certified
-rounding margin on these approximate distances; a prototype inside the
-margin is re-checked with exact distances, from ``selectors.row_dists``,
-under the tie rule.  Every rank therefore equals the brute-force rank:
-the report does not depend on the block, the BLAS library or its thread
-count.
+every block reuses.  A block's GEMM of at least twice ``PART_FLOPS``
+runs as contiguous column parts of that one buffer, at most one per core
+the process may use (its CPU affinity) and each of at least
+``PART_FLOPS``: the caller's thread computes the first part and worker
+threads the rest, each packing and multiplying its own slice of the
+prototype matrix with the GIL released (Goto and van de Geijn, "Anatomy
+of High-Performance Matrix Multiplication", ACM TOMS 2008).  A worker
+lives for one block's product: it starts when that product splits and is
+joined before the block is ranked, so none outlives ``evaluate``.
+A set made by ``PrototypeSet.replace_class`` rebuilds one class, as
+the camera-filter protocol rebuilds the query's own, and serves only
+queries of that class (any other is a ``ConfigError``): each is ranked
+against its base's packed matrix, ``flattened()``, with the base's rows
+of the class left out, and the rebuilt rows get squared distances to the
+set's queries from one call per set of this module's :func:`cdist`, so
+the protocol costs one GEMM plus a few rows per (class, camera) group.
+That :func:`cdist` sums in numpy's pairwise order, not in dimension
+order as ``selectors.ordered_sq_dists`` does for k-means and mining: the
+certified margin below covers any summation order.  The squared norms
+these distances need are computed here too; the store keeps none.  Each
+own-class item is ranked by counting the prototypes certainly nearer
+than it, given a certified rounding margin on these approximate
+distances; a prototype inside the margin is re-checked with exact
+distances, from ``selectors.row_dists``, under the tie rule.  The margin
+holds for any GEMM kernel and any column partition, so every rank equals
+the brute-force rank: the report does not depend on the block, the BLAS
+library, its thread count or the number of column parts.
 
 Each query is scored where it is ranked: its AP and first own-class hit
 are kept, nothing else.  A CMC value is an integer count of first hits
@@ -41,6 +50,8 @@ definitions therefore produces bit-identical mAP and CMC values.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
@@ -55,6 +66,13 @@ DEFAULT_MAX_RANK = 25
 # Queries per GEMM in ``evaluate``; bounds the block's (queries, P)
 # approximate distance matrix, one buffer reused by every block.
 QUERY_BLOCK = 128
+# Least flops (2 · queries · P · dim) in one column part of a block's GEMM,
+# so a product below twice this (~134 MFLOP) runs whole on the caller's
+# thread.  One 128-query block at dim 512 on a 2-core host, 1 BLAS thread,
+# two parts against one, three rounds: 0.56–0.57 of the time at 655 MFLOP,
+# 0.74 at 131, 0.82–1.04 at 98, 0.83–1.03 at 66 and 1.13–1.42 at 26, where
+# starting and joining the worker outweighs its half of the product.
+PART_FLOPS = 2**26
 
 AP_MODES = ("per_prototype", "per_identity")
 
@@ -126,6 +144,41 @@ def _sq_norms(mat: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", mat, mat)
 
 
+def _cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_parts(fill, spans: list[tuple[int, int]]) -> None:
+    """``fill(lo, hi)`` for each span: the first on the caller's thread and
+    each other on a worker thread of its own, all joined before this
+    returns; an exception a worker raised is raised again here."""
+    errors: list[BaseException] = []
+
+    def work(lo: int, hi: int) -> None:
+        try:
+            fill(lo, hi)
+        except BaseException as exc:  # raised again on the caller's thread
+            errors.append(exc)
+
+    workers = []
+    try:
+        for span in spans[1:]:
+            worker = threading.Thread(target=work, args=span, name="gcproto-gemm")
+            worker.start()
+            workers.append(worker)
+        fill(*spans[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (len(xa), len(xb)): the rounded
     differences squared in place and summed over the dimensions; a square
@@ -153,7 +206,8 @@ class _Splice:
 # rows, so t ≤ 2S.  The dot-product bound |fl(xᵀy) − xᵀy| ≤ γ_n·|x|ᵀ|y|
 # (Higham, Accuracy and Stability of Numerical Algorithms, eq. 3.5) holds
 # for any summation order, with or without FMA, so it covers every BLAS
-# kernel and thread split:
+# kernel and BLAS thread split, and every column partition of the GEMM,
+# whose parts form each entry from the same q and p as the whole product:
 #   * GEMM: the cached ‖p‖² and the block's ‖q‖² are each off by ≤ γ_n of
 #     themselves, qᵀp by ≤ γ_n·(‖q‖² + ‖p‖²)/2, and a = (−2·qᵀp + ‖p‖²) + ‖q‖²
 #     adds two roundings of terms below 2(‖q‖² + ‖p‖²)(1 + γ_n), so
@@ -207,15 +261,20 @@ class _RankKernel:
     Every query block is gathered into one buffer of
     ``min(QUERY_BLOCK, n_queries)`` rows and its GEMM distances go into
     another, both overwritten block after block, so one block's query rows
-    and (queries, P) matrix are alive at a time."""
+    and (queries, P) matrix are alive at a time.  A block's GEMM runs in
+    up to ``cores`` column parts of that buffer, each of at least
+    ``PART_FLOPS``: the caller's thread computes the first, and one worker
+    thread each the others, joined before the block's distances are
+    returned."""
 
-    def __init__(self, base: PrototypeSet, n_queries: int):
+    def __init__(self, base: PrototypeSet, n_queries: int, cores: int = 1):
         self.mat, self.classes, self.spans = base.flattened()
         self.sq_norms = _sq_norms(self.mat)
         self.max_sq_norm = float(self.sq_norms.max(initial=0.0))
         rows = min(QUERY_BLOCK, n_queries)
         self._queries = np.empty((rows, self.mat.shape[1]))
         self._block = np.empty((rows, len(self.mat)))
+        self._cores = cores
 
     def approx_sq_dists(self, features: np.ndarray, rows: list[int]):
         """(the query rows ``rows`` of ``features``, their ‖q‖², GEMM squared
@@ -225,13 +284,27 @@ class _RankKernel:
         qmat = np.take(features, rows, axis=0, out=self._queries[: len(rows)], mode="clip")
         q_sq = _sq_norms(qmat)
         approx = self._block[: len(qmat)]
-        # values that overflow are caught by the finiteness check of own_ranks
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(qmat, self.mat.T, out=approx)
-            approx *= -2.0
-            approx += self.sq_norms
-            approx += q_sq[:, None]
+        n_cols, dim = self.mat.shape
+        flops = 2 * len(qmat) * n_cols * dim
+        parts = max(1, min(self._cores, flops // PART_FLOPS, n_cols))
+        bounds = [n_cols * i // parts for i in range(parts + 1)]
+        _run_parts(
+            lambda lo, hi: self._fill_columns(qmat, q_sq, approx, lo, hi),
+            list(zip(bounds, bounds[1:])),
+        )
         return qmat, q_sq, approx
+
+    def _fill_columns(self, qmat, q_sq, approx, lo: int, hi: int) -> None:
+        """The block's squared distances to packed rows ``lo:hi``, written to
+        those columns of ``approx``.  Values that overflow are caught by the
+        finiteness check of ``own_ranks``; numpy's error state is per
+        thread, so each part sets its own."""
+        part = approx[:, lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(qmat, self.mat[lo:hi].T, out=part)
+            part *= -2.0
+            part += self.sq_norms[lo:hi]
+            part += q_sq[:, None]
 
     def own_ranks(
         self,
@@ -333,8 +406,9 @@ def evaluate(
         )
     aps = [0.0] * n
     first_hit = [0] * n  # 0: no own-class prototype
+    cores = _cores()
     for base, items in by_base.items():
-        kernel = _RankKernel(base, len(items))
+        kernel = _RankKernel(base, len(items), cores)
         for start in range(0, len(items), QUERY_BLOCK):
             block = items[start : start + QUERY_BLOCK]
             qmat, q_sq, approx = kernel.approx_sq_dists(

@@ -6,12 +6,15 @@ bit-for-bit on random instances.
 """
 
 import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -384,20 +387,85 @@ def pset_of(arg, rec) -> PrototypeSet:
     return arg if isinstance(arg, PrototypeSet) else arg[rec.id]
 
 
+def force_parts(patch, parts: int) -> None:
+    """Split every block's GEMM into ``parts`` column parts (fewer when the
+    packed set has fewer rows), whatever the host's cores; ``patch`` is
+    pytest's ``monkeypatch``."""
+    patch.setattr(retrieval, "_cores", lambda: parts)
+    patch.setattr(retrieval, "PART_FLOPS", 1)
+
+
+def spy_parts(patch) -> list:
+    """Record (thread, lo, hi) for each column part the GEMM computes."""
+    seen = []
+    real = retrieval._RankKernel._fill_columns
+
+    def spy(self, qmat, q_sq, approx, lo, hi):
+        seen.append((threading.current_thread(), lo, hi))
+        real(self, qmat, q_sq, approx, lo, hi)
+
+    patch.setattr(retrieval._RankKernel, "_fill_columns", spy)
+    return seen
+
+
+def overlapping_reports() -> list[str]:
+    """``report_to_json`` of 300 queries against 2,400 prototypes in 60
+    overlapping classes, plain and with a derived set for two queries in
+    three.  Self-contained, so a child interpreter can run its source."""
+    import numpy as np
+    from gcproto.retrieval import evaluate, report_to_json
+    from gcproto.store import PrototypeSet, build_set
+
+    rng = np.random.default_rng(5)
+    centers = rng.normal(0.0, 0.5, size=(60, 64))
+    pset = PrototypeSet(
+        {c: centers[c] + rng.normal(size=(40, 64)) for c in range(60)}, "instance"
+    )
+    qcls = np.repeat(np.arange(60), 5)
+    queries = build_set(centers[qcls] + rng.normal(size=(300, 64)), qcls, [0] * 300)
+    derived = {
+        c: pset.replace_class(c, centers[c] + rng.normal(size=(2, 64))) for c in range(60)
+    }
+    mapping = {
+        rec.id: (derived[rec.class_id] if i % 3 else pset)
+        for i, rec in enumerate(queries.records)
+    }
+    return [report_to_json(evaluate(queries, arg, include_per_query_ap=True))
+            for arg in (pset, mapping)]
+
+
+def run_child(script: str, *args: str, **env_vars: str) -> str:
+    """Standard output of ``script`` run with ``args`` by a child
+    interpreter that imports gcproto from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return proc.stdout
+
+
 class TestGemmKernel:
     @settings(max_examples=300, deadline=None)
     @given(
         case=tie_heavy_cases(),
         ap_mode=st.sampled_from(AP_MODES),
         block=st.sampled_from([1, 2, retrieval.QUERY_BLOCK]),
+        parts=st.sampled_from([1, 2, 3]),
         data=st.data(),
     )
-    def test_evaluate_equals_brute_force(self, case, ap_mode, block, data):
+    def test_evaluate_equals_brute_force(self, case, ap_mode, block, parts, data):
         queries, arg = case
         # CMC tails past the prototype count P are checked too
         n_protos = max(pset_of(arg, rec).total_count() for rec in queries.records)
         max_rank = data.draw(st.integers(1, n_protos + 3), label="max_rank")
-        with mock.patch.object(retrieval, "QUERY_BLOCK", block):
+        with (
+            mock.patch.object(retrieval, "QUERY_BLOCK", block),
+            mock.patch.object(retrieval, "_cores", lambda: parts),
+            mock.patch.object(retrieval, "PART_FLOPS", 1),
+        ):
             rep = evaluate(
                 queries, arg, max_rank=max_rank, ap_mode=ap_mode, include_per_query_ap=True
             )
@@ -496,14 +564,16 @@ class TestGemmKernel:
         assert rep.per_query_ap == [["q0", 0.5]]
 
     def test_overflowing_distances_fall_back_to_exact_ties(self):
-        # every distance overflows to inf, so the (class, index) rule decides
+        # every distance overflows to inf, so the (class, index) rule decides;
+        # q2's products with the prototypes overflow inside the GEMM too
         big = 1e200
         pset = PrototypeSet(
             {0: np.array([[big, 0.0], [0.0, -big]]), 1: np.array([[-big, 0.0]])}, "instance"
         )
-        queries = build_set(np.zeros((2, 2)), [1, 0], [0, 0], id_prefix="q")
+        feats = np.array([[0.0, 0.0], [0.0, 0.0], [big, big]])
+        queries = build_set(feats, [1, 0, 0], [0] * 3, id_prefix="q")
         rep = evaluate(queries, pset, max_rank=3, include_per_query_ap=True)
-        assert rep.per_query_ap == [["q0", 1.0 / 3.0], ["q1", 1.0]]
+        assert rep.per_query_ap == [["q0", 1.0 / 3.0], ["q1", 1.0], ["q2", 1.0]]
         assert [c for c, _, _ in rank_query(queries.records[0], pset).entries] == [0, 0, 1]
 
     def test_overflowing_rebuilt_rows_rank_as_brute_force_without_warnings(self):
@@ -514,11 +584,15 @@ class TestGemmKernel:
             {0: np.array([[big, 0.0], [1.0, 0.0]]), 2: np.array([[-big, 0.0]])}, "instance"
         )
         derived = pset.replace_class(1, np.array([[0.0, big], [0.0, -big], [2.0, 0.0]]))
-        # q2 is of another class, so it ranks against the packed set
+        # q2 and q3 are of another class, so they rank against the packed
+        # set; q3's products with its rows overflow inside the GEMM
         queries = build_set(
-            np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0]]), [1, 1, 0], [0] * 3, id_prefix="q"
+            np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [big, big]]),
+            [1, 1, 0, 0],
+            [0] * 4,
+            id_prefix="q",
         )
-        mapping = {"q0": derived, "q1": derived, "q2": pset}
+        mapping = {"q0": derived, "q1": derived, "q2": pset, "q3": pset}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = evaluate(queries, mapping, max_rank=6, include_per_query_ap=True)
@@ -543,6 +617,24 @@ class TestGemmKernel:
             rep = evaluate(queries, pset, max_rank=2, include_per_query_ap=True)
         # both prototypes lie at distance 2b: a tie that class 0 wins
         assert rep.per_query_ap == [["q0", 0.5]]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "test_overflowing_distances_fall_back_to_exact_ties",
+            "test_overflowing_rebuilt_rows_rank_as_brute_force_without_warnings",
+            "test_overflowing_margin_scale_emits_no_warning",
+        ],
+    )
+    def test_overflow_cases_hold_when_a_worker_thread_takes_a_part(self, monkeypatch, case):
+        # numpy's error state is per thread: a worker's part run without its
+        # own errstate warns, and evaluate raises that warning as an error
+        force_parts(monkeypatch, 2)
+        parts = spy_parts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            getattr(self, case)()
+        assert any(thread is not threading.main_thread() for thread, _, _ in parts)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -573,43 +665,107 @@ class TestGemmKernel:
                 assert abs(Fraction(got[i, j]) - t) <= gamma * t + dim * eta
 
     def test_report_is_identical_under_one_and_two_blas_threads(self):
-        script = textwrap.dedent(
-            """
-            import numpy as np
-            from gcproto.retrieval import evaluate, report_to_json
-            from gcproto.store import PrototypeSet, build_set
-
-            rng = np.random.default_rng(5)
-            centers = rng.normal(0.0, 0.5, size=(60, 64))
-            cls = np.repeat(np.arange(60), 40)
-            pset = PrototypeSet(
-                {c: centers[c] + rng.normal(size=(40, 64)) for c in range(60)}, "instance"
-            )
-            qcls = np.repeat(np.arange(60), 5)
-            queries = build_set(centers[qcls] + rng.normal(size=(300, 64)), qcls, [0] * 300)
-            derived = {
-                c: pset.replace_class(c, centers[c] + rng.normal(size=(2, 64))) for c in range(60)
-            }
-            mapping = {
-                rec.id: (derived[rec.class_id] if i % 3 else pset)
-                for i, rec in enumerate(queries.records)
-            }
-            for arg in (pset, mapping):
-                print(report_to_json(evaluate(queries, arg, include_per_query_ap=True)))
-            """
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                timeout=120, check=True,
-            )
-            outputs.append(proc.stdout)
+        script = textwrap.dedent(inspect.getsource(overlapping_reports))
+        script += "print(*overlapping_reports(), sep='\\n')\n"
+        outputs = [
+            run_child(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            for threads in ("1", "2")
+        ]
         assert outputs[0] == outputs[1]
         assert '"per_query_ap"' in outputs[0]
+
+    def test_report_is_identical_for_any_number_of_column_parts(self, monkeypatch):
+        # five parts on a 2-core host, with the interpreter switching
+        # threads often, would show a part written over or left out
+        parts = spy_parts(monkeypatch)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n_parts in (1, 2, 3, 5):
+                force_parts(monkeypatch, n_parts)
+                parts.clear()
+                reports.append(overlapping_reports())
+                # two reports of three blocks, each in n_parts parts that
+                # tile the 2,400 columns, all but the first on a worker
+                assert len(parts) == 2 * 3 * n_parts
+                assert sorted({(lo, hi) for _, lo, hi in parts}) == [
+                    (2400 * i // n_parts, 2400 * (i + 1) // n_parts) for i in range(n_parts)
+                ]
+                on_main = [lo == 0 for thread, lo, _ in parts if thread is threading.main_thread()]
+                assert on_main == [True] * 6
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[1:] == reports[:1] * 3
+
+    def test_worker_threads_end_with_the_evaluate_that_started_them(self, monkeypatch):
+        force_parts(monkeypatch, 3)
+        parts = spy_parts(monkeypatch)
+        rng = np.random.default_rng(3)
+        pset = PrototypeSet({c: rng.normal(size=(4, 8)) for c in range(3)}, "instance")
+        queries = build_set(rng.normal(size=(5, 8)), [0, 1, 2, 0, 1], [0] * 5)
+        before = threading.enumerate()
+        evaluate(queries, pset)
+        assert threading.enumerate() == before
+        assert sum(thread is not threading.main_thread() for thread, _, _ in parts) == 2
+
+    def test_an_error_in_a_worker_is_raised_by_evaluate(self, monkeypatch):
+        force_parts(monkeypatch, 2)
+        real = retrieval._RankKernel._fill_columns
+
+        def fill(self, *args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)  # long after the caller's part is done
+                raise MemoryError("worker part")
+            real(self, *args)
+
+        monkeypatch.setattr(retrieval._RankKernel, "_fill_columns", fill)
+        pset = PrototypeSet({0: np.eye(3), 1: -np.eye(3)}, "instance")
+        queries = build_set(np.ones((2, 3)), [0, 1], [0, 0])
+        before = threading.enumerate()
+        with pytest.raises(MemoryError, match="worker part"):
+            evaluate(queries, pset)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("extra_col, splits", [(-1, False), (0, True)])
+    def test_a_block_splits_from_twice_the_part_floor(self, monkeypatch, extra_col, splits):
+        # a full block at dim 512 does 2 · 128 · 512 flops per packed row
+        monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        n_cols = 2 * retrieval.PART_FLOPS // (2 * retrieval.QUERY_BLOCK * 512) + extra_col
+        rng = np.random.default_rng(4)
+        pset = PrototypeSet({0: rng.normal(size=(n_cols, 512))}, "instance")
+        n_queries = retrieval.QUERY_BLOCK
+        queries = build_set(rng.normal(size=(n_queries, 512)), [0] * n_queries, [0] * n_queries)
+        evaluate(queries, pset)
+        assert len(started) == splits
+
+    def test_report_is_identical_on_one_core_and_on_all(self):
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs os.sched_setaffinity and at least two usable cores")
+        # a floor this low splits every block across the cores the child may use
+        script = textwrap.dedent(inspect.getsource(overlapping_reports)) + textwrap.dedent(
+            """
+            import os, sys
+            from gcproto import retrieval
+            if sys.argv[1:] == ["pin"]:
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            retrieval.PART_FLOPS = 2**20
+            print(retrieval._cores())
+            print(*overlapping_reports(), sep="\\n")
+            """
+        )
+        pinned, free = (run_child(script, *mode) for mode in (["pin"], []))
+        assert pinned.split("\n", 1)[0] == "1"
+        assert int(free.split("\n", 1)[0]) >= 2
+        assert pinned.split("\n", 1)[1] == free.split("\n", 1)[1]
 
 
 # -- grouping ------------------------------------------------------------
@@ -634,6 +790,14 @@ class TestMemory:
         assert rep.n_queries == len(queries)
         assert peak < gallery.features.nbytes
         assert peak < 2 * retrieval.QUERY_BLOCK * len(gallery) * 8
+
+    def test_column_parts_share_the_one_block_buffer(self, monkeypatch):
+        # tracemalloc traces every thread, so a part staged in a buffer of
+        # its own would show in the peak
+        force_parts(monkeypatch, 2)
+        parts = spy_parts(monkeypatch)
+        self.test_instance_pipeline_peaks_below_one_gallery_matrix()
+        assert any(thread is not threading.main_thread() for thread, _, _ in parts)
 
 
 class TestBuckets:
